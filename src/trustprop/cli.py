@@ -300,41 +300,36 @@ def _cmd_score_edges(args, out: Path) -> int:
 def _cmd_propagate(args, out: Path) -> int:
     graph = load_edge_list(args.graph, directed=False)
     node_scores = tsvio.read_node_scores(args.node_scores, graph.node_count)
-    if np.isnan(node_scores).any():
-        raise ValueError(f"{args.node_scores}: missing score for some nodes")
+    if not np.isfinite(node_scores).all():
+        raise ValueError(f"{args.node_scores}: missing or non-finite score for some nodes")
     edge_scores = tsvio.read_edge_scores(args.edge_scores, graph)
     seeds = _read_seed_set(args.seeds, graph.node_count) if args.seeds else None
     cfg = propagate.PropagationConfig(engine=args.engine, iterations=args.iterations,
                                       seeds=seeds, pin_seeds=args.pin_seeds,
                                       degree_normalize=args.degree_normalize)
-    if args.engine == "lbp":
-        final = propagate.weighted_lbp(graph, node_scores, edge_scores, cfg)
-    else:
-        final = propagate.weighted_random_walk(graph, node_scores, edge_scores, cfg)
-    tsvio.write_node_scores(out / "final_scores.tsv", final)
+    engine = propagate.weighted_lbp if args.engine == "lbp" else propagate.weighted_random_walk
+    tsvio.write_node_scores(out / "final_scores.tsv", engine(graph, node_scores, edge_scores, cfg))
     return 0
 
 
-def _cmd_rank(args, out: Path) -> int:
+def _ranking_report(args) -> metrics.RankingReport:
+    """The ranking report of `rank` and `evaluate` from their shared flags."""
     node_count = _infer_node_count(args.scores, args.labels)
     labels = tsvio.read_labels(args.labels, node_count)
     scores = _read_scores_for(args.scores, node_count, labels)
     graph = load_edge_list(args.graph, directed=False) if args.graph else None
     exclude = _read_seed_set(args.exclude, node_count).all_ids if args.exclude else None
-    report = metrics.build_ranking_report(scores, labels, threshold=args.threshold,
-                                          exclude=exclude, graph=graph)
-    metrics.write_ranking(out / "ranking.tsv", report)
+    return metrics.build_ranking_report(scores, labels, threshold=args.threshold,
+                                        exclude=exclude, graph=graph)
+
+
+def _cmd_rank(args, out: Path) -> int:
+    metrics.write_ranking(out / "ranking.tsv", _ranking_report(args))
     return 0
 
 
 def _cmd_evaluate(args, out: Path) -> int:
-    node_count = _infer_node_count(args.scores, args.labels)
-    labels = tsvio.read_labels(args.labels, node_count)
-    scores = _read_scores_for(args.scores, node_count, labels)
-    graph = load_edge_list(args.graph, directed=False) if args.graph else None
-    exclude = _read_seed_set(args.exclude, node_count).all_ids if args.exclude else None
-    report = metrics.build_ranking_report(scores, labels, threshold=args.threshold,
-                                          exclude=exclude, graph=graph)
+    report = _ranking_report(args)
     rows = [("auc", "final", report.metrics["auc"]),
             ("accuracy", f"threshold={args.threshold!r}", report.metrics["accuracy"])]
     for k in args.top_k:
@@ -369,8 +364,7 @@ def _cmd_pipeline(args, out: Path) -> int:
         degree_normalize=not args.raw_walk_scores, edge_score_value=args.edge_value,
         edge_metric=args.edge_metric, threshold=args.threshold, top_k=tuple(args.top_k),
         baselines=args.baselines, restart=args.restart, homophily=args.homophily,
-        integro_beta=args.beta, remap_ids=args.remap_ids, seed=args.seed,
-        threads=args.threads)
+        integro_beta=args.beta, remap_ids=args.remap_ids, seed=args.seed)
     result = harness.run_detection_pipeline(args.graph, args.labels, cfg,
                                             directed=args.directed, out_dir=out,
                                             victim_prob_path=args.victim_probs)
@@ -438,8 +432,7 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (EdgeListParseError, ValueError, FloatingPointError, OSError,
-            harness.StageError) as exc:
+    except (EdgeListParseError, ValueError, OSError, harness.StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,14 +43,10 @@ def clustering_coefficient(g: Graph, v: int) -> float:
     return ordered_links / (k * (k - 1))
 
 
-def reciprocity_counts(dg: DirectedGraph) -> np.ndarray:
-    """|In(v) ∩ Out(v)| for every node (degree in the mutualized graph)."""
-    return mutualize(dg).degrees
-
-
-def req_ratios(dg: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (req_in, req_out) for all nodes."""
-    recip = reciprocity_counts(dg)
+def req_ratios(dg: DirectedGraph, mutual: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized (req_in, req_out) for all nodes of `dg`, whose mutualization
+    is `mutual`: |In(v) ∩ Out(v)| is v's degree there."""
+    recip = mutual.degrees
     indeg = dg.in_degrees
     outdeg = dg.out_degrees
     rin = np.where(indeg > 0, recip / np.maximum(indeg, 1), 0.0)
@@ -88,7 +84,7 @@ def feature_matrix(dg: DirectedGraph | None, g: Graph | None = None) -> np.ndarr
     if dg is not None:
         if g is None:
             g = mutualize(dg)
-        rin, rout = req_ratios(dg)
+        rin, rout = req_ratios(dg, g)
     elif g is not None:
         has_nbrs = (g.degrees > 0).astype(float)
         rin = rout = has_nbrs

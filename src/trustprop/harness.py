@@ -195,7 +195,6 @@ class PipelineConfig:
     integro_beta: float = 2.0
     remap_ids: bool = False           # densify sparse node ids; writes id_map.tsv
     seed: int = 0
-    threads: int = 1
 
 
 @dataclass
@@ -311,9 +310,9 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
         exclude = training.all_ids
         report = metrics.build_ranking_report(final_scores[main_engine], labels,
                                               threshold=threshold, exclude=exclude, graph=graph)
+        aucs = {name: metrics.auc(s, labels, exclude=exclude) for name, s in final_scores.items()}
         rows: list[tuple] = [("threshold", "cv" if cfg.threshold is None else "fixed", threshold)]
-        for name in sorted(final_scores):
-            rows.append(("auc", name, metrics.auc(final_scores[name], labels, exclude=exclude)))
+        rows += [("auc", name, aucs[name]) for name in sorted(aucs)]
         rows.append(("accuracy", f"threshold={threshold!r}", report.metrics["accuracy"]))
         evaluated = report.node_ids.shape[0]
         for k in cfg.top_k:
@@ -326,8 +325,7 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
         if out is not None:
             tsvio.write_metrics_report(out / "metrics.tsv", rows)
             metrics.write_ranking(out / "ranking.tsv", report)
-        report.metrics.update({f"auc_{name}": metrics.auc(s, labels, exclude=exclude)
-                               for name, s in final_scores.items()})
+        report.metrics.update({f"auc_{name}": value for name, value in aucs.items()})
 
     return PipelineResult(report=report, final_scores=final_scores,
                           node_scores=node_scores, threshold=threshold, training=training)

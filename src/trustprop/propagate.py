@@ -7,8 +7,8 @@ Two engines spread local trust scores through the graph:
   total incident trust, for d = ceil(log2 n) rounds by default;
 * weighted loopy belief propagation on a pairwise binary Markov random field
   whose node/edge potentials are (S_v, 1 - S_v) and (S_{u,v}, 1 - S_{u,v}),
-  run synchronously with per-message normalization for d = 8 rounds by
-  default.
+  run synchronously with one log-odds message per edge direction for d = 8
+  rounds by default.
 
 Baselines (seed-only random walk with final degree normalization, a
 restart walk from Sybil seeds, seed-only belief propagation, and the
@@ -62,18 +62,31 @@ def _apply_seeds(scores: np.ndarray, seeds: TrainingSet | None) -> np.ndarray:
     return scores
 
 
-def _check_edge_scores(g: Graph, edge_scores: np.ndarray, *, positive: bool) -> np.ndarray:
-    edge_scores = np.asarray(edge_scores, dtype=float)
-    if edge_scores.shape[0] != g.edge_count:
-        raise ValueError(f"expected {g.edge_count} edge scores, got {edge_scores.shape[0]}")
-    if not np.all(np.isfinite(edge_scores)):
-        raise ValueError("edge scores contain missing or non-finite values")
-    if positive:
-        if edge_scores.size and (edge_scores.min() <= 0.0 or edge_scores.max() >= 1.0):
-            raise ValueError("edge potentials must lie strictly inside (0, 1)")
-    elif edge_scores.size and edge_scores.min() < 0.0:
-        raise ValueError("edge weights must be non-negative")
-    return edge_scores
+def _check_scores(values, count: int, what: str, *, open_unit: bool) -> np.ndarray:
+    """One finite score per node or edge: inside (0, 1) for LBP potentials,
+    non-negative for walk scores and weights."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[0] != count:
+        raise ValueError(f"expected {count} {what}, got {values.shape[0]}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{what} contain missing or non-finite values")
+    if open_unit:
+        if not np.all((values > 0.0) & (values < 1.0)):
+            raise ValueError(f"{what} must lie strictly inside (0, 1)")
+    elif not np.all(values >= 0.0):
+        raise ValueError(f"{what} must be non-negative")
+    return values
+
+
+def _engine_inputs(g: Graph, node_scores, edge_scores, cfg: PropagationConfig,
+                   default_iterations: int, *, open_unit: bool) -> tuple[int, np.ndarray, np.ndarray]:
+    """Validated (iterations, seeded node scores, edge scores) for either engine."""
+    if cfg.iterations is not None and cfg.iterations < 1:
+        raise ValueError("iteration count must be at least 1")
+    d = cfg.iterations if cfg.iterations is not None else default_iterations
+    node_scores = _check_scores(node_scores, g.node_count, "node scores", open_unit=open_unit)
+    edge_scores = _check_scores(edge_scores, g.edge_count, "edge scores", open_unit=open_unit)
+    return d, _apply_seeds(node_scores, cfg.seeds), edge_scores
 
 
 def _walk(g: Graph, init: np.ndarray, position_weights: np.ndarray, iterations: int,
@@ -112,14 +125,8 @@ def weighted_random_walk(g: Graph, node_scores: np.ndarray, edge_scores: np.ndar
     S(u) * S_{u,v} / sum_w S_{u,w} from its neighbors. Isolated nodes keep
     their initial score.
     """
-    if cfg.iterations is not None and cfg.iterations < 1:
-        raise ValueError("iteration count must be at least 1")
-    d = cfg.iterations if cfg.iterations is not None else default_walk_iterations(g.node_count)
-    edge_scores = _check_edge_scores(g, edge_scores, positive=False)
-    node_scores = np.asarray(node_scores, dtype=float)
-    if node_scores.shape[0] != g.node_count:
-        raise ValueError("node score array must cover every node")
-    init = _apply_seeds(node_scores, cfg.seeds)
+    d, init, edge_scores = _engine_inputs(g, node_scores, edge_scores, cfg,
+                                          default_walk_iterations(g.node_count), open_unit=False)
     position_weights = edge_scores[g.edge_ids]
     scores = _walk(g, init, position_weights, d,
                    pin=cfg.seeds if cfg.pin_seeds else None, hold_isolated=True)
@@ -136,74 +143,61 @@ def weighted_lbp(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
                  cfg: PropagationConfig = PropagationConfig()) -> np.ndarray:
     """Synchronous sum-product propagation on the score-derived pairwise MRF.
 
-    Messages start uniform and are renormalized to sum 1 after every round;
-    the final score is the normalized positive-label belief
-    bel(+1) / (bel(+1) + bel(-1)). Isolated nodes keep their local score.
+    Each edge carries one log-odds message per direction, starting at 0
+    (uniform); the final score is the benign belief
+    sigmoid(logit(S_v) + sum of incoming messages). Isolated nodes keep their
+    local score.
     """
-    if cfg.iterations is not None and cfg.iterations < 1:
-        raise ValueError("iteration count must be at least 1")
-    d = cfg.iterations if cfg.iterations is not None else DEFAULT_LBP_ITERATIONS
-    edge_scores = _check_edge_scores(g, edge_scores, positive=True)
-    node_scores = np.asarray(node_scores, dtype=float)
-    if node_scores.shape[0] != g.node_count:
-        raise ValueError("node score array must cover every node")
-    s = _apply_seeds(node_scores, cfg.seeds)
-    if s.size and (s.min() <= 0.0 or s.max() >= 1.0):
-        raise ValueError("node potentials must lie strictly inside (0, 1)")
-
-    messages = init_messages(g)
+    d, s, edge_scores = _engine_inputs(g, node_scores, edge_scores, cfg,
+                                       DEFAULT_LBP_ITERATIONS, open_unit=True)
+    prior = _logit(s)
+    coupling = _logit(edge_scores)
+    messages = np.zeros((2, g.edge_count))
     for _ in range(d):
-        messages = update_messages(g, s, edge_scores, messages)
-    return beliefs(g, s, messages)
+        messages = update_messages(g, prior, coupling, messages)
+    return _sigmoid(prior + _incoming(g, messages))
 
 
-def init_messages(g: Graph) -> np.ndarray:
-    """Uniform starting messages, one 2-vector per directed edge position."""
-    return np.full((g.indices.shape[0], 2), 0.5)
-
-
-def update_messages(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
+def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
                     messages: np.ndarray) -> np.ndarray:
-    """One synchronous round of sum-product updates with per-message normalization.
+    """One synchronous round of log-odds messages over the canonical edges.
 
-    The position k = (v, u) of the CSR arrays holds the message from u into v.
-    Neighbor products are accumulated in log space so high-degree nodes cannot
-    underflow the linear-domain messages.
+    messages[0] holds edge_u -> edge_v and messages[1] edge_v -> edge_u;
+    prior and coupling hold logit(S_v) and logit(S_e). A sender whose cavity
+    log-odds is x (its prior plus all it received except from the receiver)
+    sends log((S_e e^x + 1 - S_e) / ((1 - S_e) e^x + S_e)).
     """
-    rows = g.position_rows()
-    cols = g.indices
-    rev = g.reverse_positions()
-    logm = np.log(messages)
-    incoming = np.column_stack([
-        np.bincount(rows, weights=logm[:, 0], minlength=g.node_count),
-        np.bincount(rows, weights=logm[:, 1], minlength=g.node_count),
-    ])
-    # Product over N(u) \ {v}, up to a per-message constant absorbed by normalization.
-    excl = incoming[cols] - logm[rev]
-    excl -= excl.max(axis=1, keepdims=True)
-    prod = np.exp(excl)
-
-    se = edge_scores[g.edge_ids]
-    pot_pos = node_scores[cols]
-    pot_neg = 1.0 - pot_pos
-    raw_pos = pot_pos * se * prod[:, 0] + pot_neg * (1.0 - se) * prod[:, 1]
-    raw_neg = pot_pos * (1.0 - se) * prod[:, 0] + pot_neg * se * prod[:, 1]
-    total = raw_pos + raw_neg
-    if not np.all(np.isfinite(total)) or (total.size and total.min() <= 0.0):
-        raise FloatingPointError("non-finite or non-positive message encountered")
-    return np.column_stack([raw_pos / total, raw_neg / total])
+    fwd, bwd = messages
+    cavity = prior + _incoming(g, messages)
+    return np.stack([_send(cavity[g.edge_u] - bwd, coupling), _send(cavity[g.edge_v] - fwd, coupling)])
 
 
-def beliefs(g: Graph, node_scores: np.ndarray, messages: np.ndarray) -> np.ndarray:
-    """Final scores bel(+1) / (bel(+1) + bel(-1)) from the current messages."""
-    rows = g.position_rows()
-    logm = np.log(messages)
-    log_pos = np.log(node_scores) + np.bincount(rows, weights=logm[:, 0], minlength=g.node_count)
-    log_neg = np.log(1.0 - node_scores) + np.bincount(rows, weights=logm[:, 1], minlength=g.node_count)
-    shift = np.maximum(log_pos, log_neg)
-    bel_pos = np.exp(log_pos - shift)
-    bel_neg = np.exp(log_neg - shift)
-    return bel_pos / (bel_pos + bel_neg)
+def _incoming(g: Graph, messages: np.ndarray) -> np.ndarray:
+    """Sum of the log-odds messages into every node."""
+    return (np.bincount(g.edge_v, weights=messages[0], minlength=g.node_count)
+            + np.bincount(g.edge_u, weights=messages[1], minlength=g.node_count))
+
+
+def _send(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Message for cavity log-odds x over edges with c = logit(S_e): the log-ratio
+    logaddexp(log S_e + x, log(1 - S_e)) - logaddexp(log(1 - S_e) + x, log S_e),
+    as softplus(x + c) - softplus(x - c) - c on numpy's vectorized exp and log1p."""
+    return _softplus(x + c) - _softplus(x - c) - c
+
+
+def _softplus(t: np.ndarray) -> np.ndarray:
+    """log(1 + e^t) without overflow."""
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
+def _logit(p: np.ndarray) -> np.ndarray:
+    return np.log(p) - np.log1p(-p)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function, without overflow for either sign."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def baseline_sybilrank(g: Graph, benign_seeds: np.ndarray, iterations: int | None = None) -> np.ndarray:

@@ -108,6 +108,65 @@ def lbp_enumeration_oracle(g: Graph, node_scores, edge_values) -> np.ndarray:
     return total / z
 
 
+def from_edges_sort_oracle(n, u, v) -> tuple[np.ndarray, ...]:
+    """CSR arrays (indptr, indices, edge_u, edge_v, edge_ids) by sorting all 2m
+    directed keys and locating each position's edge with a binary search."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    keep = u != v
+    u, v = u[keep], v[keep]
+    keys = np.unique(np.concatenate([u * n + v, v * n + u])) if u.size else np.empty(0, np.int64)
+    rows = keys // n if n else keys
+    cols = keys - rows * n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    canon = rows < cols
+    edge_ids = np.searchsorted(keys[canon], np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    return indptr, cols, rows[canon], cols[canon], edge_ids
+
+
+def reverse_positions_oracle(g: Graph) -> np.ndarray:
+    """Partner position of every CSR position by binary search over the row*n + col keys."""
+    n = g.node_count
+    rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
+    return np.searchsorted(rows * n + g.indices, g.indices * n + rows)
+
+
+def lbp_two_vector_oracle(g: Graph, node_scores, edge_values, iterations) -> np.ndarray:
+    """Sum-product LBP with one normalized (+1, -1) message pair per CSR position.
+
+    Position k = (v, u) holds the message from u into v; messages start
+    uniform and are renormalized to sum 1 after every round. Node scores are
+    used as given (seeds already applied).
+    """
+    n = g.node_count
+    s = np.asarray(node_scores, dtype=float)
+    se = np.asarray(edge_values, dtype=float)[g.edge_ids]
+    rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
+    cols = g.indices
+    rev = reverse_positions_oracle(g)
+    messages = np.full((cols.shape[0], 2), 0.5)
+    for _ in range(iterations):
+        logm = np.log(messages)
+        incoming = np.column_stack([np.bincount(rows, weights=logm[:, 0], minlength=n),
+                                    np.bincount(rows, weights=logm[:, 1], minlength=n)])
+        excl = incoming[cols] - logm[rev]
+        excl -= excl.max(axis=1, keepdims=True)
+        prod = np.exp(excl)
+        pot_pos = s[cols]
+        pot_neg = 1.0 - pot_pos
+        raw_pos = pot_pos * se * prod[:, 0] + pot_neg * (1.0 - se) * prod[:, 1]
+        raw_neg = pot_pos * (1.0 - se) * prod[:, 0] + pot_neg * se * prod[:, 1]
+        total = raw_pos + raw_neg
+        messages = np.column_stack([raw_pos / total, raw_neg / total])
+    logm = np.log(messages)
+    log_pos = np.log(s) + np.bincount(rows, weights=logm[:, 0], minlength=n)
+    log_neg = np.log(1.0 - s) + np.bincount(rows, weights=logm[:, 1], minlength=n)
+    shift = np.maximum(log_pos, log_neg)
+    bel_pos = np.exp(log_pos - shift)
+    return bel_pos / (bel_pos + np.exp(log_neg - shift))
+
+
 def auc_pair_oracle(scores, labels) -> float:
     """O(n^2) pair counting over all (sybil, benign) pairs."""
     scores = np.asarray(scores, dtype=float)

@@ -10,6 +10,7 @@ potentials are flipped. The rest of the suite is expected green. Run with
 
 from __future__ import annotations
 
+import resource
 import time
 
 import numpy as np
@@ -328,8 +329,9 @@ def test_scale_ten_million_edges():
     assert np.all(np.isfinite(lbp))
     total = build_time + rw_time + lbp_time
     ok = total < 300.0
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     report("scale ingest+propagation", ok,
            f"{graph.edge_count} edges: build {build_time:.0f}s, "
            f"walk({propagate.default_walk_iterations(n)} it) {rw_time:.0f}s, "
-           f"lbp(8 it) {lbp_time:.0f}s")
+           f"lbp(8 it) {lbp_time:.0f}s, process peak RSS {peak_mib:.0f} MiB")
     assert ok

@@ -123,6 +123,21 @@ class TestStageCommands:
         names = {r[0] for r in rows}
         assert {"auc", "accuracy", "top_k_sybil_fraction"} <= names
 
+    @pytest.mark.parametrize("engine", ["lbp", "random_walk"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_propagate_rejects_non_finite_node_score(self, scenario_dir, engine, bad):
+        out = scenario_dir
+        assert run("score-edges", "--graph", out / "graph.tsv", "--out-dir", out) == 0
+        g = load_edge_list(out / "graph.tsv")
+        scores = np.full(g.node_count, 0.5)
+        tsvio.write_node_scores(out / "scores.tsv", scores)
+        text = (out / "scores.tsv").read_text().replace("\t0.5\n", f"\t{bad}\n", 1)
+        assert f"\t{bad}\n" in text
+        (out / "scores.tsv").write_text(text)
+        assert run("propagate", "--engine", engine, "--graph", out / "graph.tsv",
+                   "--node-scores", out / "scores.tsv", "--edge-scores", out / "edge_scores.tsv",
+                   "--out-dir", out) == 2
+
     def test_score_edges_metric_and_value_conflict(self, scenario_dir):
         assert run("score-edges", "--graph", scenario_dir / "graph.tsv",
                    "--value", 0.9, "--metric", "jaccard",

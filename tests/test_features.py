@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from trustprop import features
 from trustprop.features import (clustering_all, clustering_coefficient, feature_matrix,
                                 req_in, req_out, req_ratios)
 from trustprop.graph import BENIGN, SYBIL, mutualize
@@ -48,11 +49,23 @@ class TestRequestRatios:
         dg = digraph_from_pairs(3, [(0, 1), (1, 0), (2, 0)])
         assert req_out(dg, 0) == pytest.approx(1.0)
 
+    def test_feature_matrix_mutualizes_once(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        pairs = [(int(a), int(b)) for a, b in rng.integers(0, 25, size=(200, 2)) if a != b]
+        dg = digraph_from_pairs(25, pairs)
+        calls = []
+        monkeypatch.setattr(features, "mutualize", lambda d: calls.append(d) or mutualize(d))
+        feats = feature_matrix(dg)
+        assert len(calls) == 1
+        for v in range(25):
+            assert feats[v, 0] == pytest.approx(req_in(dg, v), abs=1e-12)
+            assert feats[v, 1] == pytest.approx(req_out(dg, v), abs=1e-12)
+
     def test_vectorized_matches_single_node(self):
         rng = np.random.default_rng(10)
         pairs = [(int(a), int(b)) for a, b in rng.integers(0, 25, size=(200, 2)) if a != b]
         dg = digraph_from_pairs(25, pairs)
-        rin, rout = req_ratios(dg)
+        rin, rout = req_ratios(dg, mutualize(dg))
         for v in range(25):
             assert rin[v] == pytest.approx(req_in(dg, v), abs=1e-12)
             assert rout[v] == pytest.approx(req_out(dg, v), abs=1e-12)

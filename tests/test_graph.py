@@ -7,8 +7,17 @@ from trustprop.graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListPars
                              Graph, component_census, connected_components, load_edge_list,
                              modularity, mutualize, read_edge_pairs, remap_ids)
 
-from conftest import (bfs_components_oracle, digraph_from_pairs, graph_from_pairs,
-                      modularity_pair_oracle, random_graph)
+from conftest import (bfs_components_oracle, digraph_from_pairs, from_edges_sort_oracle,
+                      graph_from_pairs, modularity_pair_oracle, random_graph,
+                      reverse_positions_oracle)
+
+
+def assert_same_csr(g, n, u, v):
+    want = from_edges_sort_oracle(n, u, v)
+    got = (g.indptr, g.indices, g.edge_u, g.edge_v, g.edge_ids)
+    for name, a, b in zip(("indptr", "indices", "edge_u", "edge_v", "edge_ids"), got, want):
+        assert a.dtype == np.int64, name
+        assert np.array_equal(a, b), name
 
 
 class TestLoadEdgeList:
@@ -94,6 +103,44 @@ class TestGraphStructure:
     def test_out_of_range_endpoint(self):
         with pytest.raises(ValueError):
             Graph.from_edges(2, [0], [2])
+
+    def test_build_matches_sort_oracle_on_multigraphs(self):
+        # self-loops, repeated edges in both orientations, isolated nodes
+        rng = np.random.default_rng(9)
+        for trial in range(200):
+            n = int(rng.integers(1, 40))
+            k = int(rng.integers(0, 3 * n))
+            u = rng.integers(0, n, size=k)
+            v = rng.integers(0, n, size=k)
+            assert_same_csr(Graph.from_edges(n, u, v), n, u, v)
+
+    def test_build_matches_sort_oracle_on_edge_cases(self):
+        cases = [(0, [], []), (1, [], []), (1, [0], [0]), (5, [], []),
+                 (6, [4, 1, 4], [1, 4, 1]), (4, [3, 3, 2], [3, 0, 2])]
+        for n, u, v in cases:
+            g = Graph.from_edges(n, u, v)
+            assert g.node_count == n
+            assert g.indptr.shape == (n + 1,)
+            assert_same_csr(g, n, u, v)
+
+    def test_build_warns_with_counts(self, caplog):
+        with caplog.at_level("WARNING", logger="trustprop.graph"):
+            g = Graph.from_edges(4, [0, 1, 2, 1, 3, 0], [1, 0, 2, 1, 0, 1])
+        assert g.edge_count == 2
+        assert caplog.messages == [
+            "dropped 2 self-loops while building undirected graph",
+            "dropped 2 duplicate edges while building undirected graph",
+        ]
+
+    def test_reverse_positions_match_search_oracle(self):
+        rng = np.random.default_rng(10)
+        for trial in range(50):
+            n = int(rng.integers(1, 30))
+            g = Graph.from_edges(n, rng.integers(0, n, size=2 * n), rng.integers(0, n, size=2 * n))
+            rev = g.reverse_positions()
+            assert np.array_equal(rev, reverse_positions_oracle(g))
+            assert np.array_equal(rev[rev], np.arange(g.indices.shape[0]))
+            assert g.reverse_positions() is rev  # cached
 
 
 class TestMutualize:

@@ -180,6 +180,33 @@ class TestPipeline:
         assert result.report.metrics["auc"] > 0.8
         assert (tmp_path / "out" / "mutual_graph.tsv").exists()
 
+    def test_directed_run_mutualizes_once_and_scores_each_engine_once(
+            self, tmp_path, directed_social_scenario, monkeypatch):
+        from trustprop import features, harness
+        dg, labels = directed_social_scenario
+        tsvio.write_edge_list(tmp_path / "digraph.tsv", dg)
+        tsvio.write_labels(tmp_path / "labels.tsv", labels)
+        calls = {"mutualize": 0, "auc": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module in (harness, features):
+            monkeypatch.setattr(module, "mutualize", counted("mutualize", module.mutualize))
+        monkeypatch.setattr(metrics, "auc", counted("auc", metrics.auc))
+        cfg = PipelineConfig(train_benign=25, train_sybil=25, seed=11, baselines=True)
+        result = run_detection_pipeline(tmp_path / "digraph.tsv", tmp_path / "labels.tsv",
+                                        cfg, directed=True, out_dir=tmp_path / "out")
+        assert calls["mutualize"] == 1
+        # one AUC per engine, plus the ranking report's own
+        assert calls["auc"] == len(result.final_scores) + 1
+        rows = [line.split("\t") for line in (tmp_path / "out" / "metrics.tsv").read_text().splitlines()]
+        written = {r[1]: float(r[2]) for r in rows if r[0] == "auc"}
+        assert written == {name: result.report.metrics[f"auc_{name}"] for name in result.final_scores}
+
     def test_walk_engine_and_victim_probs(self, tmp_path):
         graph, labels = _write_scenario(tmp_path)
         victims = np.zeros(graph.node_count)

@@ -6,12 +6,11 @@ from hypothesis import strategies as st
 from trustprop.classifier import TrainingSet
 from trustprop.propagate import (PropagationConfig, baseline_cia, baseline_integro,
                                  baseline_sybilbelief, baseline_sybilrank,
-                                 default_walk_iterations, init_messages,
-                                 integro_edge_weights, update_messages, weighted_lbp,
-                                 weighted_random_walk)
+                                 default_walk_iterations, integro_edge_weights,
+                                 update_messages, weighted_lbp, weighted_random_walk)
 
-from conftest import (graph_from_pairs, lbp_enumeration_oracle, random_graph,
-                      random_tree, walk_matrix_oracle)
+from conftest import (graph_from_pairs, lbp_enumeration_oracle, lbp_two_vector_oracle,
+                      random_graph, random_tree, walk_matrix_oracle)
 
 
 class TestWeightedRandomWalk:
@@ -98,6 +97,12 @@ class TestWeightedRandomWalk:
         with pytest.raises(ValueError):
             weighted_random_walk(g, np.full(3, 0.5), np.array([0.5, np.nan]))
 
+    def test_non_finite_or_negative_node_scores_error(self):
+        g = graph_from_pairs(3, [(0, 1), (1, 2)])
+        for bad in ([np.inf, 0.5, 0.5], [0.5, np.nan, 0.5], [5.0, -3.0, 0.5]):
+            with pytest.raises(ValueError):
+                weighted_random_walk(g, np.array(bad), np.array([0.5, 0.5]))
+
     def test_default_iterations_log2(self):
         assert default_walk_iterations(1024) == 10
         assert default_walk_iterations(1500) == 11
@@ -168,16 +173,44 @@ class TestWeightedLbp:
         b = weighted_lbp(g, 1.0 - node_scores, edge_scores, PropagationConfig(seeds=flipped))
         assert np.allclose(b, 1.0 - a, atol=1e-12)
 
-    def test_messages_stay_positive_and_normalized(self):
+    def test_matches_two_vector_messages_on_loopy_graphs(self):
+        rng = np.random.default_rng(34)
+        for trial in range(20):
+            g = random_graph(16, 0.3, rng)
+            node_scores = 0.1 + 0.8 * rng.random(16)
+            edge_scores = 0.1 + 0.8 * rng.random(g.edge_count)
+            for d in (1, 3, 8, 15):
+                got = weighted_lbp(g, node_scores, edge_scores, PropagationConfig(iterations=d))
+                want = lbp_two_vector_oracle(g, node_scores, edge_scores, d)
+                assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_matches_two_vector_messages_with_seeds_and_extreme_scores(self):
+        rng = np.random.default_rng(35)
+        g = random_graph(14, 0.35, rng)
+        node_scores = np.where(rng.random(14) < 0.5, 1e-6, 1.0 - 1e-6)
+        edge_scores = np.where(rng.random(g.edge_count) < 0.5, 0.02, 0.98)
+        seeds = TrainingSet(benign=np.array([0, 2]), sybil=np.array([9]))
+        got = weighted_lbp(g, node_scores, edge_scores, PropagationConfig(seeds=seeds))
+        seeded = node_scores.copy()
+        seeded[[0, 2]], seeded[9] = 0.9, 0.1
+        want = lbp_two_vector_oracle(g, seeded, edge_scores, 8)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    def test_messages_stay_finite_and_bounded(self):
+        # A log-odds message can never exceed the log-odds of its edge
+        # potential in magnitude: |m_e| <= |logit(S_e)|.
         rng = np.random.default_rng(27)
         g = random_graph(15, 0.3, rng)
         node_scores = 0.1 + 0.8 * rng.random(15)
-        edge_scores = 0.1 + 0.8 * rng.random(g.edge_count)
-        msgs = init_messages(g)
+        edge_scores = 0.02 + 0.96 * rng.random(g.edge_count)
+        prior = np.log(node_scores / (1.0 - node_scores))
+        coupling = np.log(edge_scores / (1.0 - edge_scores))
+        msgs = np.zeros((2, g.edge_count))
         for it in range(10):
-            msgs = update_messages(g, node_scores, edge_scores, msgs)
-            assert np.all(msgs > 0)
-            assert np.allclose(msgs.sum(axis=1), 1.0, atol=1e-12)
+            msgs = update_messages(g, prior, coupling, msgs)
+            assert msgs.shape == (2, g.edge_count)
+            assert np.all(np.isfinite(msgs))
+            assert np.all(np.abs(msgs) <= np.abs(coupling) * (1 + 1e-12))
 
     def test_potential_outside_unit_interval_error(self):
         g = graph_from_pairs(2, [(0, 1)])
@@ -185,6 +218,11 @@ class TestWeightedLbp:
             weighted_lbp(g, np.array([1.0, 0.5]), np.array([0.9]))
         with pytest.raises(ValueError):
             weighted_lbp(g, np.array([0.9, 0.5]), np.array([1.0]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                weighted_lbp(g, np.array([bad, 0.5]), np.array([0.9]))
+            with pytest.raises(ValueError):
+                weighted_lbp(g, np.array([0.9, 0.5]), np.array([bad]))
 
     def test_high_degree_hub_no_underflow(self):
         # star with 3000 leaves: belief products span thousands of factors
