@@ -12,7 +12,7 @@ from .classifier import (LocalModel, TrainConfig, TrainingSet, edge_scores_defau
                          select_threshold, train)
 from .features import clustering_coefficient, feature_matrix, req_in, req_out
 from .graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, Graph, component_census,
-                    connected_components, load_edge_list, modularity, mutualize)
+                    connected_components, modularity, mutualize)
 from .harness import (PipelineConfig, PipelineResult, StageError, SweepSpec,
                       run_detection_pipeline, run_robustness_sweep)
 from .metrics import (RankingReport, accuracy_at_threshold, auc, build_ranking_report,
@@ -23,5 +23,6 @@ from .propagate import (PropagationConfig, baseline_cia, baseline_integro,
 from .synth import (NoiseConfig, ScenarioConfig, compose_attack_scenario,
                     preferential_attachment, simulate_edge_trust_scores,
                     simulate_trust_scores)
+from .tsvio import load_edge_list
 
 __version__ = "0.1.0"

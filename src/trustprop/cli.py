@@ -16,7 +16,8 @@ import numpy as np
 
 from . import classifier, features, harness, metrics, propagate, synth, tsvio
 from .graph import (BENIGN, SYBIL, UNKNOWN, EdgeListParseError, component_census,
-                    connected_components, load_edge_list, modularity, mutualize)
+                    connected_components, modularity, mutualize)
+from .tsvio import load_edge_list
 
 VERSION = "0.1.0"
 VERSION_LINE = (f"trustprop {VERSION} "
@@ -200,38 +201,18 @@ def _apply_config_file(args, registry) -> list[str] | None:
     return overrides
 
 
-def _max_node_id(path) -> int:
-    top = -1
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            first = text.split()[0]
-            try:
-                top = max(top, int(first))
-            except ValueError:
-                continue
-    return top
-
-
-def _infer_node_count(*paths) -> int:
-    return max((_max_node_id(p) for p in paths if p), default=-1) + 1
+def _by_node(*files) -> tuple[int, list[np.ndarray]]:
+    """Per-node arrays of (path, pair reader, fill) files, over the nodes up to the largest id."""
+    tables = [(path, *read(path), fill) for path, read, fill in files]
+    node_count = max((int(ids.max()) + 1 for _, ids, _, _ in tables if ids.size), default=0)
+    return node_count, [tsvio.by_node(path, ids, values, node_count, fill)
+                        for path, ids, values, fill in tables]
 
 
 def _read_seed_set(path, node_count) -> classifier.TrainingSet:
     seed_labels = tsvio.read_labels(path, node_count)
     return classifier.TrainingSet(benign=np.flatnonzero(seed_labels == BENIGN),
                                   sybil=np.flatnonzero(seed_labels == SYBIL))
-
-
-def _read_scores_for(path, node_count: int, labels: np.ndarray) -> np.ndarray:
-    """Read final scores; every labeled node must have one, unlabeled default high."""
-    scores = tsvio.read_node_scores(path, node_count)
-    missing = np.isnan(scores)
-    if np.any(missing & (labels != UNKNOWN)):
-        raise ValueError(f"{path}: labeled node is missing a score")
-    return np.nan_to_num(scores, nan=np.inf)
 
 
 def _cmd_generate(args, out: Path) -> int:
@@ -268,9 +249,8 @@ def _cmd_features(args, out: Path) -> int:
 
 
 def _cmd_train(args, out: Path) -> int:
-    node_count = _infer_node_count(args.features, args.labels)
-    feats = tsvio.read_features(args.features, node_count)
-    labels = tsvio.read_labels(args.labels, node_count)
+    node_count, (feats, labels) = _by_node((args.features, tsvio.read_feature_pairs, 0.0),
+                                           (args.labels, tsvio.read_label_pairs, UNKNOWN))
     training = classifier.sample_training_set(
         labels, args.train_benign, args.train_sybil, harness.derive_seed(args.seed, "train-sample"))
     model = classifier.train(feats, training, classifier.TrainConfig(
@@ -304,8 +284,8 @@ def _cmd_propagate(args, out: Path) -> int:
         raise ValueError(f"{args.node_scores}: missing or non-finite score for some nodes")
     edge_scores = tsvio.read_edge_scores(args.edge_scores, graph)
     seeds = _read_seed_set(args.seeds, graph.node_count) if args.seeds else None
-    cfg = propagate.PropagationConfig(engine=args.engine, iterations=args.iterations,
-                                      seeds=seeds, pin_seeds=args.pin_seeds,
+    cfg = propagate.PropagationConfig(iterations=args.iterations, seeds=seeds,
+                                      pin_seeds=args.pin_seeds,
                                       degree_normalize=args.degree_normalize)
     engine = propagate.weighted_lbp if args.engine == "lbp" else propagate.weighted_random_walk
     tsvio.write_node_scores(out / "final_scores.tsv", engine(graph, node_scores, edge_scores, cfg))
@@ -314,9 +294,12 @@ def _cmd_propagate(args, out: Path) -> int:
 
 def _ranking_report(args) -> metrics.RankingReport:
     """The ranking report of `rank` and `evaluate` from their shared flags."""
-    node_count = _infer_node_count(args.scores, args.labels)
-    labels = tsvio.read_labels(args.labels, node_count)
-    scores = _read_scores_for(args.scores, node_count, labels)
+    node_count, (labels, scores) = _by_node((args.labels, tsvio.read_label_pairs, UNKNOWN),
+                                            (args.scores, tsvio.read_node_score_pairs, np.nan))
+    # Every labeled node must have a score; unlabeled ones rank last.
+    if np.any(np.isnan(scores) & (labels != UNKNOWN)):
+        raise ValueError(f"{args.scores}: labeled node is missing a score")
+    scores = np.nan_to_num(scores, nan=np.inf)
     graph = load_edge_list(args.graph, directed=False) if args.graph else None
     exclude = _read_seed_set(args.exclude, node_count).all_ids if args.exclude else None
     return metrics.build_ranking_report(scores, labels, threshold=args.threshold,

@@ -22,7 +22,7 @@ UNKNOWN = -1
 
 
 class EdgeListParseError(ValueError):
-    """Raised for malformed edge-list or label files (message carries line number)."""
+    """Raised for malformed data files (the message names the file and line)."""
 
 
 def _clean_pairs(n: int, a: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
@@ -189,48 +189,10 @@ class DirectedGraph:
                              self.out_indptr, self.out_indices)
 
 
-def read_edge_pairs(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a `src<TAB or space>dst` edge-list file; `#` lines are comments."""
-    srcs: list[int] = []
-    dsts: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(f"{path}:{lineno}: expected 'src dst', got {text!r}")
-            try:
-                a, b = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(f"{path}:{lineno}: non-integer node id in {text!r}") from None
-            if a < 0 or b < 0:
-                raise EdgeListParseError(f"{path}:{lineno}: negative node id in {text!r}")
-            srcs.append(a)
-            dsts.append(b)
-    if not srcs:
-        raise EdgeListParseError(f"{path}: no edges found")
-    return np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)
-
-
 def remap_ids(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Remap sparse node ids to dense 0..n-1; returns (src, dst, original_ids)."""
     original = _sorted_unique(np.concatenate([src, dst]))
     return np.searchsorted(original, src), np.searchsorted(original, dst), original
-
-
-def load_edge_list(path, directed: bool = False):
-    """Load an edge-list file into a Graph or DirectedGraph.
-
-    Node count is max id + 1; ids are used as given (see `remap_ids` for
-    sparse inputs). Duplicate edges and self-loops are dropped.
-    """
-    src, dst = read_edge_pairs(path)
-    n = int(max(src.max(), dst.max())) + 1
-    if directed:
-        return DirectedGraph.from_edges(n, src, dst)
-    return Graph.from_edges(n, src, dst)
 
 
 def mutualize(dg: DirectedGraph) -> Graph:

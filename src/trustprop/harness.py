@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifier, features, metrics, propagate, synth, tsvio
-from .graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, Graph, load_edge_list,
-                    mutualize, read_edge_pairs, remap_ids)
+from .graph import BENIGN, SYBIL, UNKNOWN, DirectedGraph, Graph, mutualize, remap_ids
 
 SWEEP_VARIABLES = ("fpr_fnr", "attack_edges", "sybil_count")
 SWEEP_MODES = ("node_scores", "edge_scores")
@@ -105,14 +104,14 @@ def _run_trial(spec: SweepSpec, value, trial: int) -> dict[tuple[str, str], floa
     out: dict[tuple[str, str], float] = {}
     for engine in spec.engines:
         if engine == "lbp":
-            cfg = propagate.PropagationConfig(engine="lbp", iterations=spec.lbp_iterations, seeds=seeds)
+            cfg = propagate.PropagationConfig(iterations=spec.lbp_iterations, seeds=seeds)
             final = propagate.weighted_lbp(graph, node_scores, edge_scores, cfg)
             out[("lbp", "accuracy")] = metrics.accuracy_at_threshold(final, labels, 0.5, exclude=exclude)
         else:
             # Rank walk scores degree-normalized: the raw update concentrates
             # trust on hubs, which buries the score signal on heavy-tailed graphs.
-            cfg = propagate.PropagationConfig(engine="random_walk", iterations=spec.rw_iterations,
-                                              seeds=seeds, degree_normalize=True)
+            cfg = propagate.PropagationConfig(iterations=spec.rw_iterations, seeds=seeds,
+                                              degree_normalize=True)
             final = propagate.weighted_random_walk(graph, node_scores, edge_scores, cfg)
         out[(engine, "auc")] = metrics.auc(final, labels, exclude=exclude)
     return out
@@ -220,15 +219,10 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
         out.mkdir(parents=True, exist_ok=True)
 
     with _stage("load"):
-        dg = None
         if cfg.remap_ids:
-            src, dst = read_edge_pairs(graph_path)
-            src, dst, original_ids = remap_ids(src, dst)
+            src, dst, original_ids = remap_ids(*tsvio.read_edge_pairs(graph_path))
             node_count = int(original_ids.shape[0])
-            if directed:
-                dg = DirectedGraph.from_edges(node_count, src, dst)
-            else:
-                graph = Graph.from_edges(node_count, src, dst)
+            loaded = (DirectedGraph if directed else Graph).from_edges(node_count, src, dst)
             raw_nodes, raw_labels = tsvio.read_label_pairs(label_path)
             dense = np.searchsorted(original_ids, raw_nodes)
             dense_c = np.minimum(dense, node_count - 1)
@@ -238,19 +232,14 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
             if out is not None:
                 tsvio.write_id_map(out / "id_map.tsv", original_ids)
         else:
-            if directed:
-                dg = load_edge_list(graph_path, directed=True)
-                node_count = dg.node_count
-            else:
-                graph = load_edge_list(graph_path, directed=False)
-                node_count = graph.node_count
+            loaded = tsvio.load_edge_list(graph_path, directed=directed)
+            node_count = loaded.node_count
             labels = tsvio.read_labels(label_path, node_count)
 
     with _stage("mutualize"):
-        if directed:
-            graph = mutualize(dg)
-            if out is not None:
-                tsvio.write_edge_list(out / "mutual_graph.tsv", graph)
+        dg, graph = (loaded, mutualize(loaded)) if directed else (None, loaded)
+        if directed and out is not None:
+            tsvio.write_edge_list(out / "mutual_graph.tsv", graph)
 
     with _stage("features"):
         feats = features.feature_matrix(dg, graph)
@@ -281,18 +270,15 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
             tsvio.write_edge_scores(out / "edge_scores.tsv", graph, edge_scores)
 
     with _stage("propagate"):
-        prop_cfg = propagate.PropagationConfig(
-            engine=cfg.engine, iterations=cfg.iterations, seeds=training,
-            pin_seeds=cfg.pin_seeds, degree_normalize=cfg.degree_normalize)
-        final_scores: dict[str, np.ndarray] = {}
-        if cfg.engine == "lbp":
-            final_scores["sf_lbp"] = propagate.weighted_lbp(graph, node_scores, edge_scores, prop_cfg)
-            main_engine = "sf_lbp"
-        elif cfg.engine == "random_walk":
-            final_scores["sf_rw"] = propagate.weighted_random_walk(graph, node_scores, edge_scores, prop_cfg)
-            main_engine = "sf_rw"
-        else:
+        engines = {"lbp": ("sf_lbp", propagate.weighted_lbp),
+                   "random_walk": ("sf_rw", propagate.weighted_random_walk)}
+        if cfg.engine not in engines:
             raise ValueError(f"unknown engine {cfg.engine!r}")
+        main_engine, engine = engines[cfg.engine]
+        prop_cfg = propagate.PropagationConfig(
+            iterations=cfg.iterations, seeds=training,
+            pin_seeds=cfg.pin_seeds, degree_normalize=cfg.degree_normalize)
+        final_scores = {main_engine: engine(graph, node_scores, edge_scores, prop_cfg)}
         if cfg.baselines:
             final_scores["sybilrank"] = propagate.baseline_sybilrank(graph, training.benign, cfg.iterations)
             final_scores["cia"] = -propagate.baseline_cia(graph, training.sybil, cfg.restart, cfg.iterations)

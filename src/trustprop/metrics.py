@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tsvio
 from .graph import BENIGN, SYBIL, UNKNOWN, Graph, connected_components
 
 # Component classes of ranked nodes.
@@ -173,8 +174,6 @@ def decompose_top_k(report: RankingReport, k: int, graph: Graph | None = None,
 
 def write_ranking(path, report: RankingReport) -> None:
     """Write `rank<TAB>node_id<TAB>score<TAB>true_label<TAB>class` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rank, (node, score, label, cls) in enumerate(
-                zip(report.node_ids.tolist(), report.scores.tolist(),
-                    report.labels.tolist(), report.component_class.tolist()), 1):
-            fh.write(f"{rank}\t{node}\t{score!r}\t{label}\t{cls}\n")
+    tsvio.write_rows(path, "%s\t%s\t%s\t%s\t%s\n", range(1, report.node_ids.shape[0] + 1),
+                     report.node_ids.tolist(), report.scores.tolist(), report.labels.tolist(),
+                     report.component_class.tolist())

@@ -35,9 +35,9 @@ DEFAULT_LBP_ITERATIONS = 8
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Engine selection plus iteration count and seed handling."""
+    """Iteration count and seed handling shared by both engines."""
 
-    engine: str = "lbp"  # {"random_walk", "lbp"}
+    engine: str = "lbp"  # not read by the engines; kept for callers that still pass it
     iterations: int | None = None  # None: engine default (ceil(log2 n) / 8)
     seeds: TrainingSet | None = None
     pin_seeds: bool = False  # re-apply seed scores after every round
@@ -134,9 +134,14 @@ def weighted_random_walk(g: Graph, node_scores: np.ndarray, edge_scores: np.ndar
         # The walk's stationary background is proportional to the weighted
         # degree, so that is the right normalizer (raw degree would leave the
         # mean incident edge score as per-node noise).
-        wdeg = np.bincount(g.position_rows(), weights=position_weights, minlength=g.node_count)
-        scores = np.where(wdeg > 0, scores / np.maximum(wdeg, 1e-300), scores)
+        scores = _per_weighted_degree(g, scores, position_weights)
     return scores
+
+
+def _per_weighted_degree(g: Graph, scores: np.ndarray, position_weights: np.ndarray) -> np.ndarray:
+    """Scores divided by each node's total incident weight; nodes with none keep theirs."""
+    wdeg = np.bincount(g.position_rows(), weights=position_weights, minlength=g.node_count)
+    return np.where(wdeg > 0, scores / np.maximum(wdeg, 1e-300), scores)
 
 
 def weighted_lbp(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
@@ -214,9 +219,8 @@ def baseline_sybilrank(g: Graph, benign_seeds: np.ndarray, iterations: int | Non
         raise ValueError("iteration count must be at least 1")
     init = np.zeros(g.node_count)
     init[benign_seeds] = 1.0 / benign_seeds.shape[0]
-    scores = _walk(g, init, np.ones(g.indices.shape[0]), d)
-    degrees = g.degrees
-    return np.where(degrees > 0, scores / np.maximum(degrees, 1), scores)
+    ones = np.ones(g.indices.shape[0])
+    return _per_weighted_degree(g, _walk(g, init, ones, d), ones)
 
 
 def baseline_cia(g: Graph, sybil_seeds: np.ndarray, restart: float = 0.85,
@@ -245,7 +249,7 @@ def baseline_sybilbelief(g: Graph, seeds: TrainingSet | None, homophily: float =
     """Seed-only belief propagation: node scores 0.5 except seeds, uniform edges."""
     node_scores = np.full(g.node_count, 0.5)
     edge_scores = np.full(g.edge_count, homophily)
-    cfg = PropagationConfig(engine="lbp", iterations=iterations, seeds=seeds)
+    cfg = PropagationConfig(iterations=iterations, seeds=seeds)
     return weighted_lbp(g, node_scores, edge_scores, cfg)
 
 
@@ -273,6 +277,4 @@ def baseline_integro(g: Graph, benign_seeds: np.ndarray, victim_prob: np.ndarray
     init = np.zeros(g.node_count)
     init[benign_seeds] = 1.0 / benign_seeds.shape[0]
     pos_weights = weights[g.edge_ids]
-    scores = _walk(g, init, pos_weights, d)
-    wdeg = np.bincount(g.position_rows(), weights=pos_weights, minlength=g.node_count)
-    return np.where(wdeg > 0, scores / np.maximum(wdeg, 1e-300), scores)
+    return _per_weighted_degree(g, _walk(g, init, pos_weights, d), pos_weights)

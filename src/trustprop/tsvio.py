@@ -1,103 +1,169 @@
 """TSV readers and writers for the toolkit's file formats.
 
-All floats are written with repr() so values round-trip exactly and repeated
-runs produce byte-identical files.
+This is the only module that knows the row format. `read_rows` parses every
+TSV data file: blank lines and lines whose first non-blank character is `#`
+are skipped, every other line holds one whitespace-separated value per
+column, and a bad line is reported as `file:line`. `write_rows` writes every
+TSV file from Python values, whose str() is repr() for floats, so values
+round-trip exactly and repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from .graph import BENIGN, SYBIL, UNKNOWN, EdgeListParseError, Graph
+from .graph import BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, Graph
 
 FORMAT_VERSION = 1
 
 
+def _data_lines(path):
+    """(line number, stripped text) of every data line."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            if text and text[0] != "#":
+                yield lineno, text
+
+
+def _fail(path, row: int, problem: str):
+    """Raise EdgeListParseError naming the file line of data row `row`."""
+    lineno, text = next(itertools.islice(_data_lines(path), row, None))
+    raise EdgeListParseError(f"{path}:{lineno}: {problem}, got {text!r}") from None
+
+
+def _check(path, bad: np.ndarray, problem: str) -> None:
+    """Reject the first row flagged in `bad`."""
+    if bad.any():
+        _fail(path, int(np.argmax(bad)), problem)
+
+
+def _repeats(keys: np.ndarray) -> np.ndarray:
+    """Flags the rows whose key already appeared on an earlier row."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeat = np.zeros(keys.shape[0], dtype=bool)
+    repeat[order[1:][ordered[1:] == ordered[:-1]]] = True
+    return repeat
+
+
+def read_rows(path, fields) -> np.ndarray:
+    """Parse the data lines of a file into a structured array of `fields`.
+
+    numpy parses all lines in one pass. Only when that fails are the lines
+    parsed one at a time, to name the first bad one. `comments=None` keeps a
+    trailing `# ...` after the values an error, as it is for any extra field.
+    """
+    dtype = np.dtype(fields)
+    lines = (text for _, text in _data_lines(path))
+    first = next(lines, None)
+    if first is None:
+        return np.empty(0, dtype)
+    try:
+        return np.loadtxt(itertools.chain([first], lines), dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        layout = " ".join(f"{name}:{dtype[name].base}"
+                          + (f"*{dtype[name].shape[0]}" if dtype[name].shape else "")
+                          for name in dtype.names)
+        for row, (_, text) in enumerate(_data_lines(path)):
+            try:
+                np.loadtxt([text], dtype=dtype, comments=None)
+            except ValueError:
+                _fail(path, row, f"expected '{layout}'")
+        raise
+
+
+def write_rows(path, fmt: str, *cols) -> None:
+    """Write one `fmt % row` line per row of the columns (lists from `tolist()`), streaming."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(map(fmt.__mod__, zip(*cols)))
+
+
+def read_edge_pairs(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a `src dst` edge-list file into non-negative endpoint arrays."""
+    rows = read_rows(path, [("src", np.int64), ("dst", np.int64)])
+    if not rows.size:
+        raise EdgeListParseError(f"{path}: no edges found")
+    _check(path, (rows["src"] < 0) | (rows["dst"] < 0), "negative node id")
+    return rows["src"], rows["dst"]
+
+
+def load_edge_list(path, directed: bool = False):
+    """Load an edge-list file into a Graph or DirectedGraph.
+
+    Node count is max id + 1; ids are used as given (see `graph.remap_ids`
+    for sparse inputs). Duplicate edges and self-loops are dropped.
+    """
+    src, dst = read_edge_pairs(path)
+    n = int(max(src.max(), dst.max())) + 1
+    return (DirectedGraph if directed else Graph).from_edges(n, src, dst)
+
+
 def write_edge_list(path, g) -> None:
     """Write a Graph (canonical u < v lines) or DirectedGraph (all arcs)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(g, Graph):
-            for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
-                fh.write(f"{u}\t{v}\n")
-        else:
-            src = np.repeat(np.arange(g.node_count), g.out_degrees)
-            for u, v in zip(src.tolist(), g.out_indices.tolist()):
-                fh.write(f"{u}\t{v}\n")
+    if isinstance(g, Graph):
+        src, dst = g.edge_u, g.edge_v
+    else:
+        src, dst = np.repeat(np.arange(g.node_count), g.out_degrees), g.out_indices
+    write_rows(path, "%s\t%s\n", src.tolist(), dst.tolist())
+
+
+def _read_by_node(path, field) -> tuple[np.ndarray, np.ndarray]:
+    """(node ids, values) of a file keyed by node id, each id given once."""
+    rows = read_rows(path, [("node", np.int64), field])
+    _check(path, _repeats(rows["node"]), "repeated node id")
+    return rows["node"], rows[field[0]]
+
+
+def by_node(path, ids: np.ndarray, values: np.ndarray, node_count: int, fill) -> np.ndarray:
+    """Per-node array of the (ids, values) read from `path`, `fill` for the nodes not listed."""
+    _check(path, (ids < 0) | (ids >= node_count), "node id out of range")
+    out = np.full((node_count,) + values.shape[1:], fill, dtype=values.dtype)
+    out[ids] = values
+    return out
 
 
 def write_labels(path, labels: np.ndarray) -> None:
     """Write `node_id<TAB>{0|1}` rows (1 = benign, 0 = sybil); unknown nodes skipped."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for node, lab in enumerate(np.asarray(labels).tolist()):
-            if lab != UNKNOWN:
-                fh.write(f"{node}\t{lab}\n")
+    labels = np.asarray(labels)
+    known = np.flatnonzero(labels != UNKNOWN)
+    write_rows(path, "%s\t%s\n", known.tolist(), labels[known].tolist())
 
 
 def read_label_pairs(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read raw (node_id, label) rows without range-checking the ids."""
-    nodes: list[int] = []
-    labs: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(f"{path}:{lineno}: expected 'node label', got {text!r}")
-            try:
-                node, lab = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(f"{path}:{lineno}: non-integer field in {text!r}") from None
-            if lab not in (BENIGN, SYBIL):
-                raise EdgeListParseError(f"{path}:{lineno}: label must be 0 or 1, got {lab}")
-            nodes.append(node)
-            labs.append(lab)
-    return np.asarray(nodes, dtype=np.int64), np.asarray(labs, dtype=np.int8)
+    """Read (node_id, label) rows; `by_node` range-checks the ids."""
+    nodes, labs = _read_by_node(path, ("label", np.int64))
+    _check(path, (labs != BENIGN) & (labs != SYBIL), "label must be 0 or 1")
+    return nodes, labs.astype(np.int8)
 
 
 def read_labels(path, node_count: int) -> np.ndarray:
     """Read a label file into a full array; nodes absent from the file are unknown."""
-    nodes, labs = read_label_pairs(path)
-    if nodes.size and (nodes.min() < 0 or nodes.max() >= node_count):
-        raise EdgeListParseError(f"{path}: node id out of range")
-    labels = np.full(node_count, UNKNOWN, dtype=np.int8)
-    labels[nodes] = labs
-    return labels
+    return by_node(path, *read_label_pairs(path), node_count, UNKNOWN)
 
 
 def write_id_map(path, original_ids: np.ndarray) -> None:
     """Write `dense_id<TAB>original_id` rows for remapped inputs."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for dense, original in enumerate(np.asarray(original_ids).tolist()):
-            fh.write(f"{dense}\t{original}\n")
+    original_ids = np.asarray(original_ids)
+    write_rows(path, "%s\t%s\n", range(original_ids.shape[0]), original_ids.tolist())
 
 
 def write_node_scores(path, scores: np.ndarray) -> None:
     """Write `node_id<TAB>score` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for node, s in enumerate(np.asarray(scores, dtype=float).tolist()):
-            fh.write(f"{node}\t{s!r}\n")
+    scores = np.asarray(scores, dtype=float)
+    write_rows(path, "%s\t%s\n", range(scores.shape[0]), scores.tolist())
+
+
+def read_node_score_pairs(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read (node_id, score) rows; `by_node` range-checks the ids."""
+    return _read_by_node(path, ("score", np.float64))
 
 
 def read_node_scores(path, node_count: int) -> np.ndarray:
-    scores = np.full(node_count, np.nan)
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(f"{path}:{lineno}: expected 'node score', got {text!r}")
-            try:
-                node, s = int(parts[0]), float(parts[1])
-            except ValueError:
-                raise EdgeListParseError(f"{path}:{lineno}: bad field in {text!r}") from None
-            if not 0 <= node < node_count:
-                raise EdgeListParseError(f"{path}:{lineno}: node id {node} out of range")
-            scores[node] = s
-    return scores
+    """Read a node-score file into a full array; nodes absent from the file are nan."""
+    return by_node(path, *read_node_score_pairs(path), node_count, np.nan)
 
 
 def write_edge_scores(path, g: Graph, values: np.ndarray) -> None:
@@ -105,94 +171,55 @@ def write_edge_scores(path, g: Graph, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
     if values.shape[0] != g.edge_count:
         raise ValueError("edge score array does not match graph edge count")
-    with open(path, "w", encoding="utf-8") as fh:
-        for u, v, s in zip(g.edge_u.tolist(), g.edge_v.tolist(), values.tolist()):
-            fh.write(f"{u}\t{v}\t{s!r}\n")
+    write_rows(path, "%s\t%s\t%s\n", g.edge_u.tolist(), g.edge_v.tolist(), values.tolist())
 
 
 def read_edge_scores(path, g: Graph) -> np.ndarray:
     """Read per-edge scores; every edge of g must be covered exactly once."""
-    values = np.full(g.edge_count, np.nan)
-    n = g.node_count
-    canon_keys = g.edge_u * n + g.edge_v
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) != 3:
-                raise EdgeListParseError(f"{path}:{lineno}: expected 'u v score', got {text!r}")
-            try:
-                u, v, s = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError:
-                raise EdgeListParseError(f"{path}:{lineno}: bad field in {text!r}") from None
-            if not (0 <= u < n and 0 <= v < n):
-                raise EdgeListParseError(f"{path}:{lineno}: node id out of range")
-            key = min(u, v) * n + max(u, v)
-            idx = np.searchsorted(canon_keys, key)
-            if idx >= g.edge_count or canon_keys[idx] != key:
-                raise EdgeListParseError(f"{path}:{lineno}: edge {u}-{v} not present in graph")
-            values[idx] = s
-    if np.isnan(values).any():
-        missing = int(np.isnan(values).sum())
-        raise EdgeListParseError(f"{path}: {missing} edge(s) missing a score")
+    rows = read_rows(path, [("u", np.int64), ("v", np.int64), ("score", np.float64)])
+    n, m = g.node_count, g.edge_count
+    lo, hi = np.minimum(rows["u"], rows["v"]), np.maximum(rows["u"], rows["v"])
+    _check(path, (lo < 0) | (hi >= n), "node id out of range")
+    keys = lo * n + hi
+    canon = np.append(g.edge_u * n + g.edge_v, -1)  # the -1 matches no key
+    idx = np.searchsorted(canon[:-1], keys)
+    _check(path, canon[idx] != keys, "edge not present in graph")
+    _check(path, _repeats(idx), "repeated edge")
+    if rows.shape[0] < m:
+        raise EdgeListParseError(f"{path}: {m - rows.shape[0]} edge(s) missing a score")
+    values = np.empty(m)
+    values[idx] = rows["score"]
     return values
 
 
 def write_features(path, features: np.ndarray) -> None:
     """Write `node_id<TAB>req_in<TAB>req_out<TAB>cc` rows."""
     features = np.asarray(features, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        for node, row in enumerate(features.tolist()):
-            fh.write(f"{node}\t" + "\t".join(repr(x) for x in row) + "\n")
+    write_rows(path, "%s" + "\t%s" * features.shape[1] + "\n",
+               range(features.shape[0]), *features.T.tolist())
+
+
+def read_feature_pairs(path) -> tuple[np.ndarray, np.ndarray]:
+    """Read (node_id, feature row) rows; the first row sets the feature count."""
+    first = next(_data_lines(path), (0, ""))[1]
+    return _read_by_node(path, ("features", np.float64, (max(len(first.split()) - 1, 1),)))
 
 
 def read_features(path, node_count: int) -> np.ndarray:
-    rows: dict[int, list[float]] = {}
-    width = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
-            parts = text.split()
-            if len(parts) < 2:
-                raise EdgeListParseError(f"{path}:{lineno}: expected 'node f1 f2 ...', got {text!r}")
-            try:
-                node = int(parts[0])
-                vals = [float(p) for p in parts[1:]]
-            except ValueError:
-                raise EdgeListParseError(f"{path}:{lineno}: bad field in {text!r}") from None
-            if width is None:
-                width = len(vals)
-            elif len(vals) != width:
-                raise EdgeListParseError(f"{path}:{lineno}: inconsistent feature count")
-            if not 0 <= node < node_count:
-                raise EdgeListParseError(f"{path}:{lineno}: node id {node} out of range")
-            rows[node] = vals
-    features = np.zeros((node_count, width or 0))
-    for node, vals in rows.items():
-        features[node] = vals
-    return features
+    """Read a feature file into a full matrix; nodes absent from the file get zeros."""
+    return by_node(path, *read_feature_pairs(path), node_count, 0.0)
 
 
 def write_component_report(path, components) -> None:
     """Write `component_id<TAB>size` rows (components already size-sorted)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for cid, comp in enumerate(components):
-            fh.write(f"{cid}\t{comp.shape[0]}\n")
+    write_rows(path, "%s\t%s\n", range(len(components)), [c.shape[0] for c in components])
 
 
 def write_metrics_report(path, rows) -> None:
     """Write `metric<TAB>parameter<TAB>value` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for metric, param, value in rows:
-            fh.write(f"{metric}\t{param}\t{value!r}\n")
+    write_rows(path, "%s\t%s\t%s\n", *zip(*rows))
 
 
 def write_sweep_table(path, rows) -> None:
     """Write `variable_value<TAB>engine<TAB>metric<TAB>mean<TAB>std<TAB>trials` rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for value, engine, metric, mean, std, trials in rows:
-            fh.write(f"{value!r}\t{engine}\t{metric}\t{mean!r}\t{std!r}\t{trials}\n")
+    write_rows(path, "%s\t%s\t%s\t%s\t%s\t%s\n", *zip(*rows))

@@ -1,9 +1,16 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustprop import tsvio
 from trustprop.cli import VERSION_LINE, dispatch
-from trustprop.graph import load_edge_list
+from trustprop.tsvio import load_edge_list
 
 
 def run(*args):
@@ -58,6 +65,118 @@ class TestUsageErrors:
 
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("components", "--graph", tmp_path / "nope.tsv", "--out-dir", tmp_path) == 2
+
+
+class TestBadInputFiles:
+    """Malformed data files exit 2 with a message naming the file and line."""
+
+    def test_id_beyond_int64_in_edge_list(self, tmp_path, capsys):
+        (tmp_path / "g.tsv").write_text("0\t1\n1180591620717411303424\t1\n")
+        assert run("mutualize", "--input", tmp_path / "g.tsv", "--out-dir", tmp_path) == 2
+        assert "g.tsv:2:" in capsys.readouterr().err
+
+    def test_id_beyond_int64_in_labels(self, tmp_path, capsys):
+        (tmp_path / "s.tsv").write_text("0\t0.2\n1\t0.8\n")
+        (tmp_path / "l.tsv").write_text("0\t0\n1180591620717411303424\t1\n")
+        assert run("evaluate", "--scores", tmp_path / "s.tsv", "--labels", tmp_path / "l.tsv",
+                   "--out-dir", tmp_path) == 2
+        assert "l.tsv:2:" in capsys.readouterr().err
+
+    def test_repeated_label_row(self, tmp_path, capsys):
+        (tmp_path / "g.tsv").write_text("0\t1\n1\t2\n")
+        (tmp_path / "l.tsv").write_text("0\t1\n1\t0\n2\t0\n0\t0\n")
+        assert run("modularity", "--graph", tmp_path / "g.tsv", "--labels", tmp_path / "l.tsv",
+                   "--out-dir", tmp_path) == 2
+        assert "l.tsv:4: repeated node id" in capsys.readouterr().err
+
+    def test_repeated_edge_score_row(self, tmp_path, capsys):
+        (tmp_path / "g.tsv").write_text("0\t1\n")
+        (tmp_path / "n.tsv").write_text("0\t0.6\n1\t0.4\n")
+        (tmp_path / "e.tsv").write_text("0\t1\t0.9\n1\t0\t0.2\n")
+        assert run("propagate", "--graph", tmp_path / "g.tsv", "--node-scores", tmp_path / "n.tsv",
+                   "--edge-scores", tmp_path / "e.tsv", "--out-dir", tmp_path) == 2
+        assert "e.tsv:2: repeated edge" in capsys.readouterr().err
+
+
+# Field values a mutation writes. Ids stay below 1000 or beyond int64: a
+# valid id of 10^6 or more sizes the node arrays by itself (sparse ids
+# without --remap-ids, an open defect), which a small file must not trigger.
+TOKENS = ["", "#", "-1", "0", "1", "2", "7", "999", "0.5", "1.5", "-0.5", "1e3", "1_0",
+          "nan", "inf", "-inf", "x", "1180591620717411303424"]
+
+
+@pytest.fixture(scope="module")
+def mutation_inputs(tmp_path_factory):
+    """Small valid inputs for every file-reading command."""
+    base = tmp_path_factory.mktemp("mutation")
+    assert run("generate", "--benign", 30, "--sybil", 15, "--avg-degree", 4, "--attack-edges", 10,
+               "--fpr", 0.2, "--fnr", 0.2, "--seed", 1, "--out-dir", base) == 0
+    assert run("features", "--graph", base / "graph.tsv", "--undirected", "--out-dir", base) == 0
+    assert run("score-edges", "--graph", base / "graph.tsv", "--out-dir", base) == 0
+    assert run("train", "--features", base / "features.tsv", "--labels", base / "labels.tsv",
+               "--train-benign", 5, "--train-sybil", 5, "--out-dir", base) == 0
+    return {p.name: p.read_text() for p in base.glob("*.tsv")}
+
+
+COMMANDS = [
+    ("mutualize", "--input", "graph.tsv"),
+    ("features", "--graph", "graph.tsv"),
+    ("features", "--undirected", "--graph", "graph.tsv"),
+    ("train", "--features", "features.tsv", "--labels", "labels.tsv",
+     "--train-benign", "5", "--train-sybil", "5"),
+    ("score-edges", "--graph", "graph.tsv", "--metric", "jaccard"),
+    ("propagate", "--graph", "graph.tsv", "--node-scores", "node_scores.tsv",
+     "--edge-scores", "edge_scores.tsv", "--seeds", "train_seeds.tsv"),
+    ("propagate", "--engine", "random_walk", "--graph", "graph.tsv",
+     "--node-scores", "local_scores.tsv", "--edge-scores", "edge_scores.tsv"),
+    ("rank", "--scores", "local_scores.tsv", "--labels", "labels.tsv", "--graph", "graph.tsv",
+     "--exclude", "train_seeds.tsv"),
+    ("evaluate", "--scores", "node_scores.tsv", "--labels", "labels.tsv", "--top-k", "5"),
+    ("components", "--graph", "graph.tsv", "--labels", "labels.tsv", "--sybil-only"),
+    ("modularity", "--graph", "graph.tsv", "--labels", "labels.tsv"),
+    ("pipeline", "--graph", "graph.tsv", "--labels", "labels.tsv", "--train-benign", "5",
+     "--train-sybil", "5", "--baselines", "--victim-probs", "node_scores.tsv"),
+]
+
+
+@st.composite
+def mutations(draw, text):
+    """`text` after one to three row edits: set, add or drop a field, or repeat or drop a line."""
+    rows = [line.split() for line in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(rows)))
+        if i == len(rows):
+            rows.append([])
+        row = rows[i]
+        at = draw(st.integers(0, len(row)))
+        kind = draw(st.sampled_from(["set", "add", "drop", "repeat", "remove"]))
+        if kind == "set" and at < len(row):
+            row[at] = draw(st.sampled_from(TOKENS))
+        elif kind == "add":
+            row.insert(at, draw(st.sampled_from(TOKENS)))
+        elif kind == "drop" and at < len(row):
+            del row[at]
+        elif kind == "repeat":
+            rows.insert(i, list(row))
+        elif kind == "remove":
+            del rows[i]
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+class TestMutatedInputs:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_not_traceback(self, mutation_inputs, data):
+        argv = list(data.draw(st.sampled_from(COMMANDS)))
+        target = data.draw(st.sampled_from([a for a in argv if a.endswith(".tsv")]))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            for name, text in mutation_inputs.items():
+                (tmp / name).write_text(data.draw(mutations(text)) if name == target else text)
+            argv = [str(tmp / a) if a.endswith(".tsv") else a for a in argv]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = dispatch(argv + ["--out-dir", str(tmp / "out")])
+        assert code in (0, 1, 2)
 
 
 class TestConfigFile:

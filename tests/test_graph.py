@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustprop.graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError,
-                             Graph, component_census, connected_components, load_edge_list,
-                             modularity, mutualize, read_edge_pairs, remap_ids)
+                             Graph, component_census, connected_components, modularity,
+                             mutualize, remap_ids)
+from trustprop.tsvio import load_edge_list, read_edge_pairs
 
 from conftest import (bfs_components_oracle, digraph_from_pairs, from_edges_sort_oracle,
                       graph_from_pairs, modularity_pair_oracle, random_graph,

@@ -119,7 +119,7 @@ def _write_scenario(tmp_path, cfg=SMALL_BASE):
 class TestPipeline:
     def test_matches_manual_stage_composition(self, tmp_path):
         from trustprop import classifier, features, propagate
-        from trustprop.graph import load_edge_list
+        from trustprop.tsvio import load_edge_list
 
         graph, labels = _write_scenario(tmp_path)
         cfg = PipelineConfig(engine="lbp", train_benign=20, train_sybil=20, seed=5)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustprop import tsvio
-from trustprop.graph import BENIGN, SYBIL, UNKNOWN, EdgeListParseError, load_edge_list
+from trustprop.graph import BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, Graph
+from trustprop.tsvio import load_edge_list, read_edge_pairs
 
 from conftest import graph_from_pairs
 
@@ -109,3 +112,146 @@ class TestEdgeListFile:
         assert dg2.edge_count == 3
         assert dg2.out_neighbors(0).tolist() == [1]
         assert dg2.in_neighbors(1).tolist() == [0, 2]
+
+
+class TestRowReader:
+    def test_trailing_comment_rejected(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("# header\n  # indented comment\n0\t1\n1 2 # note\n")
+        with pytest.raises(EdgeListParseError, match=":4:"):
+            read_edge_pairs(path)
+
+    @pytest.mark.parametrize("token", ["1180591620717411303424", "-9223372036854775809",
+                                       "1_000", "1e3", "1.0", "0x10"])
+    def test_non_int64_id_names_line(self, tmp_path, token):
+        path = tmp_path / "g.tsv"
+        path.write_text(f"0\t1\n\n{token}\t2\n")
+        with pytest.raises(EdgeListParseError, match=":3:"):
+            read_edge_pairs(path)
+
+    def test_negative_id_names_line(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("0\t1\n1\t-2\n")
+        with pytest.raises(EdgeListParseError, match=":2: negative"):
+            read_edge_pairs(path)
+
+    def test_full_int64_range(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("3 4\n9223372036854775807\t0\n")
+        src, dst = read_edge_pairs(path)
+        assert src.dtype == dst.dtype == np.int64
+        assert src.tolist() == [3, 2**63 - 1] and dst.tolist() == [4, 0]
+
+
+class TestRepeatedRows:
+    """A node or edge given twice is a data error naming the second line."""
+
+    @pytest.mark.parametrize("reader, text", [
+        (lambda p: tsvio.read_labels(p, 3), "0\t1\n2\t0\n0\t0\n"),
+        (lambda p: tsvio.read_labels(p, 3), "0\t1\n2\t0\n0\t1\n"),
+        (tsvio.read_label_pairs, "0\t1\n2\t0\n0\t0\n"),
+        (lambda p: tsvio.read_node_scores(p, 3), "0\t0.5\n1\t0.2\n0\t0.7\n"),
+        (lambda p: tsvio.read_features(p, 3), "0\t1.0\t2.0\n1\t1.0\t2.0\n0\t3.0\t4.0\n"),
+    ])
+    def test_repeated_node(self, tmp_path, reader, text):
+        path = tmp_path / "f.tsv"
+        path.write_text(text)
+        with pytest.raises(EdgeListParseError, match=":3: repeated node id"):
+            reader(path)
+
+    def test_repeated_edge_either_orientation(self, tmp_path):
+        g = graph_from_pairs(3, [(0, 1), (1, 2)])
+        path = tmp_path / "edges.tsv"
+        path.write_text("0\t1\t0.3\n1\t2\t0.5\n1\t0\t0.7\n")
+        with pytest.raises(EdgeListParseError, match=":3: repeated edge"):
+            tsvio.read_edge_scores(path, g)
+
+    def test_duplicate_arcs_stay_allowed(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("0\t1\n0\t1\n1\t0\n")
+        assert load_edge_list(path).edge_count == 1
+        assert load_edge_list(path, directed=True).edge_count == 2
+
+
+def _bits(values) -> bytes:
+    """Exact bytes of a float array, with every nan made the same nan."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), np.nan, values).tobytes()
+
+
+EXTREMES = st.sampled_from([np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+                            1e308, -1.7976931348623157e308, -0.0, 0.1])
+FLOATS = st.one_of(st.floats(), EXTREMES)
+
+
+@st.composite
+def edge_lists(draw, max_nodes=12):
+    n = draw(st.integers(2, max_nodes))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          min_size=1, max_size=30))
+    u, v = np.array(pairs, dtype=np.int64).T
+    return n, u, v
+
+
+class TestWriteReadIdentity:
+    """Writing then reading every file format gives back what was written."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(edges=edge_lists())
+    def test_undirected_edge_list(self, tmp_path_factory, edges):
+        n, u, v = edges
+        g = Graph.from_edges(n, u, v)
+        if g.edge_count == 0:
+            return
+        path = tmp_path_factory.mktemp("el") / "graph.tsv"
+        tsvio.write_edge_list(path, g)
+        src, dst = read_edge_pairs(path)
+        assert np.array_equal(src, g.edge_u) and np.array_equal(dst, g.edge_v)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edges=edge_lists())
+    def test_directed_edge_list(self, tmp_path_factory, edges):
+        n, u, v = edges
+        dg = DirectedGraph.from_edges(n, u, v)
+        if dg.edge_count == 0:
+            return
+        path = tmp_path_factory.mktemp("el") / "arcs.tsv"
+        tsvio.write_edge_list(path, dg)
+        src, dst = read_edge_pairs(path)
+        assert np.array_equal(src, np.repeat(np.arange(n), dg.out_degrees))
+        assert np.array_equal(dst, dg.out_indices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(labels=st.lists(st.sampled_from([BENIGN, SYBIL, UNKNOWN]), max_size=40))
+    def test_labels(self, tmp_path_factory, labels):
+        labels = np.array(labels, dtype=np.int8)
+        path = tmp_path_factory.mktemp("lab") / "labels.tsv"
+        tsvio.write_labels(path, labels)
+        got = tsvio.read_labels(path, labels.shape[0])
+        assert got.dtype == np.int8 and np.array_equal(got, labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(scores=st.lists(FLOATS, max_size=40))
+    def test_node_scores(self, tmp_path_factory, scores):
+        path = tmp_path_factory.mktemp("ns") / "scores.tsv"
+        tsvio.write_node_scores(path, scores)
+        assert _bits(tsvio.read_node_scores(path, len(scores))) == _bits(scores)
+
+    @settings(max_examples=60, deadline=None)
+    @given(edges=edge_lists(), data=st.data())
+    def test_edge_scores(self, tmp_path_factory, edges, data):
+        g = Graph.from_edges(*edges)
+        values = data.draw(st.lists(FLOATS, min_size=g.edge_count, max_size=g.edge_count))
+        path = tmp_path_factory.mktemp("es") / "edges.tsv"
+        tsvio.write_edge_scores(path, g, values)
+        assert _bits(tsvio.read_edge_scores(path, g)) == _bits(values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 12), width=st.integers(1, 4), data=st.data())
+    def test_features(self, tmp_path_factory, rows, width, data):
+        feats = np.array(data.draw(st.lists(FLOATS, min_size=rows * width, max_size=rows * width)),
+                         dtype=float).reshape(rows, width)
+        path = tmp_path_factory.mktemp("ft") / "features.tsv"
+        tsvio.write_features(path, feats)
+        got = tsvio.read_features(path, rows)
+        assert got.shape == feats.shape and _bits(got) == _bits(feats)
