@@ -10,7 +10,7 @@ and a sweep harness support robustness experiments.
 from .classifier import (LocalModel, TrainConfig, TrainingSet, edge_scores_default,
                          edge_scores_similarity, predict_scores, sample_training_set,
                          select_threshold, train)
-from .features import clustering_coefficient, feature_matrix, req_in, req_out
+from .features import feature_matrix
 from .graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, Graph, component_census,
                     connected_components, modularity, mutualize)
 from .harness import (PipelineConfig, PipelineResult, StageError, SweepSpec,

@@ -94,7 +94,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--metric", choices=classifier.SIMILARITY_METRICS, default=None)
 
     p = sub("propagate", "run a propagation engine over score files")
-    p.add_argument("--engine", choices=("random_walk", "lbp"), default="lbp")
+    p.add_argument("--engine", choices=tuple(propagate.ENGINES), default="lbp")
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--graph", required=True)
     p.add_argument("--node-scores", required=True)
@@ -124,7 +124,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--values", type=_float_list, default=[0.0, 0.1, 0.2, 0.3, 0.4])
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--mode", choices=harness.SWEEP_MODES, default="node_scores")
-    p.add_argument("--engines", type=_str_list, default=["random_walk", "lbp"])
+    p.add_argument("--engines", type=_str_list, default=list(propagate.ENGINES))
     p.add_argument("--benign", type=int, default=1000)
     p.add_argument("--sybil", type=int, default=500)
     p.add_argument("--avg-degree", type=int, default=10)
@@ -135,7 +135,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--directed", action="store_true")
-    p.add_argument("--engine", choices=("random_walk", "lbp"), default="lbp")
+    p.add_argument("--engine", choices=tuple(propagate.ENGINES), default="lbp")
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--train-benign", type=int, default=50)
     p.add_argument("--train-sybil", type=int, default=50)
@@ -287,7 +287,7 @@ def _cmd_propagate(args, out: Path) -> int:
     cfg = propagate.PropagationConfig(iterations=args.iterations, seeds=seeds,
                                       pin_seeds=args.pin_seeds,
                                       degree_normalize=args.degree_normalize)
-    engine = propagate.weighted_lbp if args.engine == "lbp" else propagate.weighted_random_walk
+    engine = propagate.get_engine(args.engine)[1]
     tsvio.write_node_scores(out / "final_scores.tsv", engine(graph, node_scores, edge_scores, cfg))
     return 0
 

@@ -2,8 +2,8 @@
 
 Three features per node: incoming-requests-accepted ratio, outgoing-requests-
 accepted ratio (both from the directed graph), and the local clustering
-coefficient (from the mutualized undirected graph). All are ratios in [0, 1];
-zero-denominator cases are 0 by convention.
+coefficient (from the triangle counts of the mutualized graph's edges). All
+are ratios in [0, 1]; zero-denominator cases are 0 by convention.
 """
 
 from __future__ import annotations
@@ -11,36 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import DirectedGraph, Graph, mutualize
-
-
-def req_in(dg: DirectedGraph, v: int) -> float:
-    """Fraction of v's in-neighbors that v also follows: |In ∩ Out| / |In|."""
-    inbound = dg.in_neighbors(v)
-    if inbound.shape[0] == 0:
-        return 0.0
-    return np.intersect1d(inbound, dg.out_neighbors(v), assume_unique=True).shape[0] / inbound.shape[0]
-
-
-def req_out(dg: DirectedGraph, v: int) -> float:
-    """Fraction of v's out-neighbors that follow back: |In ∩ Out| / |Out|."""
-    outbound = dg.out_neighbors(v)
-    if outbound.shape[0] == 0:
-        return 0.0
-    return np.intersect1d(dg.in_neighbors(v), outbound, assume_unique=True).shape[0] / outbound.shape[0]
-
-
-def clustering_coefficient(g: Graph, v: int) -> float:
-    """Fraction of ordered neighbor pairs of v that are themselves connected."""
-    nbrs = g.neighbors(v)
-    k = nbrs.shape[0]
-    if k < 2:
-        return 0.0
-    mark = np.zeros(g.node_count, dtype=bool)
-    mark[nbrs] = True
-    ordered_links = 0
-    for u in nbrs.tolist():
-        ordered_links += int(mark[g.neighbors(u)].sum())
-    return ordered_links / (k * (k - 1))
 
 
 def req_ratios(dg: DirectedGraph, mutual: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -55,22 +25,11 @@ def req_ratios(dg: DirectedGraph, mutual: Graph) -> tuple[np.ndarray, np.ndarray
 
 
 def clustering_all(g: Graph) -> np.ndarray:
-    """Local clustering coefficient for every node."""
-    n = g.node_count
-    cc = np.zeros(n)
-    mark = np.zeros(n, dtype=bool)
-    for v in range(n):
-        nbrs = g.neighbors(v)
-        k = nbrs.shape[0]
-        if k < 2:
-            continue
-        mark[nbrs] = True
-        ordered_links = 0
-        for u in nbrs.tolist():
-            ordered_links += int(mark[g.neighbors(u)].sum())
-        cc[v] = ordered_links / (k * (k - 1))
-        mark[nbrs] = False
-    return cc
+    """Local clustering coefficient for every node: its linked ordered neighbor
+    pairs (the triangle counts of its edges, summed) over k(k - 1)."""
+    t, n, k = g.triangle_sums(), g.node_count, g.degrees
+    links = np.bincount(g.edge_u, t, minlength=n) + np.bincount(g.edge_v, t, minlength=n)
+    return np.where(k >= 2, links / np.maximum(k * (k - 1), 1), 0.0)
 
 
 def feature_matrix(dg: DirectedGraph | None, g: Graph | None = None) -> np.ndarray:

@@ -4,7 +4,9 @@ Graphs are stored in compressed sparse (CSR-style) adjacency form with dense
 integer node ids 0..n-1. Undirected graphs keep both directions of every edge
 in the adjacency arrays plus a canonical edge list (u < v) so that per-edge
 quantities (trust scores, weights) can be stored once per undirected edge.
-All graph objects are immutable after construction.
+All graph objects are immutable after construction; derived arrays (position
+rows, the reverse index, per-edge triangle counts) are computed once and
+cached on the graph.
 """
 
 from __future__ import annotations
@@ -62,6 +64,7 @@ class Graph:
         self.edge_count = int(edge_u.shape[0])
         self._rows = None
         self._rev = None
+        self._tri = None
 
     @classmethod
     def from_edges(cls, node_count: int, u, v) -> "Graph":
@@ -117,6 +120,14 @@ class Graph:
             self._rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
         return self._rows
 
+    def triangle_sums(self, weights=None) -> np.ndarray:
+        """Per canonical edge, the number of triangles through it (cached) or,
+        with per-node `weights`, the sum of weights[w] over each triangle's
+        third vertex w (its common neighbors)."""
+        if weights is None and self._tri is None:
+            self._tri = _triangle_pass(self, None)
+        return self._tri if weights is None else _triangle_pass(self, np.asarray(weights, dtype=float))
+
     def reverse_positions(self) -> np.ndarray:
         """For CSR position k = (v, u), the position of (u, v). Cached.
 
@@ -129,10 +140,45 @@ class Graph:
             self._rev = ends[canon, self.edge_ids]
         return self._rev
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return bool(i < nb.shape[0] and nb[i] == v)
+
+# Wedges expanded at a time by the triangle pass; bounds its working arrays.
+_WEDGE_CHUNK = 1 << 16
+
+
+def _triangle_pass(g: Graph, weights: np.ndarray | None) -> np.ndarray:
+    """Forward triangle listing (Schank & Wagner 2005; Latapy 2008).
+
+    Each edge points toward its endpoint higher in (degree, id) order, so a
+    triangle is found once: as a wedge of out-positions p < q of its lowest
+    vertex (in CSR order, so the targets ascend) closed by an edge that one
+    binary search finds among the sorted canonical keys. Wedges are expanded
+    _WEDGE_CHUNK at a time; each hit adds 1, or the weight of the vertex
+    opposite, to the triangle's three edges.
+    """
+    n, m = g.node_count, g.edge_count
+    out = np.zeros(m, dtype=np.int64 if weights is None else float)
+    cols, deg = g.indices, g.degrees
+    rows = np.repeat(np.arange(n, dtype=np.int64), deg)  # local, so only the sums outlive the pass
+    up = (deg[cols] > deg[rows]) | ((deg[cols] == deg[rows]) & (cols > rows))
+    src, dst, eid = rows[up], cols[up], g.edge_ids[up]
+    later = np.cumsum(np.bincount(src, minlength=n))[src] - np.arange(1, m + 1)
+    ends = np.cumsum(later)  # wedges pair out-position p with the `later` ones of its row
+    starts = ends - later
+    keys = g.edge_u * n + g.edge_v
+    total = int(ends[-1]) if m else 0
+    for lo in range(0, total, _WEDGE_CHUNK):
+        hi = min(lo + _WEDGE_CHUNK, total)
+        first, last = np.searchsorted(ends, [lo, hi - 1], side="right")
+        span = np.arange(first, last + 1)
+        p = np.repeat(span, np.minimum(ends[span], hi) - np.maximum(starts[span], lo))
+        q = p + 1 + np.arange(lo, hi) - starts[p]
+        close = dst[p] * n + dst[q]
+        at = np.minimum(np.searchsorted(keys, close), m - 1)
+        hit = keys[at] == close
+        p, q, at = p[hit], q[hit], at[hit]
+        np.add.at(out, np.concatenate([eid[p], eid[q], at]),
+                  1 if weights is None else weights[np.concatenate([dst[q], dst[p], src[p]])])
+    return out
 
 
 class DirectedGraph:
@@ -183,10 +229,6 @@ class DirectedGraph:
     @property
     def in_degrees(self) -> np.ndarray:
         return np.diff(self.in_indptr)
-
-    def transpose(self) -> "DirectedGraph":
-        return DirectedGraph(self.node_count, self.in_indptr, self.in_indices,
-                             self.out_indptr, self.out_indices)
 
 
 def remap_ids(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -42,7 +42,7 @@ class SweepSpec:
     variable: str = "fpr_fnr"
     values: tuple = (0.0, 0.1, 0.2, 0.3, 0.4)
     trials: int = 10
-    engines: tuple = ("random_walk", "lbp")
+    engines: tuple = tuple(propagate.ENGINES)
     mode: str = "node_scores"
     noise: float = 0.3           # fixed fpr=fnr while sweeping a structural factor
     edge_score_value: float = 0.9
@@ -60,8 +60,7 @@ class SweepSpec:
         if not self.values:
             raise ValueError("empty value grid")
         for engine in self.engines:
-            if engine not in ("random_walk", "lbp"):
-                raise ValueError(f"unknown engine {engine!r}")
+            propagate.get_engine(engine)
         for value in self.values:
             self.scenario_for(value, rng_seed=0).validate()
             synth.NoiseConfig(*self.noise_for(value)).validate()
@@ -103,16 +102,14 @@ def _run_trial(spec: SweepSpec, value, trial: int) -> dict[tuple[str, str], floa
 
     out: dict[tuple[str, str], float] = {}
     for engine in spec.engines:
+        # Rank walk scores degree-normalized: the raw update concentrates
+        # trust on hubs, which buries the score signal on heavy-tailed graphs.
+        cfg = (propagate.PropagationConfig(iterations=spec.lbp_iterations, seeds=seeds) if engine == "lbp"
+               else propagate.PropagationConfig(iterations=spec.rw_iterations, seeds=seeds,
+                                                degree_normalize=True))
+        final = propagate.get_engine(engine)[1](graph, node_scores, edge_scores, cfg)
         if engine == "lbp":
-            cfg = propagate.PropagationConfig(iterations=spec.lbp_iterations, seeds=seeds)
-            final = propagate.weighted_lbp(graph, node_scores, edge_scores, cfg)
             out[("lbp", "accuracy")] = metrics.accuracy_at_threshold(final, labels, 0.5, exclude=exclude)
-        else:
-            # Rank walk scores degree-normalized: the raw update concentrates
-            # trust on hubs, which buries the score signal on heavy-tailed graphs.
-            cfg = propagate.PropagationConfig(iterations=spec.rw_iterations, seeds=seeds,
-                                              degree_normalize=True)
-            final = propagate.weighted_random_walk(graph, node_scores, edge_scores, cfg)
         out[(engine, "auc")] = metrics.auc(final, labels, exclude=exclude)
     return out
 
@@ -177,7 +174,7 @@ def _stage(name: str):
 class PipelineConfig:
     """End-to-end detection run: training sizes, scoring and engine choices."""
 
-    engine: str = "lbp"               # {"random_walk", "lbp"}
+    engine: str = "lbp"               # a propagate.ENGINES name
     train_benign: int = 50
     train_sybil: int = 50
     iterations: int | None = None
@@ -270,11 +267,7 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
             tsvio.write_edge_scores(out / "edge_scores.tsv", graph, edge_scores)
 
     with _stage("propagate"):
-        engines = {"lbp": ("sf_lbp", propagate.weighted_lbp),
-                   "random_walk": ("sf_rw", propagate.weighted_random_walk)}
-        if cfg.engine not in engines:
-            raise ValueError(f"unknown engine {cfg.engine!r}")
-        main_engine, engine = engines[cfg.engine]
+        main_engine, engine = propagate.get_engine(cfg.engine)
         prop_cfg = propagate.PropagationConfig(
             iterations=cfg.iterations, seeds=training,
             pin_seeds=cfg.pin_seeds, degree_normalize=cfg.degree_normalize)

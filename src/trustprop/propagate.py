@@ -32,6 +32,17 @@ SEED_SYBIL_SCORE = 0.1
 
 DEFAULT_LBP_ITERATIONS = 8
 
+# Engine name -> (label of its pipeline scores, engine function name); callers
+# fetch the function from this module at call time, so wrappers on it apply.
+ENGINES = {"random_walk": ("sf_rw", "weighted_random_walk"), "lbp": ("sf_lbp", "weighted_lbp")}
+
+
+def get_engine(name: str):
+    """(score label, engine function) of an ENGINES name."""
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}")
+    return ENGINES[name][0], globals()[ENGINES[name][1]]
+
 
 @dataclass(frozen=True)
 class PropagationConfig:

@@ -22,10 +22,78 @@ def digraph_from_pairs(n, pairs) -> DirectedGraph:
     return DirectedGraph.from_edges(n, src, dst)
 
 
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    nb = g.neighbors(u)
+    i = np.searchsorted(nb, v)
+    return bool(i < nb.shape[0] and nb[i] == v)
+
+
+def transpose(dg: DirectedGraph) -> DirectedGraph:
+    """The same graph with every arc reversed (out- and in-adjacency swapped)."""
+    return DirectedGraph(dg.node_count, dg.in_indptr, dg.in_indices, dg.out_indptr, dg.out_indices)
+
+
 def random_graph(n, edge_prob, rng) -> Graph:
     """Erdos-style random graph for oracle comparisons."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < edge_prob]
     return graph_from_pairs(n, pairs)
+
+
+def req_in_oracle(dg: DirectedGraph, v: int) -> float:
+    """Fraction of v's in-neighbors that v also follows: |In ∩ Out| / |In|."""
+    inbound = dg.in_neighbors(v)
+    if inbound.shape[0] == 0:
+        return 0.0
+    return np.intersect1d(inbound, dg.out_neighbors(v), assume_unique=True).shape[0] / inbound.shape[0]
+
+
+def req_out_oracle(dg: DirectedGraph, v: int) -> float:
+    """Fraction of v's out-neighbors that follow back: |In ∩ Out| / |Out|."""
+    outbound = dg.out_neighbors(v)
+    if outbound.shape[0] == 0:
+        return 0.0
+    return np.intersect1d(dg.in_neighbors(v), outbound, assume_unique=True).shape[0] / outbound.shape[0]
+
+
+def clustering_coefficient_oracle(g: Graph, v: int) -> float:
+    """Fraction of ordered neighbor pairs of v that are themselves connected."""
+    nbrs = g.neighbors(v)
+    k = nbrs.shape[0]
+    if k < 2:
+        return 0.0
+    mark = np.zeros(g.node_count, dtype=bool)
+    mark[nbrs] = True
+    ordered_links = 0
+    for u in nbrs.tolist():
+        ordered_links += int(mark[g.neighbors(u)].sum())
+    return ordered_links / (k * (k - 1))
+
+
+def clustering_loop_oracle(g: Graph) -> np.ndarray:
+    """Clustering coefficient of every node, one neighborhood at a time."""
+    return np.array([clustering_coefficient_oracle(g, v) for v in range(g.node_count)], dtype=float)
+
+
+def edge_similarity_loop_oracle(g: Graph, metric: str) -> np.ndarray:
+    """Per-edge neighbor-set similarity by intersecting the two neighbor lists,
+    each without the other endpoint."""
+    degrees = g.degrees
+    sims = np.zeros(g.edge_count)
+    for e, (u, v) in enumerate(zip(g.edge_u.tolist(), g.edge_v.tolist())):
+        a = g.neighbors(u)
+        a = a[a != v]
+        b = g.neighbors(v)
+        b = b[b != u]
+        common = np.intersect1d(a, b, assume_unique=True)
+        if metric == "jaccard":
+            union = a.shape[0] + b.shape[0] - common.shape[0]
+            sims[e] = common.shape[0] / union if union else 0.0
+        elif metric == "cosine":
+            denom = np.sqrt(a.shape[0] * b.shape[0])
+            sims[e] = common.shape[0] / denom if denom else 0.0
+        else:  # adamic-adar; common neighbors always have degree >= 2
+            sims[e] = float(np.sum(1.0 / np.log(degrees[common])))
+    return sims
 
 
 def bfs_components_oracle(g: Graph, restrict=None) -> list[frozenset]:

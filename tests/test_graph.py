@@ -10,7 +10,7 @@ from trustprop.tsvio import load_edge_list, read_edge_pairs
 
 from conftest import (bfs_components_oracle, digraph_from_pairs, from_edges_sort_oracle,
                       graph_from_pairs, modularity_pair_oracle, random_graph,
-                      reverse_positions_oracle)
+                      reverse_positions_oracle, transpose)
 
 
 def assert_same_csr(g, n, u, v):
@@ -171,7 +171,7 @@ class TestMutualize:
         pairs = [(int(a), int(b)) for a, b in rng.integers(0, 20, size=(150, 2)) if a != b]
         dg = digraph_from_pairs(20, pairs)
         g1 = mutualize(dg)
-        g2 = mutualize(dg.transpose())
+        g2 = mutualize(transpose(dg))
         assert np.array_equal(g1.edge_u, g2.edge_u)
         assert np.array_equal(g1.edge_v, g2.edge_v)
 

@@ -207,6 +207,27 @@ class TestPipeline:
         written = {r[1]: float(r[2]) for r in rows if r[0] == "auc"}
         assert written == {name: result.report.metrics[f"auc_{name}"] for name in result.final_scores}
 
+    def test_directed_jaccard_run_counts_triangles_once(
+            self, tmp_path, directed_social_scenario, monkeypatch):
+        from trustprop import graph as graph_module
+        dg, labels = directed_social_scenario
+        tsvio.write_edge_list(tmp_path / "digraph.tsv", dg)
+        tsvio.write_labels(tmp_path / "labels.tsv", labels)
+        unweighted = []
+        real_pass = graph_module._triangle_pass
+
+        def counted(g, weights):
+            if weights is None:
+                unweighted.append(g)
+            return real_pass(g, weights)
+
+        monkeypatch.setattr(graph_module, "_triangle_pass", counted)
+        cfg = PipelineConfig(train_benign=25, train_sybil=25, seed=11, edge_metric="jaccard")
+        run_detection_pipeline(tmp_path / "digraph.tsv", tmp_path / "labels.tsv",
+                               cfg, directed=True, out_dir=tmp_path / "out")
+        # clustering (features stage) and Jaccard (edge-scores stage) share one pass
+        assert len(unweighted) == 1
+
     def test_walk_engine_and_victim_probs(self, tmp_path):
         graph, labels = _write_scenario(tmp_path)
         victims = np.zeros(graph.node_count)
