@@ -153,21 +153,14 @@ def top_k_sybil_fraction(report: RankingReport, k: int) -> float:
     return float(np.mean(report.labels[:k] == SYBIL))
 
 
-def decompose_top_k(report: RankingReport, k: int, graph: Graph | None = None,
-                    labels: np.ndarray | None = None) -> dict[str, int]:
-    """Count top-k nodes per component class (isolated / lcc / others / benign).
-
-    Passing graph and labels recomputes the classes from the Sybil-induced
-    subgraph; otherwise the classes stored in the report are used.
-    """
+def decompose_top_k(report: RankingReport, k: int) -> dict[str, int]:
+    """Count top-k nodes per component class (isolated / lcc / others / benign),
+    using the classes stored in the report."""
     if k <= 0:
         raise ValueError("k must be positive")
     if k > report.node_ids.shape[0]:
         raise ValueError(f"k={k} exceeds the {report.node_ids.shape[0]} evaluated nodes")
-    if graph is not None and labels is not None:
-        head = sybil_component_classes(graph, labels)[report.node_ids[:k]]
-    else:
-        head = report.component_class[:k]
+    head = report.component_class[:k]
     return {cls: int(np.count_nonzero(head == cls))
             for cls in (CLASS_ISOLATED, CLASS_LCC, CLASS_OTHERS, CLASS_BENIGN)}
 
@@ -175,5 +168,4 @@ def decompose_top_k(report: RankingReport, k: int, graph: Graph | None = None,
 def write_ranking(path, report: RankingReport) -> None:
     """Write `rank<TAB>node_id<TAB>score<TAB>true_label<TAB>class` rows."""
     tsvio.write_rows(path, "%s\t%s\t%s\t%s\t%s\n", range(1, report.node_ids.shape[0] + 1),
-                     report.node_ids.tolist(), report.scores.tolist(), report.labels.tolist(),
-                     report.component_class.tolist())
+                     report.node_ids, report.scores, report.labels, report.component_class)

@@ -9,6 +9,7 @@ deterministic given the configured seeds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,87 @@ class NoiseConfig:
             raise ValueError("fpr and fnr must lie in [0, 1]")
 
 
+def _lemire_draws(rng: np.random.Generator):
+    """`draw(high)` emulating `int(rng.integers(high))` on a fresh PCG64 generator.
+
+    numpy draws an integer below high <= 2**32 by Lemire's method on 32-bit
+    words, the low half of each 64-bit output and then its high half:
+    m = x * high; while m % 2**32 < (2**32 - high) % high, take the next word;
+    the result is m >> 32. Here the words come from bulk `random_raw` blocks.
+    """
+    def words():
+        while True:
+            # Little-endian 32-bit halves: the low half of each word, then its high half.
+            yield from rng.bit_generator.random_raw(1024).astype("<u8").view("<u4").tolist()
+
+    word = words().__next__
+
+    def draw(high: int) -> int:
+        if high == 1:
+            return 0
+        m = word() * high
+        if m & 0xFFFFFFFF < high:
+            threshold = (0x100000000 - high) % high
+            while m & 0xFFFFFFFF < threshold:
+                m = word() * high
+        return m >> 32
+
+    return draw
+
+
+# Highs of the self-check: the edges of the range, and highs near 2**31 and
+# 3 * 2**30, whose draws are often rejected.
+_CHECK_HIGHS = (1, 2, 3, 7, 10, 1000, 2**31 - 1, 2**31, 2**31 + 1, 3 * 2**30 + 1, 2**32 - 1, 2**32)
+
+
+@functools.cache
+def _lemire_matches_numpy() -> bool:
+    """Whether `_lemire_draws` reproduces `rng.integers` on the installed numpy."""
+    draw = _lemire_draws(np.random.default_rng(12345))
+    rng = np.random.default_rng(12345)
+    return all(draw(high) == int(rng.integers(high)) for high in _CHECK_HIGHS * 64)
+
+
+def _bounded_draws(rng: np.random.Generator, private: bool = True):
+    """`draw(high)` for 1 <= high <= 2**32, the same stream as `int(rng.integers(high))`.
+
+    `rng` comes from `np.random.default_rng`. The draws come from bulk raw
+    words when the emulation matches the installed numpy (checked once, on
+    first use) and nothing else draws from `rng` (`private`: the bulk path
+    reads ahead); otherwise from `rng.integers`.
+    """
+    if private and _lemire_matches_numpy():
+        return _lemire_draws(rng)
+    return lambda high: int(rng.integers(high))
+
+
+def _attachment_edges(n: int, edges_per_node: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays of `preferential_attachment(n, edges_per_node, seed)`."""
+    if edges_per_node < 1:
+        raise ValueError("edges_per_node must be at least 1")
+    if n <= edges_per_node:
+        raise ValueError(f"need n > edges_per_node, got n={n}, edges_per_node={edges_per_node}")
+    rng = np.random.default_rng(seed)
+    # A caller's generator must end in the state that per-draw calls leave.
+    draw = _bounded_draws(rng, private=not isinstance(seed, (np.random.Generator, np.random.BitGenerator)))
+    m0 = edges_per_node + 1
+    clique_u, clique_v = np.triu_indices(m0, 1)
+    # Each clique node appears once per incident edge: degree m0 - 1 each.
+    repeated = np.repeat(np.arange(m0), m0 - 1).tolist()
+    chosen: list[int] = []
+    for new in range(m0, n):
+        targets: set[int] = set()
+        size = len(repeated)
+        while len(targets) < edges_per_node:
+            targets.add(repeated[draw(size)])
+        ordered = sorted(targets)
+        chosen.extend(ordered)
+        repeated.extend(ordered)
+        repeated.extend([new] * edges_per_node)
+    us = np.concatenate((clique_u, np.repeat(np.arange(m0, n), edges_per_node)))
+    return us, np.concatenate((clique_v, np.array(chosen, dtype=np.int64)))
+
+
 def preferential_attachment(n: int, edges_per_node: int, seed) -> Graph:
     """Grow a connected graph where arrivals attach to degree-proportional targets.
 
@@ -63,31 +145,7 @@ def preferential_attachment(n: int, edges_per_node: int, seed) -> Graph:
     sampling is well defined from the first arrival. Average degree approaches
     2 * edges_per_node.
     """
-    if edges_per_node < 1:
-        raise ValueError("edges_per_node must be at least 1")
-    if n <= edges_per_node:
-        raise ValueError(f"need n > edges_per_node, got n={n}, edges_per_node={edges_per_node}")
-    rng = np.random.default_rng(seed)
-    m0 = edges_per_node + 1
-    us: list[int] = []
-    vs: list[int] = []
-    # Each clique node appears once per incident edge: degree m0 - 1 each.
-    repeated: list[int] = []
-    for a in range(m0):
-        for b in range(a + 1, m0):
-            us.append(a)
-            vs.append(b)
-        repeated.extend([a] * (m0 - 1))
-    for new in range(m0, n):
-        targets: set[int] = set()
-        while len(targets) < edges_per_node:
-            targets.add(repeated[int(rng.integers(len(repeated)))])
-        for t in sorted(targets):
-            us.append(new)
-            vs.append(t)
-            repeated.append(t)
-        repeated.extend([new] * edges_per_node)
-    return Graph.from_edges(n, us, vs)
+    return Graph.from_edges(n, *_attachment_edges(n, edges_per_node, seed))
 
 
 def compose_attack_scenario(cfg: ScenarioConfig) -> tuple[Graph, np.ndarray]:
@@ -100,22 +158,24 @@ def compose_attack_scenario(cfg: ScenarioConfig) -> tuple[Graph, np.ndarray]:
     cfg.validate()
     seq = np.random.SeedSequence(cfg.rng_seed)
     seed_b, seed_s, seed_a = seq.spawn(3)
-    gb = preferential_attachment(cfg.benign_count, cfg.edges_per_node, seed_b)
-    gs = preferential_attachment(cfg.sybil_count, cfg.edges_per_node, seed_s)
+    bu, bv = _attachment_edges(cfg.benign_count, cfg.edges_per_node, seed_b)
+    su, sv = _attachment_edges(cfg.sybil_count, cfg.edges_per_node, seed_s)
     n = cfg.benign_count + cfg.sybil_count
-    us = [gb.edge_u, gs.edge_u + cfg.benign_count]
-    vs = [gb.edge_v, gs.edge_v + cfg.benign_count]
+    us = [bu, su + cfg.benign_count]
+    vs = [bv, sv + cfg.benign_count]
 
     rng = np.random.default_rng(seed_a)
-    benign_degrees = gb.degrees
     chosen: set[tuple[int, int]] = set()
-    while len(chosen) < cfg.attack_edge_count:
-        if cfg.degree_biased_attacks:
-            b = int(rng.choice(cfg.benign_count, p=benign_degrees / benign_degrees.sum()))
-        else:
-            b = int(rng.integers(cfg.benign_count))
-        s = cfg.benign_count + int(rng.integers(cfg.sybil_count))
-        chosen.add((b, s))
+    if cfg.degree_biased_attacks:
+        degrees = np.bincount(np.concatenate((bu, bv)), minlength=cfg.benign_count)
+        p = degrees / degrees.sum()
+        while len(chosen) < cfg.attack_edge_count:
+            chosen.add((int(rng.choice(cfg.benign_count, p=p)),
+                        cfg.benign_count + int(rng.integers(cfg.sybil_count))))
+    else:
+        draw = _bounded_draws(rng)
+        while len(chosen) < cfg.attack_edge_count:
+            chosen.add((draw(cfg.benign_count), cfg.benign_count + draw(cfg.sybil_count)))
     if chosen:
         attack = np.array(sorted(chosen), dtype=np.int64)
         us.append(attack[:, 0])

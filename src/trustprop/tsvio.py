@@ -17,6 +17,7 @@ import numpy as np
 from .graph import BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, Graph
 
 FORMAT_VERSION = 1
+_WRITE_CHUNK = 2**15  # rows per write_rows batch
 
 
 def _data_lines(path):
@@ -76,9 +77,17 @@ def read_rows(path, fields) -> np.ndarray:
 
 
 def write_rows(path, fmt: str, *cols) -> None:
-    """Write one `fmt % row` line per row of the columns (lists from `tolist()`), streaming."""
+    """Write one `fmt % row` line per row of the columns (arrays, ranges or sequences).
+
+    The columns become Python values `_WRITE_CHUNK` rows at a time, so no
+    whole column is held as a list of Python objects.
+    """
+    rows = min(map(len, cols), default=0)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(fmt.__mod__, zip(*cols)))
+        for start in range(0, rows, _WRITE_CHUNK):
+            chunk = [c[start:start + _WRITE_CHUNK] for c in cols]
+            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+            fh.writelines(map(fmt.__mod__, zip(*chunk)))
 
 
 def read_edge_pairs(path) -> tuple[np.ndarray, np.ndarray]:
@@ -107,7 +116,7 @@ def write_edge_list(path, g) -> None:
         src, dst = g.edge_u, g.edge_v
     else:
         src, dst = np.repeat(np.arange(g.node_count), g.out_degrees), g.out_indices
-    write_rows(path, "%s\t%s\n", src.tolist(), dst.tolist())
+    write_rows(path, "%s\t%s\n", src, dst)
 
 
 def _read_by_node(path, field) -> tuple[np.ndarray, np.ndarray]:
@@ -129,7 +138,7 @@ def write_labels(path, labels: np.ndarray) -> None:
     """Write `node_id<TAB>{0|1}` rows (1 = benign, 0 = sybil); unknown nodes skipped."""
     labels = np.asarray(labels)
     known = np.flatnonzero(labels != UNKNOWN)
-    write_rows(path, "%s\t%s\n", known.tolist(), labels[known].tolist())
+    write_rows(path, "%s\t%s\n", known, labels[known])
 
 
 def read_label_pairs(path) -> tuple[np.ndarray, np.ndarray]:
@@ -147,13 +156,13 @@ def read_labels(path, node_count: int) -> np.ndarray:
 def write_id_map(path, original_ids: np.ndarray) -> None:
     """Write `dense_id<TAB>original_id` rows for remapped inputs."""
     original_ids = np.asarray(original_ids)
-    write_rows(path, "%s\t%s\n", range(original_ids.shape[0]), original_ids.tolist())
+    write_rows(path, "%s\t%s\n", range(original_ids.shape[0]), original_ids)
 
 
 def write_node_scores(path, scores: np.ndarray) -> None:
     """Write `node_id<TAB>score` rows."""
     scores = np.asarray(scores, dtype=float)
-    write_rows(path, "%s\t%s\n", range(scores.shape[0]), scores.tolist())
+    write_rows(path, "%s\t%s\n", range(scores.shape[0]), scores)
 
 
 def read_node_score_pairs(path) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +180,7 @@ def write_edge_scores(path, g: Graph, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
     if values.shape[0] != g.edge_count:
         raise ValueError("edge score array does not match graph edge count")
-    write_rows(path, "%s\t%s\t%s\n", g.edge_u.tolist(), g.edge_v.tolist(), values.tolist())
+    write_rows(path, "%s\t%s\t%s\n", g.edge_u, g.edge_v, values)
 
 
 def read_edge_scores(path, g: Graph) -> np.ndarray:
@@ -196,7 +205,7 @@ def write_features(path, features: np.ndarray) -> None:
     """Write `node_id<TAB>req_in<TAB>req_out<TAB>cc` rows."""
     features = np.asarray(features, dtype=float)
     write_rows(path, "%s" + "\t%s" * features.shape[1] + "\n",
-               range(features.shape[0]), *features.T.tolist())
+               range(features.shape[0]), *features.T)
 
 
 def read_feature_pairs(path) -> tuple[np.ndarray, np.ndarray]:

@@ -200,6 +200,57 @@ def reverse_positions_oracle(g: Graph) -> np.ndarray:
     return np.searchsorted(rows * n + g.indices, g.indices * n + rows)
 
 
+def preferential_attachment_oracle(n, edges_per_node, seed) -> Graph:
+    """Preferential attachment drawing every target with one `rng.integers` call."""
+    rng = np.random.default_rng(seed)
+    m0 = edges_per_node + 1
+    us: list[int] = []
+    vs: list[int] = []
+    repeated: list[int] = []
+    for a in range(m0):
+        for b in range(a + 1, m0):
+            us.append(a)
+            vs.append(b)
+        repeated.extend([a] * (m0 - 1))
+    for new in range(m0, n):
+        targets: set[int] = set()
+        while len(targets) < edges_per_node:
+            targets.add(repeated[int(rng.integers(len(repeated)))])
+        for t in sorted(targets):
+            us.append(new)
+            vs.append(t)
+            repeated.append(t)
+        repeated.extend([new] * edges_per_node)
+    return Graph.from_edges(n, us, vs)
+
+
+def compose_attack_scenario_oracle(cfg) -> tuple[Graph, np.ndarray]:
+    """Attack scenario from two oracle regions and per-draw `rng.integers` attack edges."""
+    seed_b, seed_s, seed_a = np.random.SeedSequence(cfg.rng_seed).spawn(3)
+    gb = preferential_attachment_oracle(cfg.benign_count, cfg.edges_per_node, seed_b)
+    gs = preferential_attachment_oracle(cfg.sybil_count, cfg.edges_per_node, seed_s)
+    n = cfg.benign_count + cfg.sybil_count
+    us = [gb.edge_u, gs.edge_u + cfg.benign_count]
+    vs = [gb.edge_v, gs.edge_v + cfg.benign_count]
+    rng = np.random.default_rng(seed_a)
+    benign_degrees = gb.degrees
+    chosen: set[tuple[int, int]] = set()
+    while len(chosen) < cfg.attack_edge_count:
+        if cfg.degree_biased_attacks:
+            b = int(rng.choice(cfg.benign_count, p=benign_degrees / benign_degrees.sum()))
+        else:
+            b = int(rng.integers(cfg.benign_count))
+        s = cfg.benign_count + int(rng.integers(cfg.sybil_count))
+        chosen.add((b, s))
+    if chosen:
+        attack = np.array(sorted(chosen), dtype=np.int64)
+        us.append(attack[:, 0])
+        vs.append(attack[:, 1])
+    labels = np.full(n, SYBIL, dtype=np.int8)
+    labels[:cfg.benign_count] = BENIGN
+    return Graph.from_edges(n, np.concatenate(us), np.concatenate(vs)), labels
+
+
 def lbp_two_vector_oracle(g: Graph, node_scores, edge_values, iterations) -> np.ndarray:
     """Sum-product LBP with one normalized (+1, -1) message pair per CSR position.
 

@@ -225,7 +225,7 @@ class TestDecomposition:
             CLASS_ISOLATED: 0, CLASS_LCC: 6, CLASS_OTHERS: 0, CLASS_BENIGN: 0}
         assert decompose_top_k(report, 10) == {
             CLASS_ISOLATED: 2, CLASS_LCC: 6, CLASS_OTHERS: 2, CLASS_BENIGN: 0}
-        assert decompose_top_k(report, 12, graph=g, labels=labels) == {
+        assert decompose_top_k(report, 12) == {
             CLASS_ISOLATED: 2, CLASS_LCC: 6, CLASS_OTHERS: 2, CLASS_BENIGN: 2}
 
     def test_report_without_graph_defaults(self):

@@ -114,6 +114,24 @@ class TestEdgeListFile:
         assert dg2.in_neighbors(1).tolist() == [0, 2]
 
 
+class TestRowWriter:
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 2**15])
+    def test_arrays_ranges_and_sequences(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(tsvio, "_WRITE_CHUNK", chunk)
+        path = tmp_path / "rows.tsv"
+        tsvio.write_rows(path, "%s\t%s\t%s\t%s\n", range(5), np.array([0.1, 1 / 3, 2.0, 1e-300, -0.0]),
+                         np.array(["lcc", "b", "c", "d", "e"]), (1, 2, 3, 4, 5))
+        assert path.read_text() == ("0\t0.1\tlcc\t1\n1\t0.3333333333333333\tb\t2\n2\t2.0\tc\t3\n"
+                                    "3\t1e-300\td\t4\n4\t-0.0\te\t5\n")
+
+    def test_row_tuples_and_no_rows(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        tsvio.write_metrics_report(path, [("auc", "", 0.5), ("top_k", 10, 1.0)])
+        assert path.read_text() == "auc\t\t0.5\ntop_k\t10\t1.0\n"
+        tsvio.write_metrics_report(path, [])
+        assert path.read_text() == ""
+
+
 class TestRowReader:
     def test_trailing_comment_rejected(self, tmp_path):
         path = tmp_path / "g.tsv"
