@@ -16,7 +16,7 @@ import numpy as np
 
 from . import classifier, features, harness, metrics, propagate, synth, tsvio
 from .graph import (BENIGN, SYBIL, UNKNOWN, EdgeListParseError, component_census,
-                    connected_components, modularity, mutualize)
+                    connected_components, modularity, mutualize, sybil_components)
 from .tsvio import load_edge_list
 
 VERSION = "0.1.0"
@@ -201,14 +201,6 @@ def _apply_config_file(args, registry) -> list[str] | None:
     return overrides
 
 
-def _by_node(*files) -> tuple[int, list[np.ndarray]]:
-    """Per-node arrays of (path, pair reader, fill) files, over the nodes up to the largest id."""
-    tables = [(path, *read(path), fill) for path, read, fill in files]
-    node_count = max((int(ids.max()) + 1 for _, ids, _, _ in tables if ids.size), default=0)
-    return node_count, [tsvio.by_node(path, ids, values, node_count, fill)
-                        for path, ids, values, fill in tables]
-
-
 def _read_seed_set(path, node_count) -> classifier.TrainingSet:
     seed_labels = tsvio.read_labels(path, node_count)
     return classifier.TrainingSet(benign=np.flatnonzero(seed_labels == BENIGN),
@@ -249,8 +241,7 @@ def _cmd_features(args, out: Path) -> int:
 
 
 def _cmd_train(args, out: Path) -> int:
-    node_count, (feats, labels) = _by_node((args.features, tsvio.read_feature_pairs, 0.0),
-                                           (args.labels, tsvio.read_label_pairs, UNKNOWN))
+    feats, labels = tsvio.read_by_node([(args.features, "features"), (args.labels, "label")])
     training = classifier.sample_training_set(
         labels, args.train_benign, args.train_sybil, harness.derive_seed(args.seed, "train-sample"))
     model = classifier.train(feats, training, classifier.TrainConfig(
@@ -259,7 +250,7 @@ def _cmd_train(args, out: Path) -> int:
     threshold = classifier.select_threshold(scores, training, args.folds)
     classifier.save_model(out / "model.txt", model)
     tsvio.write_node_scores(out / "local_scores.tsv", scores)
-    tsvio.write_labels(out / "train_seeds.tsv", harness.training_label_map(node_count, training))
+    tsvio.write_labels(out / "train_seeds.tsv", harness.training_label_map(labels.shape[0], training))
     (out / "threshold.txt").write_text(f"{threshold!r}\n", encoding="utf-8")
     print(f"trained on {args.train_benign}+{args.train_sybil} seeds, threshold {threshold}")
     return 0
@@ -294,14 +285,13 @@ def _cmd_propagate(args, out: Path) -> int:
 
 def _ranking_report(args) -> metrics.RankingReport:
     """The ranking report of `rank` and `evaluate` from their shared flags."""
-    node_count, (labels, scores) = _by_node((args.labels, tsvio.read_label_pairs, UNKNOWN),
-                                            (args.scores, tsvio.read_node_score_pairs, np.nan))
+    labels, scores = tsvio.read_by_node([(args.labels, "label"), (args.scores, "score")])
     # Every labeled node must have a score; unlabeled ones rank last.
     if np.any(np.isnan(scores) & (labels != UNKNOWN)):
         raise ValueError(f"{args.scores}: labeled node is missing a score")
     scores = np.nan_to_num(scores, nan=np.inf)
     graph = load_edge_list(args.graph, directed=False) if args.graph else None
-    exclude = _read_seed_set(args.exclude, node_count).all_ids if args.exclude else None
+    exclude = _read_seed_set(args.exclude, labels.shape[0]).all_ids if args.exclude else None
     return metrics.build_ranking_report(scores, labels, threshold=args.threshold,
                                         exclude=exclude, graph=graph)
 
@@ -358,13 +348,11 @@ def _cmd_pipeline(args, out: Path) -> int:
 
 def _cmd_components(args, out: Path) -> int:
     graph = load_edge_list(args.graph, directed=False)
-    restrict = None
     if args.sybil_only:
         if not args.labels:
             raise UsageError("--sybil-only requires --labels")
         labels = tsvio.read_labels(args.labels, graph.node_count)
-        restrict = np.flatnonzero(labels == SYBIL)
-    comps = connected_components(graph, restrict_to=restrict)
+    comps = sybil_components(graph, labels) if args.sybil_only else connected_components(graph)
     tsvio.write_component_report(out / "components.tsv", comps)
     print(f"{len(comps)} components, largest {comps[0].shape[0] if comps else 0}")
     if args.sybil_only:

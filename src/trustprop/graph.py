@@ -27,8 +27,16 @@ class EdgeListParseError(ValueError):
     """Raised for malformed data files (the message names the file and line)."""
 
 
-def _clean_pairs(n: int, a: np.ndarray, b: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Drop self-loops from raw endpoint arrays, logging the count."""
+def _clean_pairs(n: int, a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint arrays as int64 and within the n nodes, self-loops dropped and counted in the log."""
+    if n < 0:
+        raise ValueError("node_count must be non-negative")
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    if a.shape != b.shape:
+        raise ValueError("endpoint arrays must have equal length")
+    if a.size and (a.min() < 0 or b.min() < 0 or max(a.max(), b.max()) >= n):
+        raise ValueError("edge endpoint out of range")
     loops = a == b
     dropped = int(loops.sum())
     if dropped:
@@ -75,14 +83,6 @@ class Graph:
         (ordered by one stable sort on edge_v), then those above r (in order).
         """
         n = int(node_count)
-        if n < 0:
-            raise ValueError("node_count must be non-negative")
-        u = np.asarray(u, dtype=np.int64)
-        v = np.asarray(v, dtype=np.int64)
-        if u.shape != v.shape:
-            raise ValueError("endpoint arrays must have equal length")
-        if u.size and (u.min() < 0 or v.min() < 0 or max(u.max(), v.max()) >= n):
-            raise ValueError("edge endpoint out of range")
         u, v = _clean_pairs(n, u, v, "undirected graph")
         keys = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
         m = keys.shape[0]
@@ -195,12 +195,6 @@ class DirectedGraph:
     @classmethod
     def from_edges(cls, node_count: int, src, dst) -> "DirectedGraph":
         n = int(node_count)
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.shape != dst.shape:
-            raise ValueError("endpoint arrays must have equal length")
-        if src.size and (src.min() < 0 or dst.min() < 0 or max(src.max(), dst.max()) >= n):
-            raise ValueError("edge endpoint out of range")
         src, dst = _clean_pairs(n, src, dst, "directed graph")
         raw = src.shape[0]
         keys = _sorted_unique(src * n + dst)
@@ -229,12 +223,6 @@ class DirectedGraph:
     @property
     def in_degrees(self) -> np.ndarray:
         return np.diff(self.in_indptr)
-
-
-def remap_ids(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Remap sparse node ids to dense 0..n-1; returns (src, dst, original_ids)."""
-    original = _sorted_unique(np.concatenate([src, dst]))
-    return np.searchsorted(original, src), np.searchsorted(original, dst), original
 
 
 def mutualize(dg: DirectedGraph) -> Graph:
@@ -311,15 +299,19 @@ def modularity(g: Graph, labels: np.ndarray) -> float:
     return q
 
 
+def sybil_components(g: Graph, labels: np.ndarray) -> list[np.ndarray]:
+    """Components of the Sybil-induced subgraph, as `connected_components` orders them."""
+    return connected_components(g, restrict_to=np.flatnonzero(np.asarray(labels) == SYBIL))
+
+
 def component_census(g: Graph, labels: np.ndarray) -> dict[str, int]:
-    """Census of the Sybil-induced subgraph: component count and class sizes."""
-    sybil_ids = np.flatnonzero(np.asarray(labels) == SYBIL)
-    comps = connected_components(g, restrict_to=sybil_ids)
+    """Sybil-subgraph component count and node count per `metrics.sybil_component_classes` class."""
+    comps = sybil_components(g, labels)
     isolated = sum(1 for c in comps if c.shape[0] == 1)
     lcc = comps[0].shape[0] if comps and comps[0].shape[0] > 1 else 0
     return {
         "components": len(comps),
         "isolated": isolated,
         "lcc": lcc,
-        "others": int(sybil_ids.shape[0]) - isolated - lcc,
+        "others": sum(c.shape[0] for c in comps) - isolated - lcc,
     }

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifier, features, metrics, propagate, synth, tsvio
-from .graph import BENIGN, SYBIL, UNKNOWN, DirectedGraph, Graph, mutualize, remap_ids
+from .graph import BENIGN, SYBIL, UNKNOWN, mutualize
 
 SWEEP_VARIABLES = ("fpr_fnr", "attack_edges", "sybil_count")
 SWEEP_MODES = ("node_scores", "edge_scores")
@@ -57,6 +57,8 @@ class SweepSpec:
             raise ValueError(f"unknown sweep mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.threads < 1:
+            raise ValueError("threads must be at least 1")
         if not self.values:
             raise ValueError("empty value grid")
         for engine in self.engines:
@@ -117,35 +119,22 @@ def _run_trial(spec: SweepSpec, value, trial: int) -> dict[tuple[str, str], floa
 def run_robustness_sweep(spec: SweepSpec) -> list[tuple]:
     """Run the sweep; returns `(value, engine, metric, mean, std, trials)` rows.
 
-    Trials execute independently (optionally across threads); results are
+    Trials execute independently on `spec.threads` worker threads; results are
     keyed by (point, trial) and aggregated in sorted order, so the table is a
     pure function of the spec.
     """
     spec.validate()
-    tasks = [(pi, value, trial) for pi, value in enumerate(spec.values)
-             for trial in range(spec.trials)]
-    results: dict[tuple[int, int], dict] = {}
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            futures = {(pi, trial): pool.submit(_run_trial, spec, value, trial)
-                       for pi, value, trial in tasks}
-        results = {key: fut.result() for key, fut in futures.items()}
-    else:
-        for pi, value, trial in tasks:
-            results[(pi, trial)] = _run_trial(spec, value, trial)
-
+    with ThreadPoolExecutor(max_workers=spec.threads) as pool:
+        futures = [[pool.submit(_run_trial, spec, value, trial) for trial in range(spec.trials)]
+                   for value in spec.values]
     rows: list[tuple] = []
-    for pi, value in enumerate(spec.values):
-        per_metric: dict[tuple[str, str], list[float]] = {}
-        for trial in range(spec.trials):
-            for key, v in results[(pi, trial)].items():
-                per_metric.setdefault(key, []).append(v)
+    for value, point in zip(spec.values, futures):
+        trials = [fut.result() for fut in point]
         for engine in spec.engines:
             for metric_name in ("accuracy", "auc"):
-                vals = per_metric.get((engine, metric_name))
-                if vals is None:
+                if (engine, metric_name) not in trials[0]:
                     continue
-                arr = np.asarray(vals)
+                arr = np.asarray([t[(engine, metric_name)] for t in trials])
                 std = float(arr.std(ddof=1)) if arr.shape[0] > 1 else 0.0
                 rows.append((value, engine, metric_name, float(arr.mean()), std, spec.trials))
     return rows
@@ -216,22 +205,10 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
         out.mkdir(parents=True, exist_ok=True)
 
     with _stage("load"):
-        if cfg.remap_ids:
-            src, dst, original_ids = remap_ids(*tsvio.read_edge_pairs(graph_path))
-            node_count = int(original_ids.shape[0])
-            loaded = (DirectedGraph if directed else Graph).from_edges(node_count, src, dst)
-            raw_nodes, raw_labels = tsvio.read_label_pairs(label_path)
-            dense = np.searchsorted(original_ids, raw_nodes)
-            dense_c = np.minimum(dense, node_count - 1)
-            known = original_ids[dense_c] == raw_nodes
-            labels = np.full(node_count, UNKNOWN, dtype=np.int8)
-            labels[dense_c[known]] = raw_labels[known]
-            if out is not None:
-                tsvio.write_id_map(out / "id_map.tsv", original_ids)
-        else:
-            loaded = tsvio.load_edge_list(graph_path, directed=directed)
-            node_count = loaded.node_count
-            labels = tsvio.read_labels(label_path, node_count)
+        loaded, ids = tsvio.load_graph(graph_path, directed, remap=cfg.remap_ids)
+        labels, = tsvio.read_by_node([(label_path, "label")], ids)
+        if cfg.remap_ids and out is not None:
+            tsvio.write_id_map(out / "id_map.tsv", ids)
 
     with _stage("mutualize"):
         dg, graph = (loaded, mutualize(loaded)) if directed else (None, loaded)
@@ -256,7 +233,7 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
             classifier.save_model(out / "model.txt", model)
             tsvio.write_node_scores(out / "local_scores.tsv", node_scores)
             tsvio.write_labels(out / "train_seeds.tsv",
-                               training_label_map(node_count, training))
+                               training_label_map(graph.node_count, training))
 
     with _stage("edge-scores"):
         if cfg.edge_metric is not None:
@@ -277,7 +254,7 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
             final_scores["cia"] = -propagate.baseline_cia(graph, training.sybil, cfg.restart, cfg.iterations)
             final_scores["sybilbelief"] = propagate.baseline_sybilbelief(graph, training, cfg.homophily)
             if victim_prob_path is not None:
-                victim_prob = tsvio.read_node_scores(victim_prob_path, node_count)
+                victim_prob, = tsvio.read_by_node([(victim_prob_path, "score")], ids)
                 victim_prob = np.nan_to_num(victim_prob, nan=0.0)
                 final_scores["integro"] = propagate.baseline_integro(
                     graph, training.benign, victim_prob, cfg.integro_beta, cfg.iterations)

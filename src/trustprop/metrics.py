@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tsvio
-from .graph import BENIGN, SYBIL, UNKNOWN, Graph, connected_components
+from .graph import BENIGN, SYBIL, UNKNOWN, Graph, sybil_components
 
 # Component classes of ranked nodes.
 CLASS_BENIGN = "benign"
@@ -89,13 +89,8 @@ def sybil_component_classes(g: Graph, labels: np.ndarray) -> np.ndarray:
     component, if its size exceeds 1) or 'others'; everything else is
     'benign'.
     """
-    labels = np.asarray(labels)
     classes = np.full(g.node_count, CLASS_BENIGN, dtype="U8")
-    sybil_ids = np.flatnonzero(labels == SYBIL)
-    if sybil_ids.shape[0] == 0:
-        return classes
-    comps = connected_components(g, restrict_to=sybil_ids)
-    for i, comp in enumerate(comps):
+    for i, comp in enumerate(sybil_components(g, labels)):
         if comp.shape[0] == 1:
             classes[comp] = CLASS_ISOLATED
         elif i == 0:

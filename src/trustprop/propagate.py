@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classifier import TrainingSet
+from .classifier import TrainingSet, _sigmoid
 from .graph import Graph
 
 SEED_BENIGN_SCORE = 0.9
@@ -89,12 +89,17 @@ def _check_scores(values, count: int, what: str, *, open_unit: bool) -> np.ndarr
     return values
 
 
+def _rounds(iterations: int | None, default: int) -> int:
+    """The iteration count, `default` when None; at least 1."""
+    if iterations is not None and iterations < 1:
+        raise ValueError("iteration count must be at least 1")
+    return default if iterations is None else iterations
+
+
 def _engine_inputs(g: Graph, node_scores, edge_scores, cfg: PropagationConfig,
                    default_iterations: int, *, open_unit: bool) -> tuple[int, np.ndarray, np.ndarray]:
     """Validated (iterations, seeded node scores, edge scores) for either engine."""
-    if cfg.iterations is not None and cfg.iterations < 1:
-        raise ValueError("iteration count must be at least 1")
-    d = cfg.iterations if cfg.iterations is not None else default_iterations
+    d = _rounds(cfg.iterations, default_iterations)
     node_scores = _check_scores(node_scores, g.node_count, "node scores", open_unit=open_unit)
     edge_scores = _check_scores(edge_scores, g.edge_count, "edge scores", open_unit=open_unit)
     return d, _apply_seeds(node_scores, cfg.seeds), edge_scores
@@ -121,9 +126,7 @@ def _walk(g: Graph, init: np.ndarray, position_weights: np.ndarray, iterations: 
             scores = (1.0 - restart) * scores + restart * restart_dist
         if hold_isolated:
             scores[isolated] = init[isolated]
-        if pin is not None:
-            scores[pin.benign] = SEED_BENIGN_SCORE
-            scores[pin.sybil] = SEED_SYBIL_SCORE
+        scores = _apply_seeds(scores, pin)
     return scores
 
 
@@ -210,28 +213,28 @@ def _logit(p: np.ndarray) -> np.ndarray:
     return np.log(p) - np.log1p(-p)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function, without overflow for either sign."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _seed_distribution(g: Graph, seeds, what: str) -> np.ndarray:
+    """1/|seeds| on each seed node, 0 elsewhere."""
+    seeds = np.asarray(seeds, dtype=np.int64)
+    if seeds.shape[0] == 0:
+        raise ValueError(f"{what} needs at least one seed")
+    dist = np.zeros(g.node_count)
+    dist[seeds] = 1.0 / seeds.shape[0]
+    return dist
+
+
+def _seed_walk(g: Graph, benign_seeds, position_weights: np.ndarray, iterations: int | None,
+               what: str) -> np.ndarray:
+    """Walk from the benign seeds alone, each final score divided by the
+    node's total incident weight (ceil(log2 n) rounds by default)."""
+    init = _seed_distribution(g, benign_seeds, what)
+    d = _rounds(iterations, default_walk_iterations(g.node_count))
+    return _per_weighted_degree(g, _walk(g, init, position_weights, d), position_weights)
 
 
 def baseline_sybilrank(g: Graph, benign_seeds: np.ndarray, iterations: int | None = None) -> np.ndarray:
-    """Uniform-weight seed-only walk with final degree normalization.
-
-    Benign seeds start with 1/|seeds| each, everything else with 0; after
-    ceil(log2 n) rounds each score is divided by the node's degree.
-    """
-    benign_seeds = np.asarray(benign_seeds, dtype=np.int64)
-    if benign_seeds.shape[0] == 0:
-        raise ValueError("baseline_sybilrank needs at least one benign seed")
-    d = iterations if iterations is not None else default_walk_iterations(g.node_count)
-    if d < 1:
-        raise ValueError("iteration count must be at least 1")
-    init = np.zeros(g.node_count)
-    init[benign_seeds] = 1.0 / benign_seeds.shape[0]
-    ones = np.ones(g.indices.shape[0])
-    return _per_weighted_degree(g, _walk(g, init, ones, d), ones)
+    """The seed-only walk over unit weights, so final scores are divided by degree."""
+    return _seed_walk(g, benign_seeds, np.ones(g.indices.shape[0]), iterations, "baseline_sybilrank")
 
 
 def baseline_cia(g: Graph, sybil_seeds: np.ndarray, restart: float = 0.85,
@@ -241,16 +244,10 @@ def baseline_cia(g: Graph, sybil_seeds: np.ndarray, restart: float = 0.85,
     Higher scores mean more Sybil-like; negate for the ascending trust
     ranking used elsewhere.
     """
-    sybil_seeds = np.asarray(sybil_seeds, dtype=np.int64)
-    if sybil_seeds.shape[0] == 0:
-        raise ValueError("baseline_cia needs at least one Sybil seed")
+    dist = _seed_distribution(g, sybil_seeds, "baseline_cia")
     if not 0.0 < restart <= 1.0:
         raise ValueError("restart probability must lie in (0, 1]")
-    d = iterations if iterations is not None else default_walk_iterations(g.node_count)
-    if d < 1:
-        raise ValueError("iteration count must be at least 1")
-    dist = np.zeros(g.node_count)
-    dist[sybil_seeds] = 1.0 / sybil_seeds.shape[0]
+    d = _rounds(iterations, default_walk_iterations(g.node_count))
     return _walk(g, dist.copy(), np.ones(g.indices.shape[0]), d,
                  restart=restart, restart_dist=dist)
 
@@ -280,12 +277,5 @@ def integro_edge_weights(g: Graph, victim_prob: np.ndarray, beta: float) -> np.n
 def baseline_integro(g: Graph, benign_seeds: np.ndarray, victim_prob: np.ndarray,
                      beta: float = 2.0, iterations: int | None = None) -> np.ndarray:
     """Seed-only walk over victim-probability weights, normalized by weighted degree."""
-    benign_seeds = np.asarray(benign_seeds, dtype=np.int64)
-    if benign_seeds.shape[0] == 0:
-        raise ValueError("baseline_integro needs at least one benign seed")
-    d = iterations if iterations is not None else default_walk_iterations(g.node_count)
     weights = integro_edge_weights(g, victim_prob, beta)
-    init = np.zeros(g.node_count)
-    init[benign_seeds] = 1.0 / benign_seeds.shape[0]
-    pos_weights = weights[g.edge_ids]
-    return _per_weighted_degree(g, _walk(g, init, pos_weights, d), pos_weights)
+    return _seed_walk(g, benign_seeds, weights[g.edge_ids], iterations, "baseline_integro")

@@ -14,10 +14,18 @@ import itertools
 
 import numpy as np
 
-from .graph import BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, Graph
+from .graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, Graph,
+                    _sorted_unique)
 
 FORMAT_VERSION = 1
 _WRITE_CHUNK = 2**15  # rows per write_rows batch
+# Node arrays must stay within a constant factor of what the rows already cost,
+# so ids used as given may reach _IDS_PER_ROW per row read plus _ID_FLOOR.
+_IDS_PER_ROW = 16
+_ID_FLOOR = 1 << 20
+# Per-node file kind -> (value type, value for the nodes a file leaves out).
+_NODE_VALUES = {"label": (np.int64, UNKNOWN), "score": (np.float64, np.nan),
+                "features": (np.float64, 0.0)}
 
 
 def _data_lines(path):
@@ -99,15 +107,35 @@ def read_edge_pairs(path) -> tuple[np.ndarray, np.ndarray]:
     return rows["src"], rows["dst"]
 
 
-def load_edge_list(path, directed: bool = False):
-    """Load an edge-list file into a Graph or DirectedGraph.
+def _node_count(files) -> int:
+    """Largest id + 1 of `(path, largest id of each row)` files whose ids are used
+    as given; an id too large for the rows read fails at the first row holding it."""
+    rows = sum(top.shape[0] for _, top in files)
+    path, top = max(files, key=lambda f: f[1].max(initial=-1))
+    largest = int(top.max(initial=-1))
+    if largest >= _IDS_PER_ROW * rows + _ID_FLOOR:
+        _fail(path, int(np.argmax(top)),
+              f"node id {largest} is far above the {rows} row(s) read; remap sparse ids (pipeline --remap-ids)")
+    return largest + 1
 
-    Node count is max id + 1; ids are used as given (see `graph.remap_ids`
-    for sparse inputs). Duplicate edges and self-loops are dropped.
-    """
+
+def load_graph(path, directed: bool = False, remap: bool = False):
+    """Load an edge-list file into a Graph or DirectedGraph and its id space for
+    `read_by_node`: the node count max id + 1, or with `remap` the sorted original
+    ids, whose positions become the nodes. Duplicate edges and self-loops are dropped."""
     src, dst = read_edge_pairs(path)
-    n = int(max(src.max(), dst.max())) + 1
-    return (DirectedGraph if directed else Graph).from_edges(n, src, dst)
+    if remap:
+        ids = _sorted_unique(np.concatenate([src, dst]))
+        src, dst = np.searchsorted(ids, src), np.searchsorted(ids, dst)
+        n = len(ids)
+    else:
+        n = ids = _node_count([(path, np.maximum(src, dst))])
+    return (DirectedGraph if directed else Graph).from_edges(n, src, dst), ids
+
+
+def load_edge_list(path, directed: bool = False):
+    """The graph of `load_graph` with ids used as given."""
+    return load_graph(path, directed)[0]
 
 
 def write_edge_list(path, g) -> None:
@@ -119,18 +147,37 @@ def write_edge_list(path, g) -> None:
     write_rows(path, "%s\t%s\n", src, dst)
 
 
-def _read_by_node(path, field) -> tuple[np.ndarray, np.ndarray]:
-    """(node ids, values) of a file keyed by node id, each id given once."""
-    rows = read_rows(path, [("node", np.int64), field])
-    _check(path, _repeats(rows["node"]), "repeated node id")
-    return rows["node"], rows[field[0]]
-
-
-def by_node(path, ids: np.ndarray, values: np.ndarray, node_count: int, fill) -> np.ndarray:
-    """Per-node array of the (ids, values) read from `path`, `fill` for the nodes not listed."""
-    _check(path, (ids < 0) | (ids >= node_count), "node id out of range")
-    out = np.full((node_count,) + values.shape[1:], fill, dtype=values.dtype)
-    out[ids] = values
+def read_by_node(files, ids=None) -> list[np.ndarray]:
+    """Per-node arrays of `(path, kind)` files, kind "label", "score" or "features",
+    over the id space `ids` of `load_graph` (by default the files' largest id + 1).
+    Each node may be given once, and a row whose id is not a node is a data error;
+    nodes a file leaves out are unknown (labels), nan (scores) or zero (features)."""
+    tables = []
+    for path, kind in files:
+        shape = ()
+        if kind == "features":  # the first row sets the feature count
+            first = next(_data_lines(path), (0, ""))[1]
+            shape = (max(len(first.split()) - 1, 1),)
+        rows = read_rows(path, [("node", np.int64), (kind, _NODE_VALUES[kind][0], shape)])
+        _check(path, _repeats(rows["node"]), "repeated node id")
+        values = rows[kind]
+        if kind == "label":
+            _check(path, (values != BENIGN) & (values != SYBIL), "label must be 0 or 1")
+            values = values.astype(np.int8)
+        tables.append((path, kind, rows["node"], values))
+    if ids is None:
+        ids = _node_count([(path, nodes) for path, _, nodes, _ in tables])
+    remapped = isinstance(ids, np.ndarray)
+    n = len(ids) if remapped else ids
+    out = []
+    for path, kind, nodes, values in tables:
+        if remapped:  # an original id that is not a node becomes -1
+            at = np.searchsorted(ids, nodes)
+            nodes = np.where(np.append(ids, -1)[at] == nodes, at, -1)
+        _check(path, (nodes < 0) | (nodes >= n), "unknown node id")
+        array = np.full((n,) + values.shape[1:], _NODE_VALUES[kind][1], dtype=values.dtype)
+        array[nodes] = values
+        out.append(array)
     return out
 
 
@@ -141,16 +188,9 @@ def write_labels(path, labels: np.ndarray) -> None:
     write_rows(path, "%s\t%s\n", known, labels[known])
 
 
-def read_label_pairs(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read (node_id, label) rows; `by_node` range-checks the ids."""
-    nodes, labs = _read_by_node(path, ("label", np.int64))
-    _check(path, (labs != BENIGN) & (labs != SYBIL), "label must be 0 or 1")
-    return nodes, labs.astype(np.int8)
-
-
 def read_labels(path, node_count: int) -> np.ndarray:
     """Read a label file into a full array; nodes absent from the file are unknown."""
-    return by_node(path, *read_label_pairs(path), node_count, UNKNOWN)
+    return read_by_node([(path, "label")], node_count)[0]
 
 
 def write_id_map(path, original_ids: np.ndarray) -> None:
@@ -165,14 +205,9 @@ def write_node_scores(path, scores: np.ndarray) -> None:
     write_rows(path, "%s\t%s\n", range(scores.shape[0]), scores)
 
 
-def read_node_score_pairs(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read (node_id, score) rows; `by_node` range-checks the ids."""
-    return _read_by_node(path, ("score", np.float64))
-
-
 def read_node_scores(path, node_count: int) -> np.ndarray:
     """Read a node-score file into a full array; nodes absent from the file are nan."""
-    return by_node(path, *read_node_score_pairs(path), node_count, np.nan)
+    return read_by_node([(path, "score")], node_count)[0]
 
 
 def write_edge_scores(path, g: Graph, values: np.ndarray) -> None:
@@ -208,15 +243,9 @@ def write_features(path, features: np.ndarray) -> None:
                range(features.shape[0]), *features.T)
 
 
-def read_feature_pairs(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read (node_id, feature row) rows; the first row sets the feature count."""
-    first = next(_data_lines(path), (0, ""))[1]
-    return _read_by_node(path, ("features", np.float64, (max(len(first.split()) - 1, 1),)))
-
-
 def read_features(path, node_count: int) -> np.ndarray:
     """Read a feature file into a full matrix; nodes absent from the file get zeros."""
-    return by_node(path, *read_feature_pairs(path), node_count, 0.0)
+    return read_by_node([(path, "features")], node_count)[0]
 
 
 def write_component_report(path, components) -> None:

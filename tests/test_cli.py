@@ -98,11 +98,34 @@ class TestBadInputFiles:
         assert "e.tsv:2: repeated edge" in capsys.readouterr().err
 
 
-# Field values a mutation writes. Ids stay below 1000 or beyond int64: a
-# valid id of 10^6 or more sizes the node arrays by itself (sparse ids
-# without --remap-ids, an open defect), which a small file must not trigger.
+class TestSparseIds:
+    """Ids used as given that are far above the rows read exit 2 before any node array exists."""
+
+    @pytest.mark.parametrize("sparse", ["500000000", "1000000000000000"])
+    @pytest.mark.parametrize("argv, bad", [
+        (("mutualize", "--input", "g.tsv"), "g.tsv"),
+        (("features", "--graph", "g.tsv"), "g.tsv"),
+        (("rank", "--scores", "s.tsv", "--labels", "l.tsv"), "l.tsv"),
+        (("train", "--features", "f.tsv", "--labels", "l.tsv",
+          "--train-benign", "1", "--train-sybil", "1", "--folds", "2"), "f.tsv"),
+    ])
+    def test_exit_2_at_the_row(self, tmp_path, capsys, argv, bad, sparse):
+        files = {"g.tsv": "0\t1\n1\t0\n1\t2\n", "s.tsv": "0\t0.2\n1\t0.8\n2\t0.4\n",
+                 "l.tsv": "0\t0\n1\t1\n2\t1\n", "f.tsv": "0\t0.1\n1\t0.9\n2\t0.5\n"}
+        lines = files[bad].splitlines(keepends=True)
+        lines[1] = lines[1].replace("1", sparse, 1)
+        files[bad] = "".join(lines)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a.endswith(".tsv") else a for a in argv]
+        assert run(*argv, "--out-dir", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: node id {sparse} is far above" in err and "--remap-ids" in err
+
+
+# Field values a mutation writes, ids far above a small file's row count among them.
 TOKENS = ["", "#", "-1", "0", "1", "2", "7", "999", "0.5", "1.5", "-0.5", "1e3", "1_0",
-          "nan", "inf", "-inf", "x", "1180591620717411303424"]
+          "nan", "inf", "-inf", "x", "500000000", "1000000000000000", "1180591620717411303424"]
 
 
 @pytest.fixture(scope="module")

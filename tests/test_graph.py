@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from trustprop.graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError,
                              Graph, component_census, connected_components, modularity,
-                             mutualize, remap_ids)
-from trustprop.tsvio import load_edge_list, read_edge_pairs
+                             mutualize, sybil_components)
+from trustprop.metrics import sybil_component_classes
+from trustprop.tsvio import load_edge_list, load_graph
 
 from conftest import (bfs_components_oracle, digraph_from_pairs, from_edges_sort_oracle,
                       graph_from_pairs, modularity_pair_oracle, random_graph,
@@ -76,11 +77,10 @@ class TestLoadEdgeList:
     def test_remap_ids(self, tmp_path):
         path = tmp_path / "g.tsv"
         path.write_text("10\t500\n500\t900\n")
-        src, dst = read_edge_pairs(path)
-        src2, dst2, original = remap_ids(src, dst)
+        dg, original = load_graph(path, directed=True, remap=True)
         assert original.tolist() == [10, 500, 900]
-        assert src2.tolist() == [0, 1]
-        assert dst2.tolist() == [1, 2]
+        assert dg.out_indptr.tolist() == [0, 1, 2, 2]
+        assert dg.out_indices.tolist() == [1, 2]
 
 
 class TestGraphStructure:
@@ -223,6 +223,17 @@ class TestConnectedComponents:
         labels = np.array([BENIGN] * 3 + [SYBIL] * 6, dtype=np.int8)
         census = component_census(g, labels)
         assert census == {"components": 3, "isolated": 1, "lcc": 3, "others": 2}
+
+    def test_census_counts_the_ranking_classes(self):
+        rng = np.random.default_rng(12)
+        for trial in range(10):
+            g = random_graph(20, 0.12, rng)
+            labels = rng.choice([BENIGN, SYBIL], size=20).astype(np.int8)
+            census = component_census(g, labels)
+            classes = sybil_component_classes(g, labels)
+            assert census["components"] == len(sybil_components(g, labels))
+            for cls in ("isolated", "lcc", "others"):
+                assert census[cls] == np.count_nonzero(classes == cls)
 
     def test_census_all_isolated(self):
         g = graph_from_pairs(4, [(0, 2), (0, 3), (1, 2)])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,11 @@ class TestSweep:
             run_robustness_sweep(SweepSpec(base=SMALL_BASE, variable="bogus"))
         with pytest.raises(ValueError):
             run_robustness_sweep(SweepSpec(base=SMALL_BASE, trials=0))
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_fewer_than_one_thread_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            SweepSpec(base=SMALL_BASE, threads=threads).validate()
 
     def test_more_attack_edges_do_not_help(self):
         spec = SweepSpec(base=SMALL_BASE, variable="attack_edges",
@@ -248,6 +255,40 @@ class TestPipeline:
         result = run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv", cfg)
         assert result.threshold == 0.42
         assert result.report.threshold == 0.42
+
+    def test_remap_maps_victim_probs_through_the_id_map(self, tmp_path):
+        # the x1000 ids of test_remap_sparse_ids, in the victim file too
+        graph, labels = synth.compose_attack_scenario(SMALL_BASE)
+        victims = np.where(labels == BENIGN, 0.25, 0.0)
+        victims[::7] = 0.6
+        with open(tmp_path / "graph.tsv", "w") as fh:
+            for u, v in zip(graph.edge_u.tolist(), graph.edge_v.tolist()):
+                fh.write(f"{u * 1000}\t{v * 1000}\n")
+        with open(tmp_path / "labels.tsv", "w") as fh:
+            for node, lab in enumerate(labels.tolist()):
+                fh.write(f"{node * 1000}\t{lab}\n")
+        with open(tmp_path / "victims.tsv", "w") as fh:
+            for node, p in enumerate(victims.tolist()):
+                fh.write(f"{node * 1000}\t{p!r}\n")
+        tsvio.write_edge_list(tmp_path / "dense_graph.tsv", graph)
+        tsvio.write_labels(tmp_path / "dense_labels.tsv", labels)
+        tsvio.write_node_scores(tmp_path / "dense_victims.tsv", victims)
+        cfg = PipelineConfig(train_benign=15, train_sybil=15, seed=3, baselines=True)
+        sparse = run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv",
+                                        replace(cfg, remap_ids=True),
+                                        victim_prob_path=tmp_path / "victims.tsv")
+        dense = run_detection_pipeline(tmp_path / "dense_graph.tsv", tmp_path / "dense_labels.tsv",
+                                       cfg, victim_prob_path=tmp_path / "dense_victims.tsv")
+        assert np.array_equal(sparse.final_scores["integro"], dense.final_scores["integro"])
+
+    @pytest.mark.parametrize("remap", [False, True])
+    def test_label_row_off_the_graph_is_a_load_error(self, tmp_path, remap):
+        (tmp_path / "graph.tsv").write_text("0\t2000\n2000\t4000\n")
+        (tmp_path / "labels.tsv").write_text("0\t1\n4000\t0\n7000\t0\n")
+        cfg = PipelineConfig(train_benign=1, train_sybil=1, remap_ids=remap)
+        with pytest.raises(StageError, match="labels.tsv:3: unknown node id") as err:
+            run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv", cfg)
+        assert err.value.stage == "load"
 
     def test_remap_sparse_ids(self, tmp_path):
         # same scenario, node ids multiplied by 1000 (sparse)

@@ -385,3 +385,19 @@ class TestIntegro:
         out = baseline_integro(g, np.array([0]), p, beta=2.0, iterations=4)
         assert np.all(np.isfinite(out))
         assert out[3] == 0.0  # nothing flows past the victim
+
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_baseline_rejects_fewer_than_one_round(self, iterations):
+        g = graph_from_pairs(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="at least 1"):
+            baseline_integro(g, np.array([0]), np.zeros(3), iterations=iterations)
+
+    def test_unit_weights_give_sybilrank_bit_for_bit(self):
+        # victim probability 0 and beta >= 1 make every Integro weight 1
+        rng = np.random.default_rng(34)
+        for trial in range(5):
+            g = random_graph(15, 0.3, rng)
+            seeds = rng.choice(15, size=3, replace=False)
+            d = int(rng.integers(1, 9))
+            got = baseline_integro(g, seeds, np.zeros(15), beta=1.5, iterations=d)
+            assert np.array_equal(got, baseline_sybilrank(g, seeds, iterations=d))

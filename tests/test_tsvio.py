@@ -114,6 +114,54 @@ class TestEdgeListFile:
         assert dg2.in_neighbors(1).tolist() == [0, 2]
 
 
+class TestNodeIdSpace:
+    """Per-node files over the node count or the sorted original ids of a remapped graph."""
+
+    def test_remapped_graph_maps_every_per_node_file(self, tmp_path):
+        (tmp_path / "g.tsv").write_text("900\t10\n10\t500\n")
+        (tmp_path / "l.tsv").write_text("500\t0\n900\t1\n")
+        (tmp_path / "s.tsv").write_text("10\t0.25\n")
+        (tmp_path / "f.tsv").write_text("900\t1.0\t2.0\n")
+        _, ids = tsvio.load_graph(tmp_path / "g.tsv", remap=True)
+        labels, scores, feats = tsvio.read_by_node(
+            [(tmp_path / "l.tsv", "label"), (tmp_path / "s.tsv", "score"), (tmp_path / "f.tsv", "features")], ids)
+        assert labels.tolist() == [UNKNOWN, SYBIL, BENIGN]
+        assert _bits(scores) == _bits([0.25, np.nan, np.nan])
+        assert feats.tolist() == [[0.0, 0.0], [0.0, 0.0], [1.0, 2.0]]
+
+    @pytest.mark.parametrize("text", ["10\t1\n11\t0\n", "10\t1\n-1\t0\n", "10\t1\n901\t0\n"])
+    def test_id_off_the_remapped_graph_names_line(self, tmp_path, text):
+        (tmp_path / "g.tsv").write_text("900\t10\n10\t500\n")
+        (tmp_path / "l.tsv").write_text(text)
+        _, ids = tsvio.load_graph(tmp_path / "g.tsv", remap=True)
+        with pytest.raises(EdgeListParseError, match=":2: unknown node id"):
+            tsvio.read_by_node([(tmp_path / "l.tsv", "label")], ids)
+
+    def test_files_share_one_id_space(self, tmp_path):
+        (tmp_path / "l.tsv").write_text("0\t1\n")
+        (tmp_path / "s.tsv").write_text("3\t0.5\n")
+        labels, scores = tsvio.read_by_node([(tmp_path / "l.tsv", "label"), (tmp_path / "s.tsv", "score")])
+        assert labels.shape == scores.shape == (4,)
+
+    def test_sparse_bound(self, tmp_path):
+        # one row may name ids up to _IDS_PER_ROW + _ID_FLOOR - 1
+        bound = tsvio._IDS_PER_ROW + tsvio._ID_FLOOR
+        path = tmp_path / "l.tsv"
+        path.write_text(f"# header\n{bound - 1}\t1\n")
+        assert tsvio.read_by_node([(path, "label")])[0].shape == (bound,)
+        path.write_text(f"# header\n{bound}\t1\n")
+        with pytest.raises(EdgeListParseError, match=f":2: node id {bound} is far above the 1 row"):
+            tsvio.read_by_node([(path, "label")])
+
+    def test_sparse_edge_list_names_the_row_of_the_largest_id(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("0\t1\n1000000000000000\t2\n3\t1000000000000000\n")
+        with pytest.raises(EdgeListParseError, match=":2: .*--remap-ids"):
+            load_edge_list(path, directed=True)
+        g, ids = tsvio.load_graph(path, remap=True)
+        assert g.node_count == 5 and ids[-1] == 10**15
+
+
 class TestRowWriter:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 2**15])
     def test_arrays_ranges_and_sequences(self, tmp_path, monkeypatch, chunk):
@@ -161,13 +209,18 @@ class TestRowReader:
         assert src.tolist() == [3, 2**63 - 1] and dst.tolist() == [4, 0]
 
 
+def read_labels_sized_by_file(path):
+    """A label file over the id space of its own largest id."""
+    return tsvio.read_by_node([(path, "label")])[0]
+
+
 class TestRepeatedRows:
     """A node or edge given twice is a data error naming the second line."""
 
     @pytest.mark.parametrize("reader, text", [
         (lambda p: tsvio.read_labels(p, 3), "0\t1\n2\t0\n0\t0\n"),
         (lambda p: tsvio.read_labels(p, 3), "0\t1\n2\t0\n0\t1\n"),
-        (tsvio.read_label_pairs, "0\t1\n2\t0\n0\t0\n"),
+        (read_labels_sized_by_file, "0\t1\n2\t0\n0\t0\n"),
         (lambda p: tsvio.read_node_scores(p, 3), "0\t0.5\n1\t0.2\n0\t0.7\n"),
         (lambda p: tsvio.read_features(p, 3), "0\t1.0\t2.0\n1\t1.0\t2.0\n0\t3.0\t4.0\n"),
     ])
