@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import BENIGN, SYBIL, Graph
+from .graph import BENIGN, SYBIL, UNKNOWN, Graph
 
 MODEL_FORMAT_VERSION = 1
 
@@ -39,6 +39,18 @@ class TrainingSet:
             raise ValueError("training set needs at least one node of each class")
         if np.intersect1d(self.benign, self.sybil).shape[0]:
             raise ValueError("a node cannot be both benign and Sybil in the training set")
+
+    @classmethod
+    def from_labels(cls, labels: np.ndarray) -> "TrainingSet":
+        """The benign and Sybil nodes of a label map (as in a seed file)."""
+        return cls(benign=np.flatnonzero(labels == BENIGN), sybil=np.flatnonzero(labels == SYBIL))
+
+    def label_map(self, node_count: int) -> np.ndarray:
+        """Label array marking only these seeds (everything else unknown)."""
+        labels = np.full(node_count, UNKNOWN, dtype=np.int8)
+        labels[self.benign] = BENIGN
+        labels[self.sybil] = SYBIL
+        return labels
 
     @property
     def all_ids(self) -> np.ndarray:
@@ -149,6 +161,11 @@ def edge_scores_default(g: Graph, value: float = 0.9) -> np.ndarray:
     if not 0.1 <= value <= 0.9:
         raise ValueError("edge score must lie in [0.1, 0.9]")
     return np.full(g.edge_count, value)
+
+
+def edge_scores(g: Graph, metric: str | None = None, value: float = 0.9) -> np.ndarray:
+    """Per-edge trust scores: rescaled `metric` similarity, or the constant `value`."""
+    return edge_scores_default(g, value) if metric is None else edge_scores_similarity(g, metric)
 
 
 def edge_similarity(g: Graph, metric: str = "jaccard") -> np.ndarray:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifier, features, harness, metrics, propagate, synth, tsvio
-from .graph import (BENIGN, SYBIL, UNKNOWN, EdgeListParseError, component_census,
+from .graph import (UNKNOWN, EdgeListParseError, component_census,
                     connected_components, modularity, mutualize, sybil_components)
 from .tsvio import load_edge_list
 
@@ -46,27 +46,44 @@ def _str_list(text: str) -> list[str]:
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    # Flag groups shared by several subcommands, as argparse parent parsers.
     common = _Parser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master RNG seed")
     common.add_argument("--threads", type=int, default=1, help="worker threads for sweep trials")
     common.add_argument("--out-dir", default=".", help="directory for output files")
     common.add_argument("--config", default=None, help="key = value overrides file")
+    scenario = _Parser(add_help=False)
+    scenario.add_argument("--benign", type=int, default=1000)
+    scenario.add_argument("--sybil", type=int, default=500)
+    scenario.add_argument("--avg-degree", type=int, default=10)
+    scenario.add_argument("--attack-edges", type=int, default=1000)
+    training = _Parser(add_help=False)
+    training.add_argument("--train-benign", type=int, default=50)
+    training.add_argument("--train-sybil", type=int, default=50)
+    engine = _Parser(add_help=False)
+    engine.add_argument("--engine", choices=tuple(propagate.ENGINES), default="lbp")
+    engine.add_argument("--iterations", type=int, default=None)
+    engine.add_argument("--pin-seeds", action="store_true")
+    ranking = _Parser(add_help=False)
+    ranking.add_argument("--scores", required=True)
+    ranking.add_argument("--labels", required=True)
+    ranking.add_argument("--graph", default=None, help="enables Sybil component classes")
+    ranking.add_argument("--threshold", type=float, default=0.5)
+    ranking.add_argument("--exclude", default=None, help="label-format file of nodes to drop")
+    top_k = _Parser(add_help=False)
+    top_k.add_argument("--top-k", type=_int_list, default=[100, 200, 500])
 
     parser = _Parser(prog="trustprop", description=__doc__)
     parser.add_argument("--version", action="version", version=VERSION_LINE)
     subs = parser.add_subparsers(dest="command", required=True)
     registry: dict[str, _Parser] = {}
 
-    def sub(name: str, help_text: str) -> _Parser:
-        p = subs.add_parser(name, parents=[common], help=help_text)
+    def sub(name: str, help_text: str, *groups: _Parser) -> _Parser:
+        p = subs.add_parser(name, parents=[common, *groups], help=help_text)
         registry[name] = p
         return p
 
-    p = sub("generate", "synthesize a benign/Sybil attack scenario")
-    p.add_argument("--benign", type=int, default=1000)
-    p.add_argument("--sybil", type=int, default=500)
-    p.add_argument("--avg-degree", type=int, default=10)
-    p.add_argument("--attack-edges", type=int, default=1000)
+    p = sub("generate", "synthesize a benign/Sybil attack scenario", scenario)
     p.add_argument("--degree-biased-attacks", action="store_true")
     p.add_argument("--fpr", type=float, default=None, help="also emit simulated node scores")
     p.add_argument("--fnr", type=float, default=None)
@@ -78,11 +95,9 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--graph", required=True)
     p.add_argument("--undirected", action="store_true", help="treat the input as undirected")
 
-    p = sub("train", "fit the local classifier and emit node trust scores")
+    p = sub("train", "fit the local classifier and emit node trust scores", training)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--train-benign", type=int, default=50)
-    p.add_argument("--train-sybil", type=int, default=50)
     p.add_argument("--learning-rate", type=float, default=0.1)
     p.add_argument("--l2", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=500)
@@ -93,56 +108,32 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--value", type=float, default=None, help="constant edge score (default 0.9)")
     p.add_argument("--metric", choices=classifier.SIMILARITY_METRICS, default=None)
 
-    p = sub("propagate", "run a propagation engine over score files")
-    p.add_argument("--engine", choices=tuple(propagate.ENGINES), default="lbp")
-    p.add_argument("--iterations", type=int, default=None)
+    p = sub("propagate", "run a propagation engine over score files", engine)
     p.add_argument("--graph", required=True)
     p.add_argument("--node-scores", required=True)
     p.add_argument("--edge-scores", required=True)
     p.add_argument("--seeds", default=None, help="label-format file of trusted seed nodes")
-    p.add_argument("--pin-seeds", action="store_true")
     p.add_argument("--degree-normalize", action="store_true",
                    help="divide final walk scores by degree")
 
-    p = sub("rank", "write the ascending ranking file for final scores")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--graph", default=None, help="enables Sybil component classes")
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--exclude", default=None, help="label-format file of nodes to drop")
+    sub("rank", "write the ascending ranking file for final scores", ranking)
+    sub("evaluate", "compute AUC / accuracy / top-K metrics", ranking, top_k)
 
-    p = sub("evaluate", "compute AUC / accuracy / top-K metrics")
-    p.add_argument("--scores", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
-    p.add_argument("--top-k", type=_int_list, default=[100, 200, 500])
-    p.add_argument("--graph", default=None)
-    p.add_argument("--exclude", default=None)
-
-    p = sub("sweep", "robustness sweep over synthetic scenarios")
+    p = sub("sweep", "robustness sweep over synthetic scenarios", scenario)
     p.add_argument("--variable", choices=harness.SWEEP_VARIABLES, default="fpr_fnr")
     p.add_argument("--values", type=_float_list, default=[0.0, 0.1, 0.2, 0.3, 0.4])
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--mode", choices=harness.SWEEP_MODES, default="node_scores")
     p.add_argument("--engines", type=_str_list, default=list(propagate.ENGINES))
-    p.add_argument("--benign", type=int, default=1000)
-    p.add_argument("--sybil", type=int, default=500)
-    p.add_argument("--avg-degree", type=int, default=10)
-    p.add_argument("--attack-edges", type=int, default=1000)
     p.add_argument("--noise", type=float, default=0.3)
 
-    p = sub("pipeline", "end-to-end detection on an edge-list dataset")
+    p = sub("pipeline", "end-to-end detection on an edge-list dataset", training, engine, top_k)
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--directed", action="store_true")
-    p.add_argument("--engine", choices=tuple(propagate.ENGINES), default="lbp")
-    p.add_argument("--iterations", type=int, default=None)
-    p.add_argument("--train-benign", type=int, default=50)
-    p.add_argument("--train-sybil", type=int, default=50)
     p.add_argument("--edge-value", type=float, default=0.9)
     p.add_argument("--edge-metric", choices=classifier.SIMILARITY_METRICS, default=None)
     p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--pin-seeds", action="store_true")
     p.add_argument("--raw-walk-scores", action="store_true",
                    help="rank walk scores without degree normalization")
     p.add_argument("--baselines", action="store_true")
@@ -152,7 +143,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--victim-probs", default=None)
     p.add_argument("--remap-ids", action="store_true",
                    help="densify sparse node ids (writes id_map.tsv)")
-    p.add_argument("--top-k", type=_int_list, default=[100, 200, 500])
 
     p = sub("components", "connected-component census")
     p.add_argument("--graph", required=True)
@@ -201,17 +191,15 @@ def _apply_config_file(args, registry) -> list[str] | None:
     return overrides
 
 
-def _read_seed_set(path, node_count) -> classifier.TrainingSet:
-    seed_labels = tsvio.read_labels(path, node_count)
-    return classifier.TrainingSet(benign=np.flatnonzero(seed_labels == BENIGN),
-                                  sybil=np.flatnonzero(seed_labels == SYBIL))
+def _scenario_config(args, **extra) -> synth.ScenarioConfig:
+    """The scenario of the shared size flags, seeded by --seed."""
+    return synth.ScenarioConfig(benign_count=args.benign, sybil_count=args.sybil,
+                                avg_degree=args.avg_degree, attack_edge_count=args.attack_edges,
+                                rng_seed=args.seed, **extra)
 
 
 def _cmd_generate(args, out: Path) -> int:
-    cfg = synth.ScenarioConfig(
-        benign_count=args.benign, sybil_count=args.sybil, avg_degree=args.avg_degree,
-        attack_edge_count=args.attack_edges, rng_seed=args.seed,
-        degree_biased_attacks=args.degree_biased_attacks)
+    cfg = _scenario_config(args, degree_biased_attacks=args.degree_biased_attacks)
     graph, labels = synth.compose_attack_scenario(cfg)
     tsvio.write_edge_list(out / "graph.tsv", graph)
     tsvio.write_labels(out / "labels.tsv", labels)
@@ -242,15 +230,10 @@ def _cmd_features(args, out: Path) -> int:
 
 def _cmd_train(args, out: Path) -> int:
     feats, labels = tsvio.read_by_node([(args.features, "features"), (args.labels, "label")])
-    training = classifier.sample_training_set(
-        labels, args.train_benign, args.train_sybil, harness.derive_seed(args.seed, "train-sample"))
-    model = classifier.train(feats, training, classifier.TrainConfig(
-        learning_rate=args.learning_rate, l2=args.l2, epochs=args.epochs))
-    scores = classifier.predict_scores(model, feats)
-    threshold = classifier.select_threshold(scores, training, args.folds)
-    classifier.save_model(out / "model.txt", model)
-    tsvio.write_node_scores(out / "local_scores.tsv", scores)
-    tsvio.write_labels(out / "train_seeds.tsv", harness.training_label_map(labels.shape[0], training))
+    _, _, threshold = harness.classifier_stage(
+        feats, labels, out, train_benign=args.train_benign, train_sybil=args.train_sybil,
+        seed=args.seed, folds=args.folds, train_config=classifier.TrainConfig(
+            learning_rate=args.learning_rate, l2=args.l2, epochs=args.epochs))
     (out / "threshold.txt").write_text(f"{threshold!r}\n", encoding="utf-8")
     print(f"trained on {args.train_benign}+{args.train_sybil} seeds, threshold {threshold}")
     return 0
@@ -260,10 +243,7 @@ def _cmd_score_edges(args, out: Path) -> int:
     graph = load_edge_list(args.graph, directed=False)
     if args.metric is not None and args.value is not None:
         raise UsageError("--value and --metric are mutually exclusive")
-    if args.metric is not None:
-        values = classifier.edge_scores_similarity(graph, args.metric)
-    else:
-        values = classifier.edge_scores_default(graph, 0.9 if args.value is None else args.value)
+    values = classifier.edge_scores(graph, args.metric, 0.9 if args.value is None else args.value)
     tsvio.write_edge_scores(out / "edge_scores.tsv", graph, values)
     return 0
 
@@ -274,7 +254,8 @@ def _cmd_propagate(args, out: Path) -> int:
     if not np.isfinite(node_scores).all():
         raise ValueError(f"{args.node_scores}: missing or non-finite score for some nodes")
     edge_scores = tsvio.read_edge_scores(args.edge_scores, graph)
-    seeds = _read_seed_set(args.seeds, graph.node_count) if args.seeds else None
+    seeds = (classifier.TrainingSet.from_labels(tsvio.read_labels(args.seeds, graph.node_count))
+             if args.seeds else None)
     cfg = propagate.PropagationConfig(iterations=args.iterations, seeds=seeds,
                                       pin_seeds=args.pin_seeds,
                                       degree_normalize=args.degree_normalize)
@@ -291,7 +272,8 @@ def _ranking_report(args) -> metrics.RankingReport:
         raise ValueError(f"{args.scores}: labeled node is missing a score")
     scores = np.nan_to_num(scores, nan=np.inf)
     graph = load_edge_list(args.graph, directed=False) if args.graph else None
-    exclude = _read_seed_set(args.exclude, labels.shape[0]).all_ids if args.exclude else None
+    exclude = (classifier.TrainingSet.from_labels(tsvio.read_labels(args.exclude, labels.shape[0])).all_ids
+               if args.exclude else None)
     return metrics.build_ranking_report(scores, labels, threshold=args.threshold,
                                         exclude=exclude, graph=graph)
 
@@ -316,9 +298,7 @@ def _cmd_evaluate(args, out: Path) -> int:
 
 def _cmd_sweep(args, out: Path) -> int:
     spec = harness.SweepSpec(
-        base=synth.ScenarioConfig(benign_count=args.benign, sybil_count=args.sybil,
-                                  avg_degree=args.avg_degree, attack_edge_count=args.attack_edges,
-                                  rng_seed=args.seed),
+        base=_scenario_config(args),
         variable=args.variable,
         values=tuple(int(v) if args.variable != "fpr_fnr" else v for v in args.values),
         trials=args.trials, engines=tuple(args.engines), mode=args.mode,
@@ -356,7 +336,7 @@ def _cmd_components(args, out: Path) -> int:
     tsvio.write_component_report(out / "components.tsv", comps)
     print(f"{len(comps)} components, largest {comps[0].shape[0] if comps else 0}")
     if args.sybil_only:
-        census = component_census(graph, labels)
+        census = component_census(comps)
         print(f"isolated {census['isolated']}  lcc {census['lcc']}  others {census['others']}")
     return 0
 

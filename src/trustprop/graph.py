@@ -182,14 +182,12 @@ def _triangle_pass(g: Graph, weights: np.ndarray | None) -> np.ndarray:
 
 
 class DirectedGraph:
-    """Immutable directed simple graph with both out- and in-adjacency in CSR form."""
+    """Immutable directed simple graph; only its out-adjacency is stored, in CSR form."""
 
-    def __init__(self, node_count, out_indptr, out_indices, in_indptr, in_indices):
+    def __init__(self, node_count, out_indptr, out_indices):
         self.node_count = int(node_count)
         self.out_indptr = out_indptr
         self.out_indices = out_indices
-        self.in_indptr = in_indptr
-        self.in_indices = in_indices
         self.edge_count = int(out_indices.shape[0])
 
     @classmethod
@@ -201,20 +199,12 @@ class DirectedGraph:
         if raw - keys.shape[0]:
             logger.warning("dropped %d duplicate arc(s) while building directed graph", raw - keys.shape[0])
         srcs = keys // n if n else keys
-        dsts = keys - srcs * n
         out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(srcs, minlength=n), out=out_indptr[1:])
-        rkeys = np.sort(dsts * n + srcs)
-        rdsts = rkeys // n if n else rkeys
-        in_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rdsts, minlength=n), out=in_indptr[1:])
-        return cls(n, out_indptr, dsts, in_indptr, rkeys - rdsts * n)
+        return cls(n, out_indptr, keys - srcs * n)
 
     def out_neighbors(self, v: int) -> np.ndarray:
         return self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
 
     @property
     def out_degrees(self) -> np.ndarray:
@@ -222,7 +212,7 @@ class DirectedGraph:
 
     @property
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self.in_indptr)
+        return np.bincount(self.out_indices, minlength=self.node_count)
 
 
 def mutualize(dg: DirectedGraph) -> Graph:
@@ -304,9 +294,9 @@ def sybil_components(g: Graph, labels: np.ndarray) -> list[np.ndarray]:
     return connected_components(g, restrict_to=np.flatnonzero(np.asarray(labels) == SYBIL))
 
 
-def component_census(g: Graph, labels: np.ndarray) -> dict[str, int]:
-    """Sybil-subgraph component count and node count per `metrics.sybil_component_classes` class."""
-    comps = sybil_components(g, labels)
+def component_census(comps: list[np.ndarray]) -> dict[str, int]:
+    """Component count and node count per `metrics.sybil_component_classes` class
+    of the Sybil-subgraph components that `sybil_components` returns."""
     isolated = sum(1 for c in comps if c.shape[0] == 1)
     lcc = comps[0].shape[0] if comps and comps[0].shape[0] > 1 else 0
     return {

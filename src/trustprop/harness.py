@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classifier, features, metrics, propagate, synth, tsvio
-from .graph import BENIGN, SYBIL, UNKNOWN, mutualize
+from .graph import BENIGN, SYBIL, mutualize
 
 SWEEP_VARIABLES = ("fpr_fnr", "attack_edges", "sybil_count")
 SWEEP_MODES = ("node_scores", "edge_scores")
@@ -45,9 +45,6 @@ class SweepSpec:
     engines: tuple = tuple(propagate.ENGINES)
     mode: str = "node_scores"
     noise: float = 0.3           # fixed fpr=fnr while sweeping a structural factor
-    edge_score_value: float = 0.9
-    lbp_iterations: int = propagate.DEFAULT_LBP_ITERATIONS
-    rw_iterations: int | None = None
     threads: int = 1
 
     def validate(self) -> None:
@@ -89,7 +86,7 @@ def _run_trial(spec: SweepSpec, value, trial: int) -> dict[tuple[str, str], floa
 
     if spec.mode == "node_scores":
         node_scores = synth.simulate_trust_scores(labels, noise)
-        edge_scores = classifier.edge_scores_default(graph, spec.edge_score_value)
+        edge_scores = classifier.edge_scores_default(graph)
         seeds = None
         exclude = None
     else:
@@ -103,12 +100,10 @@ def _run_trial(spec: SweepSpec, value, trial: int) -> dict[tuple[str, str], floa
         exclude = seeds.all_ids
 
     out: dict[tuple[str, str], float] = {}
+    # Rank walk scores degree-normalized: the raw update concentrates trust on
+    # hubs, which buries the score signal on heavy-tailed graphs. LBP ignores it.
+    cfg = propagate.PropagationConfig(seeds=seeds, degree_normalize=True)
     for engine in spec.engines:
-        # Rank walk scores degree-normalized: the raw update concentrates
-        # trust on hubs, which buries the score signal on heavy-tailed graphs.
-        cfg = (propagate.PropagationConfig(iterations=spec.lbp_iterations, seeds=seeds) if engine == "lbp"
-               else propagate.PropagationConfig(iterations=spec.rw_iterations, seeds=seeds,
-                                                degree_normalize=True))
         final = propagate.get_engine(engine)[1](graph, node_scores, edge_scores, cfg)
         if engine == "lbp":
             out[("lbp", "accuracy")] = metrics.accuracy_at_threshold(final, labels, 0.5, exclude=exclude)
@@ -172,7 +167,6 @@ class PipelineConfig:
     edge_score_value: float = 0.9
     edge_metric: str | None = None    # similarity metric instead of the constant
     threshold: float | None = None    # None: cross-validate on the training data
-    cv_folds: int = 5
     top_k: tuple[int, ...] = (100, 200, 500)
     baselines: bool = False
     restart: float = 0.85
@@ -191,57 +185,61 @@ class PipelineResult:
     training: classifier.TrainingSet
 
 
+def classifier_stage(feats: np.ndarray, labels: np.ndarray, out: Path, *, train_benign: int,
+                     train_sybil: int, seed: int, threshold: float | None = None, folds: int = 5,
+                     train_config: classifier.TrainConfig = classifier.TrainConfig()
+                     ) -> tuple[classifier.TrainingSet, np.ndarray, float]:
+    """Sample the seeds, fit the local classifier, score every node and write the
+    model, the scores and the seeds under `out`. The threshold is cross-validated
+    over `folds` unless one is given. Returns (training set, scores, threshold).
+    """
+    training = classifier.sample_training_set(
+        labels, train_benign, train_sybil, derive_seed(seed, "train-sample"))
+    model = classifier.train(feats, training, train_config)
+    node_scores = classifier.predict_scores(model, feats)
+    if threshold is None:
+        threshold = classifier.select_threshold(node_scores, training, folds)
+    classifier.save_model(out / "model.txt", model)
+    tsvio.write_node_scores(out / "local_scores.tsv", node_scores)
+    tsvio.write_labels(out / "train_seeds.tsv", training.label_map(labels.shape[0]))
+    return training, node_scores, threshold
+
+
 def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = PipelineConfig(),
-                           directed: bool = False, out_dir=None,
+                           directed: bool = False, *, out_dir,
                            victim_prob_path=None) -> PipelineResult:
-    """Full detection run on an edge-list dataset; persists every intermediate.
+    """Full detection run on an edge-list dataset; persists every intermediate in `out_dir`.
 
     Stages: load -> mutualize (directed inputs) -> features -> classifier ->
     edge-scores -> propagate (chosen engine plus optional baselines) ->
     metrics. Any failure is re-raised as StageError tagged with the stage.
     """
-    out = Path(out_dir) if out_dir is not None else None
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     with _stage("load"):
         loaded, ids = tsvio.load_graph(graph_path, directed, remap=cfg.remap_ids)
         labels, = tsvio.read_by_node([(label_path, "label")], ids)
-        if cfg.remap_ids and out is not None:
+        if cfg.remap_ids:
             tsvio.write_id_map(out / "id_map.tsv", ids)
 
     with _stage("mutualize"):
         dg, graph = (loaded, mutualize(loaded)) if directed else (None, loaded)
-        if directed and out is not None:
+        if directed:
             tsvio.write_edge_list(out / "mutual_graph.tsv", graph)
 
     with _stage("features"):
         feats = features.feature_matrix(dg, graph)
-        if out is not None:
-            tsvio.write_features(out / "features.tsv", feats)
+        tsvio.write_features(out / "features.tsv", feats)
 
     with _stage("classifier"):
-        training = classifier.sample_training_set(
-            labels, cfg.train_benign, cfg.train_sybil, derive_seed(cfg.seed, "train-sample"))
-        model = classifier.train(feats, training)
-        node_scores = classifier.predict_scores(model, feats)
-        if cfg.threshold is not None:
-            threshold = cfg.threshold
-        else:
-            threshold = classifier.select_threshold(node_scores, training, cfg.cv_folds)
-        if out is not None:
-            classifier.save_model(out / "model.txt", model)
-            tsvio.write_node_scores(out / "local_scores.tsv", node_scores)
-            tsvio.write_labels(out / "train_seeds.tsv",
-                               training_label_map(graph.node_count, training))
+        training, node_scores, threshold = classifier_stage(
+            feats, labels, out, train_benign=cfg.train_benign, train_sybil=cfg.train_sybil,
+            seed=cfg.seed, threshold=cfg.threshold)
 
     with _stage("edge-scores"):
-        if cfg.edge_metric is not None:
-            edge_scores = classifier.edge_scores_similarity(graph, cfg.edge_metric)
-        else:
-            edge_scores = classifier.edge_scores_default(graph, cfg.edge_score_value)
-        if out is not None:
-            tsvio.write_edge_scores(out / "edge_scores.tsv", graph, edge_scores)
+        edge_scores = classifier.edge_scores(graph, cfg.edge_metric, cfg.edge_score_value)
+        tsvio.write_edge_scores(out / "edge_scores.tsv", graph, edge_scores)
 
     with _stage("propagate"):
         main_engine, engine = propagate.get_engine(cfg.engine)
@@ -258,38 +256,26 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
                 victim_prob = np.nan_to_num(victim_prob, nan=0.0)
                 final_scores["integro"] = propagate.baseline_integro(
                     graph, training.benign, victim_prob, cfg.integro_beta, cfg.iterations)
-        if out is not None:
-            for name, scores in final_scores.items():
-                tsvio.write_node_scores(out / f"final_scores_{name}.tsv", scores)
+        for name, scores in final_scores.items():
+            tsvio.write_node_scores(out / f"final_scores_{name}.tsv", scores)
 
     with _stage("metrics"):
         exclude = training.all_ids
         report = metrics.build_ranking_report(final_scores[main_engine], labels,
                                               threshold=threshold, exclude=exclude, graph=graph)
-        aucs = {name: metrics.auc(s, labels, exclude=exclude) for name, s in final_scores.items()}
+        aucs = {name: report.metrics["auc"] if name == main_engine
+                else metrics.auc(s, labels, exclude=exclude) for name, s in final_scores.items()}
         rows: list[tuple] = [("threshold", "cv" if cfg.threshold is None else "fixed", threshold)]
         rows += [("auc", name, aucs[name]) for name in sorted(aucs)]
         rows.append(("accuracy", f"threshold={threshold!r}", report.metrics["accuracy"]))
-        evaluated = report.node_ids.shape[0]
         for k in cfg.top_k:
-            if k <= evaluated:
-                fraction = metrics.top_k_sybil_fraction(report, k)
-                report.metrics[f"top_{k}_sybil_fraction"] = fraction
-                rows.append(("top_k_sybil_fraction", k, fraction))
+            if k <= report.node_ids.shape[0]:
+                rows.append(("top_k_sybil_fraction", k, metrics.top_k_sybil_fraction(report, k)))
                 for cls, count in metrics.decompose_top_k(report, k).items():
                     rows.append((f"top_k_{cls}", k, count))
-        if out is not None:
-            tsvio.write_metrics_report(out / "metrics.tsv", rows)
-            metrics.write_ranking(out / "ranking.tsv", report)
+        tsvio.write_metrics_report(out / "metrics.tsv", rows)
+        metrics.write_ranking(out / "ranking.tsv", report)
         report.metrics.update({f"auc_{name}": value for name, value in aucs.items()})
 
     return PipelineResult(report=report, final_scores=final_scores,
                           node_scores=node_scores, threshold=threshold, training=training)
-
-
-def training_label_map(node_count: int, training: classifier.TrainingSet) -> np.ndarray:
-    """Label array marking only the training seeds (everything else unknown)."""
-    seed_labels = np.full(node_count, UNKNOWN, dtype=np.int8)
-    seed_labels[training.benign] = BENIGN
-    seed_labels[training.sybil] = SYBIL
-    return seed_labels

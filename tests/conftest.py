@@ -28,9 +28,21 @@ def has_edge(g: Graph, u: int, v: int) -> bool:
     return bool(i < nb.shape[0] and nb[i] == v)
 
 
+def arcs(dg: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(source, target) of every arc, in CSR order (sources ascending)."""
+    return np.repeat(np.arange(dg.node_count), dg.out_degrees), dg.out_indices
+
+
+def in_neighbors(dg: DirectedGraph, v: int) -> np.ndarray:
+    """Sorted sources of the arcs into v, read off the arc arrays."""
+    src, dst = arcs(dg)
+    return src[dst == v]
+
+
 def transpose(dg: DirectedGraph) -> DirectedGraph:
-    """The same graph with every arc reversed (out- and in-adjacency swapped)."""
-    return DirectedGraph(dg.node_count, dg.in_indptr, dg.in_indices, dg.out_indptr, dg.out_indices)
+    """The same graph with every arc reversed."""
+    src, dst = arcs(dg)
+    return DirectedGraph.from_edges(dg.node_count, dst, src)
 
 
 def random_graph(n, edge_prob, rng) -> Graph:
@@ -41,7 +53,7 @@ def random_graph(n, edge_prob, rng) -> Graph:
 
 def req_in_oracle(dg: DirectedGraph, v: int) -> float:
     """Fraction of v's in-neighbors that v also follows: |In ∩ Out| / |In|."""
-    inbound = dg.in_neighbors(v)
+    inbound = in_neighbors(dg, v)
     if inbound.shape[0] == 0:
         return 0.0
     return np.intersect1d(inbound, dg.out_neighbors(v), assume_unique=True).shape[0] / inbound.shape[0]
@@ -52,7 +64,7 @@ def req_out_oracle(dg: DirectedGraph, v: int) -> float:
     outbound = dg.out_neighbors(v)
     if outbound.shape[0] == 0:
         return 0.0
-    return np.intersect1d(dg.in_neighbors(v), outbound, assume_unique=True).shape[0] / outbound.shape[0]
+    return np.intersect1d(in_neighbors(dg, v), outbound, assume_unique=True).shape[0] / outbound.shape[0]
 
 
 def clustering_coefficient_oracle(g: Graph, v: int) -> float:

@@ -297,6 +297,21 @@ class TestStageCommands:
         q = float(capsys.readouterr().out.strip().splitlines()[-1])
         assert -0.5 <= q <= 1.0
 
+    def test_sybil_only_components_searched_once(self, scenario_dir, monkeypatch):
+        from trustprop import graph as graph_module
+        calls = []
+        search = graph_module.connected_components
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(graph_module, "connected_components", counted)
+        assert run("components", "--graph", scenario_dir / "graph.tsv",
+                   "--labels", scenario_dir / "labels.tsv", "--sybil-only",
+                   "--out-dir", scenario_dir) == 0
+        assert len(calls) == 1
+
     def test_sweep_small(self, tmp_path, capsys):
         assert run("sweep", "--variable", "fpr_fnr", "--values", "0.0,0.3",
                    "--trials", 2, "--benign", 80, "--sybil", 40, "--avg-degree", 6,
@@ -320,6 +335,32 @@ class TestStageCommands:
                    "--seed", 6, "--out-dir", tmp_path / "run") == 0
         assert (tmp_path / "run" / "final_scores_cia.tsv").exists()
         assert (tmp_path / "run" / "final_scores_sybilbelief.tsv").exists()
+
+
+class TestPipelineMatchesStages:
+    """`pipeline` writes the same files as the stage commands chained by hand."""
+
+    @pytest.mark.parametrize("metric", [None, "jaccard"])
+    def test_same_bytes(self, scenario_dir, tmp_path, metric):
+        graph, labels = scenario_dir / "graph.tsv", scenario_dir / "labels.tsv"
+        pipe, out = tmp_path / "pipeline", tmp_path / "stages"
+        sample = ["--train-benign", 15, "--train-sybil", 15, "--seed", 42]
+        assert run("pipeline", "--graph", graph, "--labels", labels, *sample,
+                   *(["--edge-metric", metric] if metric else []), "--out-dir", pipe) == 0
+        assert run("features", "--graph", graph, "--undirected", "--out-dir", out) == 0
+        assert run("train", "--features", out / "features.tsv", "--labels", labels, *sample,
+                   "--out-dir", out) == 0
+        assert run("score-edges", "--graph", graph, *(["--metric", metric] if metric else []),
+                   "--out-dir", out) == 0
+        assert run("propagate", "--graph", graph, "--node-scores", out / "local_scores.tsv",
+                   "--edge-scores", out / "edge_scores.tsv", "--seeds", out / "train_seeds.tsv",
+                   "--out-dir", out) == 0
+        assert run("rank", "--scores", out / "final_scores.tsv", "--labels", labels,
+                   "--graph", graph, "--exclude", out / "train_seeds.tsv", "--out-dir", out) == 0
+        for name in ("features.tsv", "model.txt", "local_scores.tsv", "train_seeds.tsv",
+                     "edge_scores.tsv", "ranking.tsv"):
+            assert (pipe / name).read_bytes() == (out / name).read_bytes(), name
+        assert (pipe / "final_scores_sf_lbp.tsv").read_bytes() == (out / "final_scores.tsv").read_bytes()
 
 
 class TestIdempotence:

@@ -221,7 +221,7 @@ class TestConnectedComponents:
         pairs = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (0, 8), (2, 6), (1, 3)]
         g = graph_from_pairs(9, pairs)
         labels = np.array([BENIGN] * 3 + [SYBIL] * 6, dtype=np.int8)
-        census = component_census(g, labels)
+        census = component_census(sybil_components(g, labels))
         assert census == {"components": 3, "isolated": 1, "lcc": 3, "others": 2}
 
     def test_census_counts_the_ranking_classes(self):
@@ -229,7 +229,7 @@ class TestConnectedComponents:
         for trial in range(10):
             g = random_graph(20, 0.12, rng)
             labels = rng.choice([BENIGN, SYBIL], size=20).astype(np.int8)
-            census = component_census(g, labels)
+            census = component_census(sybil_components(g, labels))
             classes = sybil_component_classes(g, labels)
             assert census["components"] == len(sybil_components(g, labels))
             for cls in ("isolated", "lcc", "others"):
@@ -238,7 +238,7 @@ class TestConnectedComponents:
     def test_census_all_isolated(self):
         g = graph_from_pairs(4, [(0, 2), (0, 3), (1, 2)])
         labels = np.array([BENIGN, BENIGN, SYBIL, SYBIL], dtype=np.int8)
-        census = component_census(g, labels)
+        census = component_census(sybil_components(g, labels))
         assert census["isolated"] == 2
         assert census["lcc"] == 0
         assert census["others"] == 0

@@ -149,7 +149,8 @@ class TestPipeline:
         _write_scenario(tmp_path)
         cfg = PipelineConfig(train_benign=0, train_sybil=20)
         with pytest.raises(StageError) as err:
-            run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv", cfg)
+            run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv", cfg,
+                                   out_dir=tmp_path / "out")
         assert err.value.stage == "classifier"
 
     def test_rerun_produces_identical_files(self, tmp_path):
@@ -208,8 +209,8 @@ class TestPipeline:
         result = run_detection_pipeline(tmp_path / "digraph.tsv", tmp_path / "labels.tsv",
                                         cfg, directed=True, out_dir=tmp_path / "out")
         assert calls["mutualize"] == 1
-        # one AUC per engine, plus the ranking report's own
-        assert calls["auc"] == len(result.final_scores) + 1
+        # one AUC per engine; the main engine's is the ranking report's own
+        assert calls["auc"] == len(result.final_scores)
         rows = [line.split("\t") for line in (tmp_path / "out" / "metrics.tsv").read_text().splitlines()]
         written = {r[1]: float(r[2]) for r in rows if r[0] == "auc"}
         assert written == {name: result.report.metrics[f"auc_{name}"] for name in result.final_scores}
@@ -252,7 +253,8 @@ class TestPipeline:
     def test_fixed_threshold_respected(self, tmp_path):
         _write_scenario(tmp_path)
         cfg = PipelineConfig(train_benign=10, train_sybil=10, threshold=0.42)
-        result = run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv", cfg)
+        result = run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv", cfg,
+                                        out_dir=tmp_path / "out")
         assert result.threshold == 0.42
         assert result.report.threshold == 0.42
 
@@ -275,10 +277,11 @@ class TestPipeline:
         tsvio.write_node_scores(tmp_path / "dense_victims.tsv", victims)
         cfg = PipelineConfig(train_benign=15, train_sybil=15, seed=3, baselines=True)
         sparse = run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv",
-                                        replace(cfg, remap_ids=True),
+                                        replace(cfg, remap_ids=True), out_dir=tmp_path / "sparse",
                                         victim_prob_path=tmp_path / "victims.tsv")
         dense = run_detection_pipeline(tmp_path / "dense_graph.tsv", tmp_path / "dense_labels.tsv",
-                                       cfg, victim_prob_path=tmp_path / "dense_victims.tsv")
+                                       cfg, out_dir=tmp_path / "dense",
+                                       victim_prob_path=tmp_path / "dense_victims.tsv")
         assert np.array_equal(sparse.final_scores["integro"], dense.final_scores["integro"])
 
     @pytest.mark.parametrize("remap", [False, True])
@@ -287,7 +290,8 @@ class TestPipeline:
         (tmp_path / "labels.tsv").write_text("0\t1\n4000\t0\n7000\t0\n")
         cfg = PipelineConfig(train_benign=1, train_sybil=1, remap_ids=remap)
         with pytest.raises(StageError, match="labels.tsv:3: unknown node id") as err:
-            run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv", cfg)
+            run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv", cfg,
+                                   out_dir=tmp_path / "out")
         assert err.value.stage == "load"
 
     def test_remap_sparse_ids(self, tmp_path):
@@ -307,7 +311,7 @@ class TestPipeline:
         tsvio.write_labels(tmp_path / "dense_labels.tsv", labels)
         dense_cfg = PipelineConfig(train_benign=15, train_sybil=15, seed=3)
         dense = run_detection_pipeline(tmp_path / "dense_graph.tsv", tmp_path / "dense_labels.tsv",
-                                       dense_cfg)
+                                       dense_cfg, out_dir=tmp_path / "dense")
         assert result.report.metrics["auc"] == dense.report.metrics["auc"]
         id_map = (tmp_path / "out" / "id_map.tsv").read_text().splitlines()
         assert id_map[0] == "0\t0"
