@@ -67,7 +67,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     ranking = _Parser(add_help=False)
     ranking.add_argument("--scores", required=True)
     ranking.add_argument("--labels", required=True)
-    ranking.add_argument("--graph", default=None, help="enables Sybil component classes")
     ranking.add_argument("--threshold", type=float, default=0.5)
     ranking.add_argument("--exclude", default=None, help="label-format file of nodes to drop")
     top_k = _Parser(add_help=False)
@@ -116,7 +115,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--degree-normalize", action="store_true",
                    help="divide final walk scores by degree")
 
-    sub("rank", "write the ascending ranking file for final scores", ranking)
+    p = sub("rank", "write the ascending ranking file for final scores", ranking)
+    p.add_argument("--graph", default=None, help="enables Sybil component classes")
     sub("evaluate", "compute AUC / accuracy / top-K metrics", ranking, top_k)
 
     p = sub("sweep", "robustness sweep over synthetic scenarios", scenario)
@@ -264,14 +264,15 @@ def _cmd_propagate(args, out: Path) -> int:
     return 0
 
 
-def _ranking_report(args) -> metrics.RankingReport:
-    """The ranking report of `rank` and `evaluate` from their shared flags."""
+def _ranking_report(args, graph_path: str | None = None) -> metrics.RankingReport:
+    """The ranking report of `rank` and `evaluate` from their shared flags;
+    `rank` alone passes a graph, for the Sybil component classes."""
     labels, scores = tsvio.read_by_node([(args.labels, "label"), (args.scores, "score")])
     # Every labeled node must have a score; unlabeled ones rank last.
     if np.any(np.isnan(scores) & (labels != UNKNOWN)):
         raise ValueError(f"{args.scores}: labeled node is missing a score")
     scores = np.nan_to_num(scores, nan=np.inf)
-    graph = load_edge_list(args.graph, directed=False) if args.graph else None
+    graph = load_edge_list(graph_path, directed=False) if graph_path else None
     exclude = (classifier.TrainingSet.from_labels(tsvio.read_labels(args.exclude, labels.shape[0])).all_ids
                if args.exclude else None)
     return metrics.build_ranking_report(scores, labels, threshold=args.threshold,
@@ -279,7 +280,7 @@ def _ranking_report(args) -> metrics.RankingReport:
 
 
 def _cmd_rank(args, out: Path) -> int:
-    metrics.write_ranking(out / "ranking.tsv", _ranking_report(args))
+    metrics.write_ranking(out / "ranking.tsv", _ranking_report(args, args.graph))
     return 0
 
 

@@ -8,7 +8,8 @@ Two engines spread local trust scores through the graph:
 * weighted loopy belief propagation on a pairwise binary Markov random field
   whose node/edge potentials are (S_v, 1 - S_v) and (S_{u,v}, 1 - S_{u,v}),
   run synchronously with one log-odds message per edge direction for d = 8
-  rounds by default.
+  rounds by default. Each round sends in blocks of edges whose temporaries
+  fit in the L2 cache, with results identical to whole-array rounds.
 
 Baselines (seed-only random walk with final degree normalization, a
 restart walk from Sybil seeds, seed-only belief propagation, and the
@@ -177,6 +178,11 @@ def weighted_lbp(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
     return _sigmoid(prior + _incoming(g, messages))
 
 
+# Edges per block of an LBP message round: a block's float64 temporaries
+# (256 KiB each) stay in a core's L2 cache.
+_EDGE_CHUNK = 1 << 15
+
+
 def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
                     messages: np.ndarray) -> np.ndarray:
     """One synchronous round of log-odds messages over the canonical edges.
@@ -185,10 +191,21 @@ def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
     prior and coupling hold logit(S_v) and logit(S_e). A sender whose cavity
     log-odds is x (its prior plus all it received except from the receiver)
     sends log((S_e e^x + 1 - S_e) / ((1 - S_e) e^x + S_e)).
+
+    The cavities are summed over all nodes once; the messages are then sent
+    _EDGE_CHUNK edges at a time into one (2, m) array, so _send's temporaries
+    stay in L2 instead of streaming m-element arrays through memory. Each
+    message goes through the same elementwise operations, so the result is
+    bit-identical to an unblocked round.
     """
     fwd, bwd = messages
     cavity = prior + _incoming(g, messages)
-    return np.stack([_send(cavity[g.edge_u] - bwd, coupling), _send(cavity[g.edge_v] - fwd, coupling)])
+    out = np.empty((2, g.edge_count))
+    for lo in range(0, g.edge_count, _EDGE_CHUNK):
+        e = slice(lo, lo + _EDGE_CHUNK)
+        out[0, e] = _send(cavity[g.edge_u[e]] - bwd[e], coupling[e])
+        out[1, e] = _send(cavity[g.edge_v[e]] - fwd[e], coupling[e])
+    return out
 
 
 def _incoming(g: Graph, messages: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from trustprop.graph import BENIGN, SYBIL, DirectedGraph, Graph
+from trustprop.propagate import _incoming, _send
 
 
 def graph_from_pairs(n, pairs) -> Graph:
@@ -296,6 +297,13 @@ def lbp_two_vector_oracle(g: Graph, node_scores, edge_values, iterations) -> np.
     shift = np.maximum(log_pos, log_neg)
     bel_pos = np.exp(log_pos - shift)
     return bel_pos / (bel_pos + np.exp(log_neg - shift))
+
+
+def lbp_round_oracle(g: Graph, prior, coupling, messages) -> np.ndarray:
+    """One synchronous log-odds message round over whole edge arrays, unblocked."""
+    fwd, bwd = messages
+    cavity = prior + _incoming(g, messages)
+    return np.stack([_send(cavity[g.edge_u] - bwd, coupling), _send(cavity[g.edge_v] - fwd, coupling)])
 
 
 def auc_pair_oracle(scores, labels) -> float:

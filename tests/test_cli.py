@@ -59,6 +59,14 @@ class TestUsageErrors:
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1
 
+    def test_evaluate_takes_no_graph(self, scenario_dir, capsys):
+        # Component classes reach only ranking.tsv, so only `rank` loads a graph.
+        assert run("evaluate", "--scores", scenario_dir / "labels.tsv",
+                   "--labels", scenario_dir / "labels.tsv", "--graph", scenario_dir / "graph.tsv",
+                   "--out-dir", scenario_dir) == 1
+        assert "unrecognized arguments: --graph" in capsys.readouterr().err
+        assert not (scenario_dir / "metrics.tsv").exists()
+
     def test_version(self, capsys):
         assert run("--version") == 0
         assert VERSION_LINE in capsys.readouterr().out

@@ -3,14 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustprop import propagate
 from trustprop.classifier import TrainingSet
 from trustprop.propagate import (PropagationConfig, baseline_cia, baseline_integro,
                                  baseline_sybilbelief, baseline_sybilrank,
                                  default_walk_iterations, integro_edge_weights,
                                  update_messages, weighted_lbp, weighted_random_walk)
 
-from conftest import (graph_from_pairs, lbp_enumeration_oracle, lbp_two_vector_oracle,
-                      random_graph, random_tree, walk_matrix_oracle)
+from conftest import (graph_from_pairs, lbp_enumeration_oracle, lbp_round_oracle,
+                      lbp_two_vector_oracle, random_graph, random_tree, walk_matrix_oracle)
 
 
 class TestWeightedRandomWalk:
@@ -196,9 +197,11 @@ class TestWeightedLbp:
         want = lbp_two_vector_oracle(g, seeded, edge_scores, 8)
         assert np.max(np.abs(got - want)) < 1e-12
 
-    def test_messages_stay_finite_and_bounded(self):
+    @pytest.mark.parametrize("chunk", [propagate._EDGE_CHUNK, 3], ids=["default", "3"])
+    def test_messages_stay_finite_and_bounded(self, chunk, monkeypatch):
         # A log-odds message can never exceed the log-odds of its edge
         # potential in magnitude: |m_e| <= |logit(S_e)|.
+        monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunk)
         rng = np.random.default_rng(27)
         g = random_graph(15, 0.3, rng)
         node_scores = 0.1 + 0.8 * rng.random(15)
@@ -211,6 +214,26 @@ class TestWeightedLbp:
             assert msgs.shape == (2, g.edge_count)
             assert np.all(np.isfinite(msgs))
             assert np.all(np.abs(msgs) <= np.abs(coupling) * (1 + 1e-12))
+
+    @pytest.mark.parametrize("pairs", [
+        [],
+        [(0, 1)],
+        [(0, 1), (1, 2), (2, 0)],  # exactly one block of 3
+        [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (3, 4), (4, 5)],  # partial last block
+        None,  # random graph of a few hundred edges
+    ])
+    def test_blocked_round_matches_whole_array_round(self, pairs, monkeypatch):
+        monkeypatch.setattr(propagate, "_EDGE_CHUNK", 3)
+        rng = np.random.default_rng(41)
+        g = random_graph(40, 0.4, rng) if pairs is None else graph_from_pairs(6, pairs)
+        prior = np.log(rng.random(g.node_count) / rng.random(g.node_count))
+        coupling = 4.0 * rng.standard_normal(g.edge_count)
+        got = want = np.zeros((2, g.edge_count))
+        for _ in range(10):
+            got = update_messages(g, prior, coupling, got)
+            want = lbp_round_oracle(g, prior, coupling, want)
+            assert got.shape == (2, g.edge_count)
+            assert np.array_equal(got, want)
 
     def test_potential_outside_unit_interval_error(self):
         g = graph_from_pairs(2, [(0, 1)])
