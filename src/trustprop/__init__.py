@@ -7,9 +7,8 @@ by final score so Sybil accounts surface first. A synthetic attack generator
 and a sweep harness support robustness experiments.
 """
 
-from .classifier import (LocalModel, TrainConfig, TrainingSet, edge_scores_default,
-                         edge_scores_similarity, predict_scores, sample_training_set,
-                         select_threshold, train)
+from .classifier import (LocalModel, TrainConfig, TrainingSet, edge_scores, predict_scores,
+                         sample_training_set, select_threshold, train)
 from .features import feature_matrix
 from .graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, Graph, component_census,
                     connected_components, modularity, mutualize)

@@ -10,7 +10,7 @@ which is derived from the graph's cached per-edge triangle counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class LocalModel:
     scale: np.ndarray
     weights: np.ndarray
     bias: float
-    config: TrainConfig = field(default_factory=TrainConfig)
     loss_history: np.ndarray | None = None
 
 
@@ -136,8 +135,7 @@ def train(features: np.ndarray, training: TrainingSet, config: TrainConfig = Tra
         weights = weights - config.learning_rate * grad_w
         bias = bias - config.learning_rate * grad_b
     losses[config.epochs], _, _ = loss_and_gradient(x, y, weights, bias, config.l2)
-    return LocalModel(mean=mean, scale=scale, weights=weights, bias=bias,
-                      config=config, loss_history=losses)
+    return LocalModel(mean=mean, scale=scale, weights=weights, bias=bias, loss_history=losses)
 
 
 def predict_probabilities(model: LocalModel, features: np.ndarray) -> np.ndarray:
@@ -156,16 +154,24 @@ def normalize_scores(probabilities: np.ndarray) -> np.ndarray:
     return 0.1 + 0.8 * np.asarray(probabilities, dtype=float)
 
 
-def edge_scores_default(g: Graph, value: float = 0.9) -> np.ndarray:
-    """Constant per-edge trust score (0.9 models homophily)."""
-    if not 0.1 <= value <= 0.9:
-        raise ValueError("edge score must lie in [0.1, 0.9]")
-    return np.full(g.edge_count, value)
-
-
 def edge_scores(g: Graph, metric: str | None = None, value: float = 0.9) -> np.ndarray:
-    """Per-edge trust scores: rescaled `metric` similarity, or the constant `value`."""
-    return edge_scores_default(g, value) if metric is None else edge_scores_similarity(g, metric)
+    """Per-edge trust scores: `metric` similarity rescaled onto [0.1, 0.9], or
+    the constant `value` (0.9 models homophily) when no metric is given.
+
+    The observed per-graph [min, max] similarity maps onto [0.1, 0.9];
+    constant-similarity graphs map to 0.5 everywhere.
+    """
+    if metric is None:
+        if not 0.1 <= value <= 0.9:
+            raise ValueError("edge score must lie in [0.1, 0.9]")
+        return np.full(g.edge_count, value)
+    sims = edge_similarity(g, metric)
+    if sims.shape[0] == 0:
+        return sims
+    lo, hi = float(sims.min()), float(sims.max())
+    if hi == lo:
+        return np.full(g.edge_count, 0.5)
+    return 0.1 + 0.8 * (sims - lo) / (hi - lo)
 
 
 def edge_similarity(g: Graph, metric: str = "jaccard") -> np.ndarray:
@@ -184,21 +190,6 @@ def edge_similarity(g: Graph, metric: str = "jaccard") -> np.ndarray:
     a, b = degrees[g.edge_u] - 1, degrees[g.edge_v] - 1
     denom = a + b - common if metric == "jaccard" else np.sqrt(a * b)
     return np.divide(common, denom, out=np.zeros(g.edge_count), where=denom > 0)
-
-
-def edge_scores_similarity(g: Graph, metric: str = "jaccard") -> np.ndarray:
-    """Similarity-based edge trust scores rescaled onto [0.1, 0.9].
-
-    The observed per-graph [min, max] similarity maps onto [0.1, 0.9];
-    constant-similarity graphs map to 0.5 everywhere.
-    """
-    sims = edge_similarity(g, metric)
-    if sims.shape[0] == 0:
-        return sims
-    lo, hi = float(sims.min()), float(sims.max())
-    if hi == lo:
-        return np.full(g.edge_count, 0.5)
-    return 0.1 + 0.8 * (sims - lo) / (hi - lo)
 
 
 def select_threshold(scores: np.ndarray, training: TrainingSet, folds: int = 5) -> float:

@@ -14,13 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classifier, features, harness, metrics, propagate, synth, tsvio
+from . import __version__, classifier, features, harness, metrics, propagate, synth, tsvio
 from .graph import (UNKNOWN, EdgeListParseError, component_census,
                     connected_components, modularity, mutualize, sybil_components)
 from .tsvio import load_edge_list
 
-VERSION = "0.1.0"
-VERSION_LINE = (f"trustprop {VERSION} "
+VERSION_LINE = (f"trustprop {__version__} "
                 f"(model format {classifier.MODEL_FORMAT_VERSION}, tsv format {tsvio.FORMAT_VERSION})")
 
 
@@ -33,16 +32,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p]
-
-
-def _str_list(text: str) -> list[str]:
-    return [p for p in text.split(",") if p]
+def _list_of(item):
+    """Argparse type for a comma-separated list of `item` values."""
+    def parse(text: str) -> list:
+        return [item(p) for p in text.split(",") if p]
+    return parse
 
 
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
@@ -70,31 +64,30 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     ranking.add_argument("--threshold", type=float, default=0.5)
     ranking.add_argument("--exclude", default=None, help="label-format file of nodes to drop")
     top_k = _Parser(add_help=False)
-    top_k.add_argument("--top-k", type=_int_list, default=[100, 200, 500])
+    top_k.add_argument("--top-k", type=_list_of(int), default=[100, 200, 500])
 
     parser = _Parser(prog="trustprop", description=__doc__)
     parser.add_argument("--version", action="version", version=VERSION_LINE)
     subs = parser.add_subparsers(dest="command", required=True)
-    registry: dict[str, _Parser] = {}
 
-    def sub(name: str, help_text: str, *groups: _Parser) -> _Parser:
+    def sub(name: str, handler, help_text: str, *groups: _Parser) -> _Parser:
         p = subs.add_parser(name, parents=[common, *groups], help=help_text)
-        registry[name] = p
+        p.set_defaults(handler=handler)
         return p
 
-    p = sub("generate", "synthesize a benign/Sybil attack scenario", scenario)
+    p = sub("generate", _cmd_generate, "synthesize a benign/Sybil attack scenario", scenario)
     p.add_argument("--degree-biased-attacks", action="store_true")
     p.add_argument("--fpr", type=float, default=None, help="also emit simulated node scores")
     p.add_argument("--fnr", type=float, default=None)
 
-    p = sub("mutualize", "directed edge list -> undirected mutual-edge graph")
+    p = sub("mutualize", _cmd_mutualize, "directed edge list -> undirected mutual-edge graph")
     p.add_argument("--input", required=True)
 
-    p = sub("features", "extract per-node structural features")
+    p = sub("features", _cmd_features, "extract per-node structural features")
     p.add_argument("--graph", required=True)
     p.add_argument("--undirected", action="store_true", help="treat the input as undirected")
 
-    p = sub("train", "fit the local classifier and emit node trust scores", training)
+    p = sub("train", _cmd_train, "fit the local classifier and emit node trust scores", training)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--learning-rate", type=float, default=0.1)
@@ -102,12 +95,12 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--epochs", type=int, default=500)
     p.add_argument("--folds", type=int, default=5)
 
-    p = sub("score-edges", "emit per-edge trust scores")
+    p = sub("score-edges", _cmd_score_edges, "emit per-edge trust scores")
     p.add_argument("--graph", required=True)
     p.add_argument("--value", type=float, default=None, help="constant edge score (default 0.9)")
     p.add_argument("--metric", choices=classifier.SIMILARITY_METRICS, default=None)
 
-    p = sub("propagate", "run a propagation engine over score files", engine)
+    p = sub("propagate", _cmd_propagate, "run a propagation engine over score files", engine)
     p.add_argument("--graph", required=True)
     p.add_argument("--node-scores", required=True)
     p.add_argument("--edge-scores", required=True)
@@ -115,19 +108,20 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--degree-normalize", action="store_true",
                    help="divide final walk scores by degree")
 
-    p = sub("rank", "write the ascending ranking file for final scores", ranking)
+    p = sub("rank", _cmd_rank, "write the ascending ranking file for final scores", ranking)
     p.add_argument("--graph", default=None, help="enables Sybil component classes")
-    sub("evaluate", "compute AUC / accuracy / top-K metrics", ranking, top_k)
+    sub("evaluate", _cmd_evaluate, "compute AUC / accuracy / top-K metrics", ranking, top_k)
 
-    p = sub("sweep", "robustness sweep over synthetic scenarios", scenario)
+    p = sub("sweep", _cmd_sweep, "robustness sweep over synthetic scenarios", scenario)
     p.add_argument("--variable", choices=harness.SWEEP_VARIABLES, default="fpr_fnr")
-    p.add_argument("--values", type=_float_list, default=[0.0, 0.1, 0.2, 0.3, 0.4])
+    p.add_argument("--values", type=_list_of(float), default=[0.0, 0.1, 0.2, 0.3, 0.4])
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--mode", choices=harness.SWEEP_MODES, default="node_scores")
-    p.add_argument("--engines", type=_str_list, default=list(propagate.ENGINES))
+    p.add_argument("--engines", type=_list_of(str), default=list(propagate.ENGINES))
     p.add_argument("--noise", type=float, default=0.3)
 
-    p = sub("pipeline", "end-to-end detection on an edge-list dataset", training, engine, top_k)
+    p = sub("pipeline", _cmd_pipeline, "end-to-end detection on an edge-list dataset",
+            training, engine, top_k)
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--directed", action="store_true")
@@ -144,19 +138,19 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--remap-ids", action="store_true",
                    help="densify sparse node ids (writes id_map.tsv)")
 
-    p = sub("components", "connected-component census")
+    p = sub("components", _cmd_components, "connected-component census")
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", default=None)
     p.add_argument("--sybil-only", action="store_true", help="census of the Sybil-induced subgraph")
 
-    p = sub("modularity", "two-group Newman modularity of a labeled graph")
+    p = sub("modularity", _cmd_modularity, "two-group Newman modularity of a labeled graph")
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
 
-    return parser, registry
+    return parser, subs.choices
 
 
-def _apply_config_file(args, registry) -> list[str] | None:
+def _apply_config_file(args, registry) -> dict | None:
     """Validate config-file keys and return set_defaults overrides, or None."""
     if not args.config:
         return None
@@ -187,6 +181,9 @@ def _apply_config_file(args, registry) -> list[str] | None:
                     raise UsageError(f"{args.config}:{lineno}: bad value for {key!r}") from None
             else:
                 overrides[key] = value
+            if action.choices is not None and overrides[key] not in action.choices:
+                raise UsageError(f"{args.config}:{lineno}: invalid choice {value!r} for {key!r} "
+                                 f"(choose from {', '.join(action.choices)})")
     sub.set_defaults(**overrides)
     return overrides
 
@@ -298,10 +295,14 @@ def _cmd_evaluate(args, out: Path) -> int:
 
 
 def _cmd_sweep(args, out: Path) -> int:
+    counts = args.variable != "fpr_fnr"
+    for v in args.values:
+        if counts and not v.is_integer():
+            raise UsageError(f"--values: {args.variable} takes whole numbers, got {v!r}")
     spec = harness.SweepSpec(
         base=_scenario_config(args),
         variable=args.variable,
-        values=tuple(int(v) if args.variable != "fpr_fnr" else v for v in args.values),
+        values=tuple(int(v) if counts else v for v in args.values),
         trials=args.trials, engines=tuple(args.engines), mode=args.mode,
         noise=args.noise, threads=args.threads)
     rows = harness.run_robustness_sweep(spec)
@@ -349,22 +350,6 @@ def _cmd_modularity(args, out: Path) -> int:
     return 0
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "mutualize": _cmd_mutualize,
-    "features": _cmd_features,
-    "train": _cmd_train,
-    "score-edges": _cmd_score_edges,
-    "propagate": _cmd_propagate,
-    "rank": _cmd_rank,
-    "evaluate": _cmd_evaluate,
-    "sweep": _cmd_sweep,
-    "pipeline": _cmd_pipeline,
-    "components": _cmd_components,
-    "modularity": _cmd_modularity,
-}
-
-
 def dispatch(argv) -> int:
     """Parse argv, run the subcommand; returns the process exit code."""
     parser, registry = build_parser()
@@ -380,7 +365,7 @@ def dispatch(argv) -> int:
     try:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[args.command](args, out)
+        return args.handler(args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -86,7 +86,7 @@ def _run_trial(spec: SweepSpec, value, trial: int) -> dict[tuple[str, str], floa
 
     if spec.mode == "node_scores":
         node_scores = synth.simulate_trust_scores(labels, noise)
-        edge_scores = classifier.edge_scores_default(graph)
+        edge_scores = classifier.edge_scores(graph)
         seeds = None
         exclude = None
     else:

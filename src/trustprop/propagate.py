@@ -108,10 +108,13 @@ def _engine_inputs(g: Graph, node_scores, edge_scores, cfg: PropagationConfig,
 
 def _walk(g: Graph, init: np.ndarray, position_weights: np.ndarray, iterations: int,
           restart: float = 0.0, restart_dist: np.ndarray | None = None,
-          pin: TrainingSet | None = None, hold_isolated: bool = False) -> np.ndarray:
+          pin: TrainingSet | None = None, hold_isolated: bool = False,
+          per_weighted_degree: bool = False) -> np.ndarray:
     """Shared power-iteration core: scores <- column-normalized-weight update.
 
     Nodes with zero incident weight distribute nothing (their column is zero).
+    With per_weighted_degree, the final scores are divided by each node's total
+    incident weight; nodes with none keep theirs.
     """
     n = g.node_count
     rows = g.position_rows()
@@ -128,6 +131,8 @@ def _walk(g: Graph, init: np.ndarray, position_weights: np.ndarray, iterations: 
         if hold_isolated:
             scores[isolated] = init[isolated]
         scores = _apply_seeds(scores, pin)
+    if per_weighted_degree:
+        scores = np.where(wsum > 0, scores / np.maximum(wsum, 1e-300), scores)
     return scores
 
 
@@ -142,21 +147,11 @@ def weighted_random_walk(g: Graph, node_scores: np.ndarray, edge_scores: np.ndar
     """
     d, init, edge_scores = _engine_inputs(g, node_scores, edge_scores, cfg,
                                           default_walk_iterations(g.node_count), open_unit=False)
-    position_weights = edge_scores[g.edge_ids]
-    scores = _walk(g, init, position_weights, d,
-                   pin=cfg.seeds if cfg.pin_seeds else None, hold_isolated=True)
-    if cfg.degree_normalize:
-        # The walk's stationary background is proportional to the weighted
-        # degree, so that is the right normalizer (raw degree would leave the
-        # mean incident edge score as per-node noise).
-        scores = _per_weighted_degree(g, scores, position_weights)
-    return scores
-
-
-def _per_weighted_degree(g: Graph, scores: np.ndarray, position_weights: np.ndarray) -> np.ndarray:
-    """Scores divided by each node's total incident weight; nodes with none keep theirs."""
-    wdeg = np.bincount(g.position_rows(), weights=position_weights, minlength=g.node_count)
-    return np.where(wdeg > 0, scores / np.maximum(wdeg, 1e-300), scores)
+    # The walk's stationary background is proportional to the weighted degree,
+    # so that is the right normalizer (raw degree would leave the mean incident
+    # edge score as per-node noise).
+    return _walk(g, init, edge_scores[g.edge_ids], d, pin=cfg.seeds if cfg.pin_seeds else None,
+                 hold_isolated=True, per_weighted_degree=cfg.degree_normalize)
 
 
 def weighted_lbp(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
@@ -246,7 +241,7 @@ def _seed_walk(g: Graph, benign_seeds, position_weights: np.ndarray, iterations:
     node's total incident weight (ceil(log2 n) rounds by default)."""
     init = _seed_distribution(g, benign_seeds, what)
     d = _rounds(iterations, default_walk_iterations(g.node_count))
-    return _per_weighted_degree(g, _walk(g, init, position_weights, d), position_weights)
+    return _walk(g, init, position_weights, d, per_weighted_degree=True)
 
 
 def baseline_sybilrank(g: Graph, benign_seeds: np.ndarray, iterations: int | None = None) -> np.ndarray:
@@ -285,7 +280,7 @@ def integro_edge_weights(g: Graph, victim_prob: np.ndarray, beta: float) -> np.n
     victim_prob = np.asarray(victim_prob, dtype=float)
     if victim_prob.shape[0] != g.node_count:
         raise ValueError("victim probability array must cover every node")
-    if victim_prob.size and (victim_prob.min() < 0.0 or victim_prob.max() > 1.0):
+    if not np.all((victim_prob >= 0.0) & (victim_prob <= 1.0)):
         raise ValueError("victim probabilities must lie in [0, 1]")
     pmax = np.maximum(victim_prob[g.edge_u], victim_prob[g.edge_v])
     return np.minimum(1.0, beta * (1.0 - pmax))

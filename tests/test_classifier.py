@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustprop.classifier import (THRESHOLD_GRID, LocalModel, TrainConfig, TrainingSet,
-                                  edge_scores_default, edge_scores_similarity,
-                                  edge_similarity, load_model, loss_and_gradient,
+                                  edge_scores, edge_similarity, load_model, loss_and_gradient,
                                   normalize_scores, predict_probabilities, predict_scores,
                                   sample_training_set, save_model, select_threshold, train)
 from trustprop.graph import BENIGN, SYBIL
@@ -138,27 +137,27 @@ class TestPredictScores:
 class TestEdgeScores:
     def test_default_all_point_nine(self):
         g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3)])
-        assert edge_scores_default(g).tolist() == [0.9, 0.9, 0.9]
+        assert edge_scores(g).tolist() == [0.9, 0.9, 0.9]
 
     def test_neutral_value(self):
         g = graph_from_pairs(3, [(0, 1)])
-        assert edge_scores_default(g, 0.5).tolist() == [0.5]
+        assert edge_scores(g, value=0.5).tolist() == [0.5]
 
     def test_empty_graph(self):
         g = graph_from_pairs(3, [])
-        assert edge_scores_default(g).shape == (0,)
+        assert edge_scores(g).shape == (0,)
 
     def test_out_of_range_value(self):
         g = graph_from_pairs(3, [(0, 1)])
         with pytest.raises(ValueError):
-            edge_scores_default(g, 0.95)
+            edge_scores(g, value=0.95)
 
     def test_jaccard_twins_maximal(self):
         # 0 and 1 adjacent, both connected to exactly {2, 3}; edge 2-3 has
         # disjoint residual neighborhoods under jaccard after excluding (2,3).
         g = graph_from_pairs(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         sims = edge_similarity(g, "jaccard")
-        scores = edge_scores_similarity(g, "jaccard")
+        scores = edge_scores(g, "jaccard")
         e01 = np.flatnonzero((g.edge_u == 0) & (g.edge_v == 1))[0]
         assert sims[e01] == pytest.approx(1.0)
         assert scores[e01] == pytest.approx(0.9)
@@ -167,7 +166,7 @@ class TestEdgeScores:
         # edge (0,1) in the path tail has A = {}, B = {2} -> similarity 0
         g = graph_from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)])
         sims = edge_similarity(g, "jaccard")
-        scores = edge_scores_similarity(g, "jaccard")
+        scores = edge_scores(g, "jaccard")
         e01 = np.flatnonzero((g.edge_u == 0) & (g.edge_v == 1))[0]
         assert sims[e01] == 0.0
         assert scores[e01] == pytest.approx(0.1)
@@ -200,7 +199,7 @@ class TestEdgeScores:
 
     def test_constant_similarity_maps_to_half(self):
         g = graph_from_pairs(3, [(0, 1), (1, 2), (2, 0)])
-        scores = edge_scores_similarity(g, "jaccard")
+        scores = edge_scores(g, "jaccard")
         assert np.allclose(scores, 0.5)
 
     def test_unknown_metric(self):

@@ -67,6 +67,13 @@ class TestUsageErrors:
         assert "unrecognized arguments: --graph" in capsys.readouterr().err
         assert not (scenario_dir / "metrics.tsv").exists()
 
+    @pytest.mark.parametrize("variable", ["attack_edges", "sybil_count"])
+    def test_sweep_rejects_fractional_counts(self, tmp_path, capsys, variable):
+        assert run("sweep", "--variable", variable, "--values", "10,10.7", "--trials", 1,
+                   "--out-dir", tmp_path) == 1
+        assert "10.7" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.tsv").exists()
+
     def test_version(self, capsys):
         assert run("--version") == 0
         assert VERSION_LINE in capsys.readouterr().out
@@ -234,6 +241,19 @@ class TestConfigFile:
         cfg.write_text("degree-biased-attacks = true\n")
         assert run("generate", "--benign", 40, "--sybil", 20, "--attack-edges", 15,
                    "--config", cfg, "--out-dir", tmp_path) == 0
+
+    @pytest.mark.parametrize("command, key", [("pipeline", "engine"), ("sweep", "variable")])
+    def test_value_outside_choices_rejected(self, scenario_dir, tmp_path, capsys, command, key):
+        # checked while parsing, like the same value given as a flag: nothing is written
+        cfg = tmp_path / "conf"
+        cfg.write_text(f"{key} = bogus\n")
+        out = tmp_path / "out"
+        out.mkdir()
+        flags = (["--graph", scenario_dir / "graph.tsv", "--labels", scenario_dir / "labels.tsv",
+                  "--train-benign", 15, "--train-sybil", 15] if command == "pipeline" else [])
+        assert run(command, *flags, "--config", cfg, "--out-dir", out) == 1
+        assert f"{cfg}:1: invalid choice 'bogus'" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestStageCommands:

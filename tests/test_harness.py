@@ -138,7 +138,7 @@ class TestPipeline:
         training = classifier.sample_training_set(labels, 20, 20, derive_seed(5, "train-sample"))
         model = classifier.train(feats, training)
         node_scores = classifier.predict_scores(model, feats)
-        edge_scores = classifier.edge_scores_default(g, 0.9)
+        edge_scores = classifier.edge_scores(g, value=0.9)
         final = propagate.weighted_lbp(g, node_scores, edge_scores,
                                        propagate.PropagationConfig(seeds=training))
         want_auc = metrics.auc(final, labels, exclude=training.all_ids)

@@ -56,6 +56,24 @@ class TestWeightedRandomWalk:
             want = walk_matrix_oracle(g, weights, init, d, hold_isolated=True)
             assert np.max(np.abs(mine - want)) < 1e-12
 
+    def test_degree_normalized_matches_dense_oracle(self):
+        # the oracle walk divided by each node's total incident edge score;
+        # isolated nodes (weighted degree 0) keep their held initial score
+        rng = np.random.default_rng(22)
+        for trial in range(10):
+            g = random_graph(12, 0.3, rng)
+            init = rng.random(12)
+            weights = 0.1 + 0.8 * rng.random(g.edge_count)
+            d = int(rng.integers(1, 10))
+            cfg = PropagationConfig(iterations=d, degree_normalize=True)
+            mine = weighted_random_walk(g, init, weights, cfg)
+            wdeg = np.zeros(12)
+            np.add.at(wdeg, g.edge_u, weights)
+            np.add.at(wdeg, g.edge_v, weights)
+            want = walk_matrix_oracle(g, weights, init, d, hold_isolated=True)
+            want = np.where(wdeg > 0, want / np.where(wdeg > 0, wdeg, 1.0), want)
+            assert np.max(np.abs(mine - want)) < 1e-12
+
     def test_isolated_node_keeps_initial_score(self):
         g = graph_from_pairs(3, [(0, 1)])
         out = weighted_random_walk(g, np.array([0.6, 0.4, 0.77]), np.array([0.5]),
@@ -400,6 +418,14 @@ class TestIntegro:
             integro_edge_weights(g, np.zeros(2), beta=0.0)
         with pytest.raises(ValueError):
             integro_edge_weights(g, np.array([0.5, 1.2]), beta=1.0)
+
+    def test_nan_victim_probability_rejected(self):
+        g = graph_from_pairs(3, [(0, 1), (1, 2)])
+        p = np.array([np.nan, 0.2, 0.1])
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            integro_edge_weights(g, p, beta=2.0)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            baseline_integro(g, np.array([1]), p)
 
     def test_baseline_runs_with_zero_weight_nodes(self):
         # victims cut off the seed: walk must tolerate zero weight sums
