@@ -42,10 +42,12 @@ def _list_of(item):
 def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     # Flag groups shared by several subcommands, as argparse parent parsers.
     common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for sweep trials")
     common.add_argument("--out-dir", default=".", help="directory for output files")
     common.add_argument("--config", default=None, help="key = value overrides file")
+    seeded = _Parser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0, help="master RNG seed")
+    threads = _Parser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1, help="worker threads for sweep trials")
     scenario = _Parser(add_help=False)
     scenario.add_argument("--benign", type=int, default=1000)
     scenario.add_argument("--sybil", type=int, default=500)
@@ -75,7 +77,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.set_defaults(handler=handler)
         return p
 
-    p = sub("generate", _cmd_generate, "synthesize a benign/Sybil attack scenario", scenario)
+    p = sub("generate", _cmd_generate, "synthesize a benign/Sybil attack scenario", scenario, seeded)
     p.add_argument("--degree-biased-attacks", action="store_true")
     p.add_argument("--fpr", type=float, default=None, help="also emit simulated node scores")
     p.add_argument("--fnr", type=float, default=None)
@@ -87,7 +89,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--graph", required=True)
     p.add_argument("--undirected", action="store_true", help="treat the input as undirected")
 
-    p = sub("train", _cmd_train, "fit the local classifier and emit node trust scores", training)
+    p = sub("train", _cmd_train, "fit the local classifier and emit node trust scores", training, seeded)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--learning-rate", type=float, default=0.1)
@@ -112,7 +114,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--graph", default=None, help="enables Sybil component classes")
     sub("evaluate", _cmd_evaluate, "compute AUC / accuracy / top-K metrics", ranking, top_k)
 
-    p = sub("sweep", _cmd_sweep, "robustness sweep over synthetic scenarios", scenario)
+    p = sub("sweep", _cmd_sweep, "robustness sweep over synthetic scenarios", scenario, seeded, threads)
     p.add_argument("--variable", choices=harness.SWEEP_VARIABLES, default="fpr_fnr")
     p.add_argument("--values", type=_list_of(float), default=[0.0, 0.1, 0.2, 0.3, 0.4])
     p.add_argument("--trials", type=int, default=10)
@@ -121,7 +123,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--noise", type=float, default=0.3)
 
     p = sub("pipeline", _cmd_pipeline, "end-to-end detection on an edge-list dataset",
-            training, engine, top_k)
+            training, engine, top_k, seeded, threads)
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--directed", action="store_true")

@@ -22,6 +22,11 @@ BENIGN = 1
 SYBIL = 0
 UNKNOWN = -1
 
+# Classes of the components of the Sybil-induced subgraph (`component_classes`).
+CLASS_ISOLATED = "isolated"
+CLASS_LCC = "lcc"
+CLASS_OTHERS = "others"
+
 
 class EdgeListParseError(ValueError):
     """Raised for malformed data files (the message names the file and line)."""
@@ -229,41 +234,44 @@ def mutualize(dg: DirectedGraph) -> Graph:
     return Graph.from_edges(n, src[take], dst[take])
 
 
-def connected_components(g: Graph, restrict_to=None) -> list[np.ndarray]:
-    """Connected components, optionally of the subgraph induced by `restrict_to`.
+def component_labels(g: Graph, restrict_to=None) -> tuple[np.ndarray, np.ndarray]:
+    """Component index of every node (-1 outside `restrict_to`) and the size of
+    each component, indexed by descending size, ties by smallest member id.
 
-    Returns a list of sorted node-id arrays, ordered by descending size
-    (ties broken by smallest member id).
+    Each round hooks every root onto the smallest root next to it and shortcuts
+    every node to its root (Shiloach & Vishkin 1982), until no edge joins two
+    roots. Roots hook only onto smaller ids, so a component's root is its
+    smallest member.
     """
     n = g.node_count
-    if restrict_to is None:
-        active = np.ones(n, dtype=bool)
-    else:
-        restrict_to = np.asarray(restrict_to, dtype=np.int64)
-        if restrict_to.size and (restrict_to.min() < 0 or restrict_to.max() >= n):
-            raise ValueError("restrict_to contains out-of-range node id")
-        active = np.zeros(n, dtype=bool)
-        active[restrict_to] = True
-    visited = np.zeros(n, dtype=bool)
-    components: list[np.ndarray] = []
-    indptr, indices = g.indptr, g.indices
-    for start in range(n):
-        if not active[start] or visited[start]:
-            continue
-        visited[start] = True
-        stack = [start]
-        members = [start]
-        while stack:
-            v = stack.pop()
-            nbrs = indices[indptr[v]:indptr[v + 1]]
-            fresh = nbrs[active[nbrs] & ~visited[nbrs]]
-            if fresh.size:
-                visited[fresh] = True
-                members.extend(fresh.tolist())
-                stack.extend(fresh.tolist())
-        components.append(np.sort(np.asarray(members, dtype=np.int64)))
-    components.sort(key=lambda c: (-c.shape[0], int(c[0])))
-    return components
+    keep = np.arange(n) if restrict_to is None else np.asarray(restrict_to, dtype=np.int64)
+    if keep.size and (keep.min() < 0 or keep.max() >= n):
+        raise ValueError("restrict_to contains out-of-range node id")
+    active = np.zeros(n, dtype=bool)
+    active[keep] = True
+    inside = active[g.edge_u] & active[g.edge_v]
+    u, v = g.edge_u[inside], g.edge_v[inside]
+    root = np.arange(n, dtype=np.int64)
+    while u.size:
+        np.minimum.at(root, np.maximum(u, v), np.minimum(u, v))
+        while not np.array_equal(up := root[root], root):
+            root = up
+        apart = root[u] != root[v]
+        u, v = root[u[apart]], root[v[apart]]
+    sizes = np.bincount(root[active], minlength=n)
+    heads = np.flatnonzero(sizes)  # ascending, so the stable sort breaks size ties by smallest member
+    heads = heads[np.argsort(-sizes[heads], kind="stable")]
+    index = np.full(n, -1, dtype=np.int64)
+    index[heads] = np.arange(heads.shape[0])
+    return index[root], sizes[heads]
+
+
+def connected_components(g: Graph, restrict_to=None) -> list[np.ndarray]:
+    """Connected components, optionally of the subgraph induced by `restrict_to`,
+    as sorted node-id arrays in `component_labels` order."""
+    labels, sizes = component_labels(g, restrict_to)
+    members = np.argsort(labels, kind="stable")[labels.shape[0] - int(sizes.sum()):]  # past the -1s
+    return np.split(members, np.cumsum(sizes)[:-1]) if sizes.size else []
 
 
 def modularity(g: Graph, labels: np.ndarray) -> float:
@@ -294,14 +302,17 @@ def sybil_components(g: Graph, labels: np.ndarray) -> list[np.ndarray]:
     return connected_components(g, restrict_to=np.flatnonzero(np.asarray(labels) == SYBIL))
 
 
+def component_classes(sizes: np.ndarray) -> np.ndarray:
+    """Class of each component in `component_labels` order, from its size: a
+    singleton is isolated, else the first (largest) is the lcc and the rest others."""
+    return np.select([np.asarray(sizes) == 1, np.arange(len(sizes)) == 0],
+                     [CLASS_ISOLATED, CLASS_LCC], CLASS_OTHERS)
+
+
 def component_census(comps: list[np.ndarray]) -> dict[str, int]:
-    """Component count and node count per `metrics.sybil_component_classes` class
-    of the Sybil-subgraph components that `sybil_components` returns."""
-    isolated = sum(1 for c in comps if c.shape[0] == 1)
-    lcc = comps[0].shape[0] if comps and comps[0].shape[0] > 1 else 0
-    return {
-        "components": len(comps),
-        "isolated": isolated,
-        "lcc": lcc,
-        "others": sum(c.shape[0] for c in comps) - isolated - lcc,
-    }
+    """Component count and node count per `component_classes` class of the
+    Sybil-subgraph components that `sybil_components` returns."""
+    sizes = np.array([c.shape[0] for c in comps], dtype=np.int64)
+    classes = component_classes(sizes)
+    return {"components": len(comps), **{cls: int(sizes[classes == cls].sum())
+                                         for cls in (CLASS_ISOLATED, CLASS_LCC, CLASS_OTHERS)}}

@@ -61,6 +61,8 @@ class SweepSpec:
         for engine in self.engines:
             propagate.get_engine(engine)
         for value in self.values:
+            if self.variable != "fpr_fnr" and not float(value).is_integer():
+                raise ValueError(f"{self.variable} takes whole numbers, got {value!r}")
             self.scenario_for(value, rng_seed=0).validate()
             synth.NoiseConfig(*self.noise_for(value)).validate()
 
@@ -180,9 +182,7 @@ class PipelineConfig:
 class PipelineResult:
     report: metrics.RankingReport
     final_scores: dict[str, np.ndarray]
-    node_scores: np.ndarray
     threshold: float
-    training: classifier.TrainingSet
 
 
 def classifier_stage(feats: np.ndarray, labels: np.ndarray, out: Path, *, train_benign: int,
@@ -277,5 +277,4 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
         metrics.write_ranking(out / "ranking.tsv", report)
         report.metrics.update({f"auc_{name}": value for name, value in aucs.items()})
 
-    return PipelineResult(report=report, final_scores=final_scores,
-                          node_scores=node_scores, threshold=threshold, training=training)
+    return PipelineResult(report=report, final_scores=final_scores, threshold=threshold)

@@ -12,13 +12,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tsvio
-from .graph import BENIGN, SYBIL, UNKNOWN, Graph, sybil_components
+from .graph import (BENIGN, CLASS_ISOLATED, CLASS_LCC, CLASS_OTHERS, SYBIL, UNKNOWN, Graph,
+                    component_classes, component_labels)
 
-# Component classes of ranked nodes.
+# Component class of ranked nodes that are not Sybils.
 CLASS_BENIGN = "benign"
-CLASS_ISOLATED = "isolated"
-CLASS_LCC = "lcc"
-CLASS_OTHERS = "others"
 
 
 def _evaluation_mask(labels: np.ndarray, exclude) -> np.ndarray:
@@ -83,21 +81,10 @@ def rank_nodes(scores: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
 
 
 def sybil_component_classes(g: Graph, labels: np.ndarray) -> np.ndarray:
-    """Per-node component class on the Sybil-induced subgraph.
-
-    Sybil nodes are 'isolated' (singleton component), 'lcc' (largest
-    component, if its size exceeds 1) or 'others'; everything else is
-    'benign'.
-    """
-    classes = np.full(g.node_count, CLASS_BENIGN, dtype="U8")
-    for i, comp in enumerate(sybil_components(g, labels)):
-        if comp.shape[0] == 1:
-            classes[comp] = CLASS_ISOLATED
-        elif i == 0:
-            classes[comp] = CLASS_LCC
-        else:
-            classes[comp] = CLASS_OTHERS
-    return classes
+    """Per-node component class on the Sybil-induced subgraph: Sybil nodes take
+    their component's `graph.component_classes` class, everything else is 'benign'."""
+    index, sizes = component_labels(g, np.flatnonzero(np.asarray(labels) == SYBIL))
+    return np.append(component_classes(sizes), CLASS_BENIGN).astype("U8")[index]
 
 
 @dataclass

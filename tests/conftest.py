@@ -134,6 +134,33 @@ def bfs_components_oracle(g: Graph, restrict=None) -> list[frozenset]:
     return comps
 
 
+def dfs_components_oracle(g: Graph, restrict_to=None) -> list[np.ndarray]:
+    """Per-node DFS components in the library's exact order: sorted member
+    arrays by descending size, ties broken by smallest member id."""
+    n = g.node_count
+    active = np.zeros(n, dtype=bool)
+    active[np.arange(n) if restrict_to is None else np.asarray(restrict_to, dtype=np.int64)] = True
+    visited = np.zeros(n, dtype=bool)
+    components: list[np.ndarray] = []
+    for start in range(n):
+        if not active[start] or visited[start]:
+            continue
+        visited[start] = True
+        stack = [start]
+        members = [start]
+        while stack:
+            v = stack.pop()
+            nbrs = g.neighbors(v)
+            fresh = nbrs[active[nbrs] & ~visited[nbrs]]
+            if fresh.size:
+                visited[fresh] = True
+                members.extend(fresh.tolist())
+                stack.extend(fresh.tolist())
+        components.append(np.sort(np.asarray(members, dtype=np.int64)))
+    components.sort(key=lambda c: (-c.shape[0], int(c[0])))
+    return components
+
+
 def modularity_pair_oracle(g: Graph, labels) -> float:
     """O(n^2) direct summation: (1/2m) sum_ij (A_ij - k_i k_j / 2m) delta(c_i, c_j)."""
     n = g.node_count

@@ -67,6 +67,17 @@ class TestUsageErrors:
         assert "unrecognized arguments: --graph" in capsys.readouterr().err
         assert not (scenario_dir / "metrics.tsv").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        (["rank", "--scores", "labels.tsv", "--labels", "labels.tsv"], ["--seed", 1]),
+        (["components", "--graph", "graph.tsv"], ["--threads", 2]),
+    ])
+    def test_unread_flags_rejected(self, scenario_dir, tmp_path, capsys, command, flag):
+        # only generate, train, sweep and pipeline take --seed; only sweep and pipeline --threads
+        argv = [scenario_dir / a if a.endswith(".tsv") else a for a in command]
+        assert run(*argv, *flag, "--out-dir", tmp_path / "out") == 1
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("variable", ["attack_edges", "sybil_count"])
     def test_sweep_rejects_fractional_counts(self, tmp_path, capsys, variable):
         assert run("sweep", "--variable", variable, "--values", "10,10.7", "--trials", 1,

@@ -9,9 +9,9 @@ from trustprop.graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListPars
 from trustprop.metrics import sybil_component_classes
 from trustprop.tsvio import load_edge_list, load_graph
 
-from conftest import (bfs_components_oracle, digraph_from_pairs, from_edges_sort_oracle,
-                      graph_from_pairs, modularity_pair_oracle, random_graph,
-                      reverse_positions_oracle, transpose)
+from conftest import (bfs_components_oracle, dfs_components_oracle, digraph_from_pairs,
+                      from_edges_sort_oracle, graph_from_pairs, modularity_pair_oracle,
+                      random_graph, reverse_positions_oracle, transpose)
 
 
 def assert_same_csr(g, n, u, v):
@@ -216,6 +216,41 @@ class TestConnectedComponents:
             want = set(bfs_components_oracle(g, restrict=subset))
             assert got == want
 
+    def assert_exact_order(self, g, restrict_to=None):
+        got = connected_components(g, restrict_to=restrict_to)
+        want = dfs_components_oracle(g, restrict_to)
+        assert [c.tolist() for c in got] == [c.tolist() for c in want]
+
+    def test_order_against_dfs_oracle(self):
+        rng = np.random.default_rng(13)
+        for trial in range(20):
+            n = int(rng.integers(1, 40))
+            g = random_graph(n, float(rng.choice([0.02, 0.06, 0.15])), rng)
+            self.assert_exact_order(g)
+            self.assert_exact_order(g, restrict_to=rng.choice(n, size=int(rng.integers(0, n + 1)),
+                                                              replace=False))
+
+    def test_shuffled_path_order(self):
+        ids = np.random.default_rng(14).permutation(300)
+        g = graph_from_pairs(301, zip(ids[:-1].tolist(), ids[1:].tolist()))
+        self.assert_exact_order(g)
+        self.assert_exact_order(g, restrict_to=ids[::3])
+
+    def test_star_order(self):
+        g = graph_from_pairs(12, [(9, leaf) for leaf in range(12) if leaf != 9])
+        self.assert_exact_order(g)
+        self.assert_exact_order(g, restrict_to=[3, 9, 11, 0])
+        self.assert_exact_order(g, restrict_to=[0, 1, 2, 11])
+
+    @pytest.mark.parametrize("n, pairs, restrict_to", [
+        (0, [], None),
+        (5, [], None),
+        (5, [(0, 1), (2, 3)], []),
+        (6, [(0, 1), (1, 2), (4, 5)], [5, 4, 1, 1, 0, 5, 4]),
+    ])
+    def test_edge_cases_order(self, n, pairs, restrict_to):
+        self.assert_exact_order(graph_from_pairs(n, pairs), restrict_to)
+
     def test_sybil_census_classes(self):
         # Sybil nodes: {3,4,5} component, {6,7} component, {8} isolated
         pairs = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (0, 8), (2, 6), (1, 3)]
@@ -226,9 +261,11 @@ class TestConnectedComponents:
 
     def test_census_counts_the_ranking_classes(self):
         rng = np.random.default_rng(12)
-        for trial in range(10):
-            g = random_graph(20, 0.12, rng)
-            labels = rng.choice([BENIGN, SYBIL], size=20).astype(np.int8)
+        for trial in range(40):
+            n = int(rng.integers(1, 30))
+            g = random_graph(n, float(rng.choice([0.0, 0.05, 0.12, 0.4])), rng)
+            labels = rng.choice([BENIGN, SYBIL, UNKNOWN], size=n,
+                                p=rng.dirichlet(np.ones(3))).astype(np.int8)
             census = component_census(sybil_components(g, labels))
             classes = sybil_component_classes(g, labels)
             assert census["components"] == len(sybil_components(g, labels))

@@ -55,6 +55,11 @@ class TestSweep:
         with pytest.raises(ValueError):
             run_robustness_sweep(SweepSpec(base=SMALL_BASE, trials=0))
 
+    @pytest.mark.parametrize("variable", ["attack_edges", "sybil_count"])
+    def test_fractional_count_rejected(self, variable):
+        with pytest.raises(ValueError, match="10.7"):
+            SweepSpec(base=SMALL_BASE, variable=variable, values=(10.7,), trials=1).validate()
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_fewer_than_one_thread_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
