@@ -331,10 +331,10 @@ def _cmd_pipeline(args, out: Path) -> int:
 
 
 def _cmd_components(args, out: Path) -> int:
+    if args.sybil_only and not args.labels:
+        raise UsageError("--sybil-only requires --labels")
     graph = load_edge_list(args.graph, directed=False)
     if args.sybil_only:
-        if not args.labels:
-            raise UsageError("--sybil-only requires --labels")
         labels = tsvio.read_labels(args.labels, graph.node_count)
     comps = sybil_components(graph, labels) if args.sybil_only else connected_components(graph)
     tsvio.write_component_report(out / "components.tsv", comps)

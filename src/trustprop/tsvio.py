@@ -4,8 +4,9 @@ This is the only module that knows the row format. `read_rows` parses every
 TSV data file: blank lines and lines whose first non-blank character is `#`
 are skipped, every other line holds one whitespace-separated value per
 column, and a bad line is reported as `file:line`. `write_rows` writes every
-TSV file from Python values, whose str() is repr() for floats, so values
-round-trip exactly and repeated runs produce byte-identical files.
+TSV file column by column, each distinct value formatted once per chunk as its
+str(), which is repr() for floats, so values round-trip exactly and repeated
+runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, G
                     _sorted_unique)
 
 FORMAT_VERSION = 1
-_WRITE_CHUNK = 2**15  # rows per write_rows batch
+_WRITE_CHUNK = 2**12  # rows per write_rows batch
 # Node arrays must stay within a constant factor of what the rows already cost,
 # so ids used as given may reach _IDS_PER_ROW per row read plus _ID_FLOOR.
 _IDS_PER_ROW = 16
@@ -84,18 +85,61 @@ def read_rows(path, fields) -> np.ndarray:
         raise
 
 
-def write_rows(path, fmt: str, *cols) -> None:
-    """Write one `fmt % row` line per row of the columns (arrays, ranges or sequences).
+def _table_top(col, rows: int) -> int:
+    """Largest id of a range or integer array whose ids may index the id table of a
+    `rows`-row file: all non-negative and at most twice the rows. Else -1."""
+    if isinstance(col, range) and len(col):
+        low, top = sorted((col[0], col[-1]))
+    elif isinstance(col, np.ndarray) and col.dtype.kind in "iu" and col.size:
+        low, top = int(col.min()), int(col.max())
+    else:
+        return -1
+    return top if low >= 0 and top <= 2 * rows else -1
 
-    The columns become Python values `_WRITE_CHUNK` rows at a time, so no
-    whole column is held as a list of Python objects.
+
+def _texts(part, table) -> list:
+    """str() of every value of one column chunk, each distinct value formatted once.
+
+    `table` holds str(i) for every id of a column that indexes it. Floats are
+    told apart by their bit pattern, so -0.0 and every nan keep their own text.
     """
-    rows = min(map(len, cols), default=0)
+    if table is not None:
+        if isinstance(part, range):
+            part = np.arange(part.start, part.stop, part.step)
+        return table[part].tolist()
+    if not isinstance(part, np.ndarray):
+        return list(map(str, part))
+    if part.dtype.kind == "f":
+        bits, inverse = np.unique(part.view(f"u{part.dtype.itemsize}"), return_inverse=True)
+        values = bits.view(part.dtype)
+    else:
+        values, inverse = np.unique(part, return_inverse=True)
+    return np.array(list(map(str, values.tolist())), dtype=object)[inverse].tolist()
+
+
+def write_rows(path, fmt: str, *cols) -> None:
+    """Write one `fmt % row` line per row of equal-length columns (arrays, ranges or
+    sequences); `fmt` is one tab-separated `%s` per column and a newline.
+
+    Each column is formatted on its own, `_WRITE_CHUNK` rows at a time: ids index
+    one table of str(i), built once per call when its size stays within twice the
+    rows, and any other column formats each of its distinct values once per chunk.
+    Every value is written as its str(), which is repr() for floats.
+    """
+    if cols and fmt != "\t".join(["%s"] * len(cols)) + "\n":
+        raise ValueError(f"expected one tab-separated '%s' per column, got {fmt!r}")
+    lengths = sorted({len(c) for c in cols})
+    if len(lengths) > 1:
+        raise ValueError(f"columns of unequal length {lengths}")
+    rows = lengths[0] if lengths else 0
+    tops = [_table_top(c, rows) for c in cols]
+    table = np.array(list(map(str, range(max(tops, default=-1) + 1))), dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
         for start in range(0, rows, _WRITE_CHUNK):
-            chunk = [c[start:start + _WRITE_CHUNK] for c in cols]
-            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
-            fh.writelines(map(fmt.__mod__, zip(*chunk)))
+            texts = [_texts(c[start:start + _WRITE_CHUNK], table if top >= 0 else None)
+                     for c, top in zip(cols, tops)]
+            fh.write("\n".join(map("\t".join, zip(*texts))))
+            fh.write("\n")
 
 
 def read_edge_pairs(path) -> tuple[np.ndarray, np.ndarray]:

@@ -349,6 +349,13 @@ def auc_pair_oracle(scores, labels) -> float:
     return wins / (sybil.shape[0] * benign.shape[0])
 
 
+def write_rows_oracle(path, fmt, *cols) -> None:
+    """One `fmt % row` line per row, over whole columns turned into Python values."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(fmt % row for row in zip(*cols))
+
+
 def random_tree(n, rng) -> list[tuple[int, int]]:
     """Uniform-ish random tree: each node attaches to a random earlier node."""
     return [(v, int(rng.integers(v))) for v in range(1, n)]

@@ -92,6 +92,11 @@ class TestUsageErrors:
     def test_missing_file_is_data_error(self, tmp_path):
         assert run("components", "--graph", tmp_path / "nope.tsv", "--out-dir", tmp_path) == 2
 
+    def test_sybil_only_without_labels_is_usage_error_before_any_read(self, tmp_path, capsys):
+        assert run("components", "--graph", tmp_path / "nope.tsv", "--sybil-only",
+                   "--out-dir", tmp_path) == 1
+        assert "--sybil-only requires --labels" in capsys.readouterr().err
+
 
 class TestBadInputFiles:
     """Malformed data files exit 2 with a message naming the file and line."""

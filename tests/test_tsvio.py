@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from trustprop import tsvio
 from trustprop.graph import BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, Graph
 from trustprop.tsvio import load_edge_list, read_edge_pairs
 
-from conftest import graph_from_pairs
+from conftest import graph_from_pairs, write_rows_oracle
 
 
 class TestLabels:
@@ -162,6 +164,35 @@ class TestNodeIdSpace:
         assert g.node_count == 5 and ids[-1] == 10**15
 
 
+# Floats whose text the writer must keep apart: both zeros, nans of other sign and
+# payload, both infinities, subnormals and the largest finite values.
+SPECIAL_FLOATS = [0.0, -0.0, np.nan, -np.nan, np.uint64(0x7FF8000000000001).view(np.float64),
+                  np.inf, -np.inf, 5e-324, -1e-310, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.7976931348623157e308, 0.1, 0.5]
+TEXT = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
+WRITER_COLUMNS = {
+    "dense ids": lambda n: st.lists(st.integers(0, 2 * n), min_size=n, max_size=n).map(np.array),
+    "sparse ids": lambda n: st.lists(st.integers(0, 2**62), min_size=n, max_size=n).map(np.array),
+    "negative ints": lambda n: st.lists(st.integers(-2**63, 3), min_size=n, max_size=n).map(np.array),
+    "int8 labels": lambda n: st.lists(st.integers(-128, 127), min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=np.int8)),
+    "range": lambda n: st.just(range(1, n + 1)),
+    "floats": lambda n: st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats()),
+                                 min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float64)),
+    "strings": lambda n: st.lists(TEXT, min_size=n, max_size=n).map(lambda v: np.array(v, dtype="U8")),
+    "mixed tuple": lambda n: st.lists(st.one_of(TEXT, st.integers(), st.floats()),
+                                      min_size=n, max_size=n).map(tuple),
+}
+
+
+@st.composite
+def writer_columns(draw):
+    """One to five equal-length columns, each of a kind drawn from WRITER_COLUMNS."""
+    n = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from(sorted(WRITER_COLUMNS)), min_size=1, max_size=5))
+    return [draw(WRITER_COLUMNS[kind](n)) for kind in kinds]
+
+
 class TestRowWriter:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 2**15])
     def test_arrays_ranges_and_sequences(self, tmp_path, monkeypatch, chunk):
@@ -178,6 +209,27 @@ class TestRowWriter:
         assert path.read_text() == "auc\t\t0.5\ntop_k\t10\t1.0\n"
         tsvio.write_metrics_report(path, [])
         assert path.read_text() == ""
+
+    @pytest.mark.parametrize("chunk", [1, 3, tsvio._WRITE_CHUNK])
+    @settings(max_examples=80, deadline=None)
+    @given(cols=writer_columns())
+    def test_matches_the_row_oracle(self, tmp_path_factory, chunk, cols):
+        fmt = "\t".join(["%s"] * len(cols)) + "\n"
+        out = tmp_path_factory.mktemp("rows")
+        with mock.patch.object(tsvio, "_WRITE_CHUNK", chunk):
+            tsvio.write_rows(out / "rows.tsv", fmt, *cols)
+        write_rows_oracle(out / "oracle.tsv", fmt, *cols)
+        assert (out / "rows.tsv").read_bytes() == (out / "oracle.tsv").read_bytes()
+
+    def test_ragged_columns_rejected(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        with pytest.raises(ValueError, match=r"unequal length \[2, 3\]"):
+            tsvio.write_rows(path, "%s\t%s\n", range(3), np.array([0.5, 0.25]))
+        assert not path.exists()
+
+    def test_format_must_match_the_columns(self, tmp_path):
+        with pytest.raises(ValueError, match="one tab-separated '%s' per column"):
+            tsvio.write_rows(tmp_path / "rows.tsv", "%s %s\n", range(2), range(2))
 
 
 class TestRowReader:
