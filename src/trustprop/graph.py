@@ -90,10 +90,15 @@ class Graph:
         n = int(node_count)
         u, v = _clean_pairs(n, u, v, "undirected graph")
         keys = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
-        m = keys.shape[0]
-        dup = u.shape[0] - m
+        dup = u.shape[0] - keys.shape[0]
         if dup:
             logger.warning("dropped %d duplicate edge%s while building undirected graph", dup, "s" if dup != 1 else "")
+        return cls._from_keys(n, keys)
+
+    @classmethod
+    def _from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
+        """The graph of the ascending, unique canonical keys u * n + v (u < v)."""
+        m = keys.shape[0]
         edge_u = keys // n if n else keys
         edge_v = keys - edge_u * n
         below = np.bincount(edge_v, minlength=n)
@@ -221,17 +226,16 @@ class DirectedGraph:
 
 
 def mutualize(dg: DirectedGraph) -> Graph:
-    """Keep an undirected edge {u, v} iff both u->v and v->u exist."""
+    """Keep an undirected edge {u, v} iff both u->v and v->u exist.
+
+    Arcs are unique, so after one sort of the canonical keys min * n + max a
+    key that appears twice is the key of a mutual pair, and only then.
+    """
     n = dg.node_count
     src = np.repeat(np.arange(n, dtype=np.int64), dg.out_degrees)
     dst = dg.out_indices
-    keys = src * n + dst  # ascending by CSR construction
-    rev = dst * n + src
-    pos = np.searchsorted(keys, rev)
-    pos_c = np.minimum(pos, max(keys.shape[0] - 1, 0))
-    mutual = (pos < keys.shape[0]) & (keys[pos_c] == rev) if keys.size else np.zeros(0, bool)
-    take = mutual & (src < dst)
-    return Graph.from_edges(n, src[take], dst[take])
+    keys = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+    return Graph._from_keys(n, keys[1:][keys[1:] == keys[:-1]])
 
 
 def component_labels(g: Graph, restrict_to=None) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,10 @@
 This is the only module that knows the row format. `read_rows` parses every
 TSV data file: blank lines and lines whose first non-blank character is `#`
 are skipped, every other line holds one whitespace-separated value per
-column, and a bad line is reported as `file:line`. `write_rows` writes every
+column, and a bad line, one that is not UTF-8 included, is reported as
+`file:line`. numpy's C reader parses a file from its path in one pass; a
+binary scan for `#` sends a file with a comment after a value to the error
+path, which alone reads the file line by line. `write_rows` writes every
 TSV file column by column, each distinct value formatted once per chunk as its
 str(), which is repr() for floats, so values round-trip exactly and repeated
 runs produce byte-identical files.
@@ -12,6 +15,8 @@ runs produce byte-identical files.
 from __future__ import annotations
 
 import itertools
+import os
+import warnings
 
 import numpy as np
 
@@ -20,6 +25,11 @@ from .graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, G
 
 FORMAT_VERSION = 1
 _WRITE_CHUNK = 2**12  # rows per write_rows batch
+_SCAN_BLOCK = 2**20  # bytes per block of the trailing-comment scan
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+# Bytes that cannot be part of a value: the ASCII whitespace of str.strip(), and
+# every byte of a non-ASCII character, as numpy parses only ASCII numbers.
+_NOT_VALUE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f" + bytes(range(0x80, 0x100))
 # Node arrays must stay within a constant factor of what the rows already cost,
 # so ids used as given may reach _IDS_PER_ROW per row read plus _ID_FLOOR.
 _IDS_PER_ROW = 16
@@ -30,12 +40,44 @@ _NODE_VALUES = {"label": (np.int64, UNKNOWN), "score": (np.float64, np.nan),
 
 
 def _data_lines(path):
-    """(line number, stripped text) of every data line."""
-    with open(path, encoding="utf-8") as fh:
+    """(line number, stripped text) of every data line; a line that is not UTF-8 fails."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raw = line.rstrip("\r\n").encode("utf-8", "surrogateescape")
+                    raise EdgeListParseError(f"{path}:{lineno}: not UTF-8 text, got {raw!r}") from None
             text = line.strip()
             if text and text[0] != "#":
                 yield lineno, text
+
+
+def _value_before_comment(path) -> bool:
+    """Whether some line holds a `#` after a value (a trailing comment).
+
+    The file is read in binary blocks of _SCAN_BLOCK bytes and only a block that
+    holds b"#" is searched further. A line is flagged when a byte outside
+    _NOT_VALUE comes before its first `#`. `head` carries the first such byte of
+    the unfinished last line of a block into the next one.
+    """
+    head = b""
+    with open(path, "rb") as fh:
+        while block := fh.read(_SCAN_BLOCK):
+            text = head + block
+            start, after = -1, 0  # line start of the last '#' looked at, and the byte after it
+            at = text.find(b"#")
+            while at >= 0:
+                brk = max(text.rfind(b"\n", after, at), text.rfind(b"\r", after, at))
+                if brk >= 0 or start < 0:  # the first '#' of its line
+                    start = brk + 1
+                    if text[start:at].translate(None, _NOT_VALUE):
+                        return True
+                after = at + 1
+                at = text.find(b"#", after)
+            head = text[max(text.rfind(b"\n"), text.rfind(b"\r")) + 1:].translate(None, _NOT_VALUE)[:1]
+    return False
 
 
 def _fail(path, row: int, problem: str):
@@ -62,17 +104,23 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
 def read_rows(path, fields) -> np.ndarray:
     """Parse the data lines of a file into a structured array of `fields`.
 
-    numpy parses all lines in one pass. Only when that fails are the lines
-    parsed one at a time, to name the first bad one. `comments=None` keeps a
-    trailing `# ...` after the values an error, as it is for any extra field.
+    numpy's C reader parses the whole file in one pass, given its path, with
+    `#` as the comment mark. A `#` after a value is an error, as any extra field
+    is, so a binary pre-scan (`_value_before_comment`) sends such a file to the
+    error path. Only when the fast path fails are the data lines parsed one at
+    a time, to name the first bad one as `file:line`.
     """
     dtype = np.dtype(fields)
-    lines = (text for _, text in _data_lines(path))
-    first = next(lines, None)
-    if first is None:
-        return np.empty(0, dtype)
+    # numpy opens a path itself: it would decompress a file with one of these
+    # suffixes, which therefore goes in as an open file, and would fetch a URL.
+    plain = not str(path).endswith(_COMPRESSED)
     try:
-        return np.loadtxt(itertools.chain([first], lines), dtype=dtype, comments=None, ndmin=1)
+        if _value_before_comment(path):
+            raise ValueError("comment after a value")
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(os.path.abspath(path) if plain else fh, dtype=dtype, comments="#",
+                              ndmin=1, encoding="utf-8")
     except ValueError:
         layout = " ".join(f"{name}:{dtype[name].base}"
                           + (f"*{dtype[name].shape[0]}" if dtype[name].shape else "")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from trustprop.graph import BENIGN, SYBIL, DirectedGraph, Graph
+from trustprop.graph import BENIGN, SYBIL, DirectedGraph, EdgeListParseError, Graph
 from trustprop.propagate import _incoming, _send
 
 
@@ -354,6 +354,47 @@ def write_rows_oracle(path, fmt, *cols) -> None:
     cols = [c.tolist() if isinstance(c, np.ndarray) else c for c in cols]
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(fmt % row for row in zip(*cols))
+
+
+def read_rows_oracle(path, fields) -> np.ndarray:
+    """Rows of the data lines, stripped, fed to numpy as a generator of lines with
+    comments off; a failure names the first line that does not parse on its own."""
+    dtype = np.dtype(fields)
+
+    def data_lines():
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                text = line.strip()
+                if text and text[0] != "#":
+                    yield lineno, text
+
+    lines = [text for _, text in data_lines()]
+    if not lines:
+        return np.empty(0, dtype)
+    try:
+        return np.loadtxt(iter(lines), dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        layout = " ".join(f"{name}:{dtype[name].base}"
+                          + (f"*{dtype[name].shape[0]}" if dtype[name].shape else "")
+                          for name in dtype.names)
+        for lineno, text in data_lines():
+            try:
+                np.loadtxt([text], dtype=dtype, comments=None)
+            except ValueError:
+                raise EdgeListParseError(f"{path}:{lineno}: expected '{layout}', got {text!r}") from None
+        raise
+
+
+def mutualize_oracle(dg: DirectedGraph) -> Graph:
+    """Mutual graph by one binary search of each reversed arc among the sorted arc keys."""
+    n = dg.node_count
+    src, dst = arcs(dg)
+    keys = src * n + dst  # ascending by CSR construction
+    rev = dst * n + src
+    pos = np.minimum(np.searchsorted(keys, rev), max(keys.shape[0] - 1, 0))
+    mutual = keys[pos] == rev if keys.size else np.zeros(0, bool)
+    take = mutual & (src < dst)
+    return Graph.from_edges(n, src[take], dst[take])
 
 
 def random_tree(n, rng) -> list[tuple[int, int]]:

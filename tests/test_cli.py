@@ -106,6 +106,11 @@ class TestBadInputFiles:
         assert run("mutualize", "--input", tmp_path / "g.tsv", "--out-dir", tmp_path) == 2
         assert "g.tsv:2:" in capsys.readouterr().err
 
+    def test_undecodable_byte_names_line(self, tmp_path, capsys):
+        (tmp_path / "g.tsv").write_bytes(b"0\t1\n1\t\xff\n")
+        assert run("mutualize", "--input", tmp_path / "g.tsv", "--out-dir", tmp_path) == 2
+        assert "g.tsv:2: not UTF-8 text" in capsys.readouterr().err
+
     def test_id_beyond_int64_in_labels(self, tmp_path, capsys):
         (tmp_path / "s.tsv").write_text("0\t0.2\n1\t0.8\n")
         (tmp_path / "l.tsv").write_text("0\t0\n1180591620717411303424\t1\n")

@@ -11,7 +11,7 @@ from trustprop.tsvio import load_edge_list, load_graph
 
 from conftest import (bfs_components_oracle, dfs_components_oracle, digraph_from_pairs,
                       from_edges_sort_oracle, graph_from_pairs, modularity_pair_oracle,
-                      random_graph, reverse_positions_oracle, transpose)
+                      mutualize_oracle, random_graph, reverse_positions_oracle, transpose)
 
 
 def assert_same_csr(g, n, u, v):
@@ -174,6 +174,29 @@ class TestMutualize:
         g2 = mutualize(transpose(dg))
         assert np.array_equal(g1.edge_u, g2.edge_u)
         assert np.array_equal(g1.edge_v, g2.edge_v)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_search_oracle(self, data):
+        n = data.draw(st.integers(0, 12))
+        node = st.integers(0, max(n - 1, 0))
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=60)) if n else []  # repeats, loops
+        shape = data.draw(st.sampled_from(["any", "no mutual pair", "every arc mutual"]))
+        if shape == "no mutual pair":
+            pairs = [(a, b) for a, b in pairs if a < b]
+        elif shape == "every arc mutual":
+            pairs += [(b, a) for a, b in pairs]
+        dg = digraph_from_pairs(n, pairs)
+        got, want = mutualize(dg), mutualize_oracle(dg)
+        assert got.node_count == want.node_count == n
+        for name in ("indptr", "indices", "edge_u", "edge_v", "edge_ids"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        if shape == "no mutual pair":
+            assert got.edge_count == 0
+        elif shape == "every arc mutual":
+            assert got.edge_count == len({(min(a, b), max(a, b)) for a, b in pairs if a != b})
 
 
 class TestConnectedComponents:

@@ -129,6 +129,10 @@ class TestBitIdentity:
         ScenarioConfig(benign_count=90, sybil_count=50, attack_edge_count=0, rng_seed=5),
         ScenarioConfig(benign_count=150, sybil_count=70, attack_edge_count=120, rng_seed=2,
                        degree_biased_attacks=True),
+        ScenarioConfig(benign_count=300, sybil_count=40, avg_degree=6, attack_edge_count=1000, rng_seed=4,
+                       degree_biased_attacks=True),
+        ScenarioConfig(benign_count=2, sybil_count=2, avg_degree=1, attack_edge_count=4, rng_seed=3,
+                       degree_biased_attacks=True),
     ])
     def test_compose_attack_scenario_matches_oracle(self, cfg):
         g, labels = compose_attack_scenario(cfg)

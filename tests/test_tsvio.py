@@ -9,7 +9,7 @@ from trustprop import tsvio
 from trustprop.graph import BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, Graph
 from trustprop.tsvio import load_edge_list, read_edge_pairs
 
-from conftest import graph_from_pairs, write_rows_oracle
+from conftest import graph_from_pairs, read_rows_oracle, write_rows_oracle
 
 
 class TestLabels:
@@ -232,6 +232,48 @@ class TestRowWriter:
             tsvio.write_rows(tmp_path / "rows.tsv", "%s %s\n", range(2), range(2))
 
 
+# Text the reader must split, skip and parse as the line-by-line oracle does: every
+# line end, whitespace that str.strip() and numpy both skip, comment marks, signs,
+# dots and stray letters.
+READER_ALPHABET = ["0", "1", "7", "42", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x0c", "\xa0",
+                   "\x85", "\x1c", "\u3000", "\x00", "é", "#", "-", "+", ".", "e", "x", "nan", "inf"]
+READER_INTS = ["0", "3", "-2", "+5", "007", "9223372036854775807"]
+READER_FLOATS = READER_INTS + ["1.5", "-0.0", ".5", "1e3", "nan", "-inf"]
+READER_BLANKS = [" ", "\t", "\x0b", "\x0c", "\xa0", "\x85", "\u3000"]
+READER_FIELDS = [[("a", np.int64), ("b", np.int64)], [("a", np.int64), ("b", np.float64)],
+                 [("a", np.int64), ("b", np.int64), ("c", np.float64)],
+                 [("a", np.int64), ("f", np.float64, (2,))]]
+
+
+@st.composite
+def reader_files(draw):
+    """Fields and a text of rows for them, comment lines, blank lines, rows with a
+    trailing comment, a wrong value or a wrong count, and free text, with mixed line ends."""
+    fields = draw(st.sampled_from(READER_FIELDS))
+    dtype = np.dtype(fields)
+    values = [READER_INTS if dtype[name].base.kind == "i" else READER_FLOATS
+              for name in dtype.names for _ in range(dtype[name].shape[0] if dtype[name].shape else 1)]
+    blanks = st.lists(st.sampled_from(READER_BLANKS), max_size=2).map("".join)
+    sep = st.lists(st.sampled_from(READER_BLANKS), min_size=1, max_size=2).map("".join)
+    row = st.tuples(blanks, *(st.tuples(st.sampled_from(v), sep) for v in values)).map(
+        lambda r: r[0] + "".join(v + s for v, s in r[1:]))
+    good = st.one_of(row, row, row, blanks, blanks.map(lambda b: b + "# note #"))
+    bad = st.one_of(row.map(lambda r: r + "# note"), row.map(lambda r: r + "1.5 "),
+                    st.lists(st.sampled_from(READER_ALPHABET), max_size=12).map("".join))
+    line = st.sampled_from([good] * 7 + [bad]).flatmap(lambda kind: kind)
+    lines = draw(st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n", "\r", "\n"])), max_size=8))
+    text = "".join(a + b for a, b in lines)
+    return fields, text[:-1] if text and draw(st.booleans()) else text
+
+
+def _rows_or_error(reader, path, fields):
+    """The rows' bytes, or the message of the EdgeListParseError the reader raised."""
+    try:
+        return reader(path, fields).tobytes()
+    except EdgeListParseError as exc:
+        return str(exc)
+
+
 class TestRowReader:
     def test_trailing_comment_rejected(self, tmp_path):
         path = tmp_path / "g.tsv"
@@ -259,6 +301,57 @@ class TestRowReader:
         src, dst = read_edge_pairs(path)
         assert src.dtype == dst.dtype == np.int64
         assert src.tolist() == [3, 2**63 - 1] and dst.tolist() == [4, 0]
+
+    @pytest.mark.parametrize("text, rows", [
+        ("# only\n  # comments\n\n", []),
+        ("0 1\n# last line, no newline", [(0, 1)]),
+        ("0\t1\r\n# c\r\n2 3\r\n", [(0, 1), (2, 3)]),
+        ("0 1\r2 3\r", [(0, 1), (2, 3)]),
+        ("\xa0# indented by a no-break space\n\x0b4\u30005\x85\n", [(4, 5)]),
+    ])
+    def test_comments_blanks_and_line_ends(self, tmp_path, text, rows):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        assert tsvio.read_rows(path, [("a", np.int64), ("b", np.int64)]).tolist() == rows
+
+    def test_trailing_comment_on_the_last_row_rejected(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("0 1\n2 3 #")
+        with pytest.raises(EdgeListParseError, match=":2:"):
+            read_edge_pairs(path)
+
+    @pytest.mark.parametrize("block", range(1, 9))
+    def test_comment_mark_across_scan_blocks(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(tsvio, "_SCAN_BLOCK", block)
+        path = tmp_path / "g.tsv"
+        path.write_text("# a ## b\n\xa0 # c #\n0 1\n")
+        assert read_edge_pairs(path)[0].tolist() == [0]
+        path.write_text("# a\n0 1\n\xa02 3 # d\n# e\n")
+        with pytest.raises(EdgeListParseError, match=":3:"):
+            read_edge_pairs(path)
+
+    def test_undecodable_line_named(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_bytes(b"0 1\n# caf\xc3\xa9\n2\t\xff\n3 4\n")
+        with pytest.raises(EdgeListParseError, match=r":3: not UTF-8 text, got b'2\\t\\xff'"):
+            read_edge_pairs(path)
+
+    def test_compressed_suffix_read_as_text(self, tmp_path):
+        path = tmp_path / "g.tsv.gz"
+        path.write_text("0 1\n2 3\n")
+        assert read_edge_pairs(path)[1].tolist() == [1, 3]
+        path.write_text("0 1\n2 3 # c\n")
+        with pytest.raises(EdgeListParseError, match=":2:"):
+            read_edge_pairs(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(file=reader_files(), block=st.sampled_from([1, 3, 2**20]))
+    def test_matches_the_line_oracle(self, tmp_path_factory, file, block):
+        fields, text = file
+        path = tmp_path_factory.mktemp("rows") / "f.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(tsvio, "_SCAN_BLOCK", block):
+            assert _rows_or_error(tsvio.read_rows, path, fields) == _rows_or_error(read_rows_oracle, path, fields)
 
 
 def read_labels_sized_by_file(path):
