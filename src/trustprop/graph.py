@@ -12,6 +12,7 @@ cached on the graph.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -27,6 +28,9 @@ CLASS_ISOLATED = "isolated"
 CLASS_LCC = "lcc"
 CLASS_OTHERS = "others"
 
+# Largest node count whose keys u * n + v (u, v < n) all fit in int64.
+_MAX_NODES = math.isqrt(2**63 - 1)
+
 
 class EdgeListParseError(ValueError):
     """Raised for malformed data files (the message names the file and line)."""
@@ -36,6 +40,8 @@ def _clean_pairs(n: int, a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays as int64 and within the n nodes, self-loops dropped and counted in the log."""
     if n < 0:
         raise ValueError("node_count must be non-negative")
+    if n > _MAX_NODES:
+        raise ValueError(f"node_count {n} exceeds {_MAX_NODES}, past which edge keys u * n + v overflow int64")
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
     if a.shape != b.shape:
@@ -46,13 +52,16 @@ def _clean_pairs(n: int, a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
     dropped = int(loops.sum())
     if dropped:
         logger.warning("dropped %d self-loop%s while building %s", dropped, "s" if dropped != 1 else "", what)
-    return a[~loops], b[~loops]
+        a, b = a[~loops], b[~loops]
+    return a, b
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
-    """np.unique by one plain sort, which numpy runs many times faster."""
-    keys = np.sort(keys)
-    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if keys.size else keys
+    """np.unique by one plain sort in place, which numpy runs many times faster.
+    `keys` is reordered, and returned itself when it holds no repeats."""
+    keys.sort()
+    new = keys[1:] != keys[:-1]
+    return keys if new.all() else keys[np.concatenate(([True], new))]
 
 
 class Graph:
@@ -89,32 +98,48 @@ class Graph:
         """
         n = int(node_count)
         u, v = _clean_pairs(n, u, v, "undirected graph")
-        keys = _sorted_unique(np.minimum(u, v) * n + np.maximum(u, v))
-        dup = u.shape[0] - keys.shape[0]
+        raw = u.shape[0]
+        keys = np.minimum(u, v)
+        keys *= n
+        keys += np.maximum(u, v)
+        del u, v  # only the keys go on to the fill
+        keys = _sorted_unique(keys)
+        dup = raw - keys.shape[0]
         if dup:
             logger.warning("dropped %d duplicate edge%s while building undirected graph", dup, "s" if dup != 1 else "")
         return cls._from_keys(n, keys)
 
     @classmethod
     def _from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
-        """The graph of the ascending, unique canonical keys u * n + v (u < v)."""
+        """The graph of the ascending, unique canonical keys u * n + v (u < v).
+
+        `keys` may be overwritten: its buffer holds the stable order by edge_v.
+        """
         m = keys.shape[0]
-        edge_u = keys // n if n else keys
-        edge_v = keys - edge_u * n
+        edge_u, edge_v = np.divmod(keys, n)
         below = np.bincount(edge_v, minlength=n)
-        indptr = np.concatenate(([0], np.cumsum(below + np.bincount(edge_u, minlength=n))))
-        cum_below = np.cumsum(below)
-        ids = np.arange(m, dtype=np.int64)
+        above = np.bincount(edge_u, minlength=n)
+        indptr = np.concatenate(([0], np.cumsum(below + above)))
         # Stable argsort of edge_v, as one plain sort of edge_v * m + id where
         # that key fits in int64 (plain sorts run many times faster).
-        order = (np.sort(edge_v * m + ids) % m if 0 < m and n * m < 2**63
-                 else np.argsort(edge_v, kind="stable"))
-        fwd = ids + cum_below[edge_u]                                   # slots of (u, v)
-        bwd = ids + (indptr[:-1] - cum_below + below)[edge_v[order]]  # slots of (v, u)
+        if 0 < m and n * m < 2**63:
+            order = np.multiply(edge_v, m, out=keys)
+            order += np.arange(m)
+            order.sort()
+            order %= m
+        else:
+            order = np.argsort(edge_v, kind="stable")
+        # Each row's slots hold its `below` neighbors, then its `above` ones. The
+        # below slots, in order, take the edges sorted by edge_v, so their row
+        # ends; the above slots take the edges in id order, so their edge_v.
+        slot_below = np.repeat(np.tile([True, False], n), np.stack([below, above], axis=1).ravel())
         indices = np.empty(2 * m, dtype=np.int64)
         edge_ids = np.empty(2 * m, dtype=np.int64)
-        indices[fwd], edge_ids[fwd] = edge_v, ids
-        indices[bwd], edge_ids[bwd] = edge_u[order], order
+        indices[slot_below] = edge_u[order]
+        edge_ids[slot_below] = order
+        np.logical_not(slot_below, out=slot_below)
+        indices[slot_below] = edge_v
+        edge_ids[slot_below] = np.arange(m)
         return cls(n, indptr, indices, edge_u, edge_v, edge_ids)
 
     @property

@@ -8,14 +8,19 @@ Two engines spread local trust scores through the graph:
 * weighted loopy belief propagation on a pairwise binary Markov random field
   whose node/edge potentials are (S_v, 1 - S_v) and (S_{u,v}, 1 - S_{u,v}),
   run synchronously with one log-odds message per edge direction for d = 8
-  rounds by default. Each round sends in blocks of edges whose temporaries
-  fit in the L2 cache, with results identical to whole-array rounds.
+  rounds by default.
+
+Neither engine keeps a per-round temporary as long as the graph. An LBP
+round sends in blocks of edges whose temporaries fit in the L2 cache,
+into the one message array it updates in place; a walk round sums over
+blocks of whole CSR rows. Both give results identical to whole-array rounds.
 
 Baselines (seed-only random walk with final degree normalization, a
 restart walk from Sybil seeds, seed-only belief propagation, and the
 victim-probability edge weighting) are thin configurations of the same
-engines. All updates are synchronous and double-buffered, so results are
-bit-identical across runs and worker counts.
+engines. All updates are synchronous: a round reads only the scores and
+messages of the round before, so results are bit-identical across runs and
+worker counts.
 """
 
 from __future__ import annotations
@@ -106,26 +111,53 @@ def _engine_inputs(g: Graph, node_scores, edge_scores, cfg: PropagationConfig,
     return d, _apply_seeds(node_scores, cfg.seeds), edge_scores
 
 
-def _walk(g: Graph, init: np.ndarray, position_weights: np.ndarray, iterations: int,
+def _walk(g: Graph, init: np.ndarray, weights: np.ndarray, iterations: int,
           restart: float = 0.0, restart_dist: np.ndarray | None = None,
           pin: TrainingSet | None = None, hold_isolated: bool = False,
           per_weighted_degree: bool = False) -> np.ndarray:
     """Shared power-iteration core: scores <- column-normalized-weight update.
 
-    Nodes with zero incident weight distribute nothing (their column is zero).
-    With per_weighted_degree, the final scores are divided by each node's total
+    `weights` holds one weight per canonical edge. Nodes with zero incident
+    weight distribute nothing (their column is zero). With
+    per_weighted_degree, the final scores are divided by each node's total
     incident weight; nodes with none keep theirs.
+
+    Per-row sums run over blocks of whole rows, about _WALK_CHUNK positions
+    each, with block-local row ids. Each row's sum starts from 0.0 and adds
+    its positions in CSR order, as one bincount over all positions does, so
+    the result is bit-identical to an unblocked walk.
     """
-    n = g.node_count
-    rows = g.position_rows()
-    cols = g.indices
-    wsum = np.bincount(rows, weights=position_weights, minlength=n)
-    share = np.where(wsum[cols] > 0, position_weights / np.maximum(wsum[cols], 1e-300), 0.0)
-    isolated = g.degrees == 0
+    n, indptr, cols, eids, deg = g.node_count, g.indptr, g.indices, g.edge_ids, g.degrees
+    starts = np.searchsorted(indptr, np.arange(_WALK_CHUNK, cols.shape[0], _WALK_CHUNK), side="right") - 1
+    bounds = sorted({0, n, *starts.tolist()})  # not np.unique, whose first call imports numpy.ma (1 MiB)
+    blocks = [(r0, r1, int(indptr[r0]), int(indptr[r1])) for r0, r1 in zip(bounds[:-1], bounds[1:])]
+
+    # One buffer takes every block's values: a fresh block-sized array per block
+    # and round made the walk about twice as slow on sweep-sized graphs.
+    buf = np.empty(max((p1 - p0 for _, _, p0, p1 in blocks), default=0))
+
+    def row_sums(fill) -> np.ndarray:
+        """Per row, the sum over its positions of the block values fill(p0, p1, x) writes to x."""
+        out = np.empty(n)
+        for r0, r1, p0, p1 in blocks:
+            x = buf[:p1 - p0]
+            fill(p0, p1, x)
+            out[r0:r1] = np.bincount(np.repeat(np.arange(r1 - r0), deg[r0:r1]), weights=x, minlength=r1 - r0)
+        return out
+
+    # take(mode="clip") writes to x itself; mode="raise" would copy x first.
+    wsum = row_sums(lambda p0, p1, x: np.take(weights, eids[p0:p1], out=x, mode="clip"))
+    # weight / column sum. The weight is one term of that sum, so a sum of 0
+    # has only 0 weights, whose share 0 / 1e-300 is 0.
+    share = wsum[cols]
+    np.maximum(share, 1e-300, out=share)
+    for _, _, p0, p1 in blocks:
+        np.divide(np.take(weights, eids[p0:p1], out=buf[:p1 - p0], mode="clip"), share[p0:p1], out=share[p0:p1])
+    isolated = deg == 0
     scores = init.astype(float, copy=True)
     for _ in range(iterations):
-        # bincount returns int64 zeros when the graph has no edges at all
-        scores = np.bincount(rows, weights=scores[cols] * share, minlength=n).astype(float, copy=False)
+        scores = row_sums(lambda p0, p1, x: np.multiply(np.take(scores, cols[p0:p1], out=x, mode="clip"),
+                                                         share[p0:p1], out=x))
         if restart:
             scores = (1.0 - restart) * scores + restart * restart_dist
         if hold_isolated:
@@ -150,7 +182,7 @@ def weighted_random_walk(g: Graph, node_scores: np.ndarray, edge_scores: np.ndar
     # The walk's stationary background is proportional to the weighted degree,
     # so that is the right normalizer (raw degree would leave the mean incident
     # edge score as per-node noise).
-    return _walk(g, init, edge_scores[g.edge_ids], d, pin=cfg.seeds if cfg.pin_seeds else None,
+    return _walk(g, init, edge_scores, d, pin=cfg.seeds if cfg.pin_seeds else None,
                  hold_isolated=True, per_weighted_degree=cfg.degree_normalize)
 
 
@@ -169,17 +201,19 @@ def weighted_lbp(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
     coupling = _logit(edge_scores)
     messages = np.zeros((2, g.edge_count))
     for _ in range(d):
-        messages = update_messages(g, prior, coupling, messages)
+        update_messages(g, prior, coupling, messages, out=messages)
     return _sigmoid(prior + _incoming(g, messages))
 
 
 # Edges per block of an LBP message round: a block's float64 temporaries
 # (256 KiB each) stay in a core's L2 cache.
 _EDGE_CHUNK = 1 << 15
+# CSR positions per block of a walk round, so no per-round temporary spans all 2m positions.
+_WALK_CHUNK = 1 << 17
 
 
 def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
-                    messages: np.ndarray) -> np.ndarray:
+                    messages: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """One synchronous round of log-odds messages over the canonical edges.
 
     messages[0] holds edge_u -> edge_v and messages[1] edge_v -> edge_u;
@@ -188,18 +222,20 @@ def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
     sends log((S_e e^x + 1 - S_e) / ((1 - S_e) e^x + S_e)).
 
     The cavities are summed over all nodes once; the messages are then sent
-    _EDGE_CHUNK edges at a time into one (2, m) array, so _send's temporaries
-    stay in L2 instead of streaming m-element arrays through memory. Each
-    message goes through the same elementwise operations, so the result is
-    bit-identical to an unblocked round.
+    _EDGE_CHUNK edges at a time, so _send's temporaries stay in L2 instead of
+    streaming m-element arrays through memory. Each message goes through the
+    same elementwise operations, so the result is bit-identical to an
+    unblocked round. The round is written to `out`, a new array by default;
+    `out` may be `messages` itself, as a block reads no message of another.
     """
     fwd, bwd = messages
     cavity = prior + _incoming(g, messages)
-    out = np.empty((2, g.edge_count))
+    out = np.empty((2, g.edge_count)) if out is None else out
     for lo in range(0, g.edge_count, _EDGE_CHUNK):
         e = slice(lo, lo + _EDGE_CHUNK)
-        out[0, e] = _send(cavity[g.edge_u[e]] - bwd[e], coupling[e])
+        forward = _send(cavity[g.edge_u[e]] - bwd[e], coupling[e])
         out[1, e] = _send(cavity[g.edge_v[e]] - fwd[e], coupling[e])
+        out[0, e] = forward
     return out
 
 
@@ -235,18 +271,18 @@ def _seed_distribution(g: Graph, seeds, what: str) -> np.ndarray:
     return dist
 
 
-def _seed_walk(g: Graph, benign_seeds, position_weights: np.ndarray, iterations: int | None,
+def _seed_walk(g: Graph, benign_seeds, weights: np.ndarray, iterations: int | None,
                what: str) -> np.ndarray:
     """Walk from the benign seeds alone, each final score divided by the
     node's total incident weight (ceil(log2 n) rounds by default)."""
     init = _seed_distribution(g, benign_seeds, what)
     d = _rounds(iterations, default_walk_iterations(g.node_count))
-    return _walk(g, init, position_weights, d, per_weighted_degree=True)
+    return _walk(g, init, weights, d, per_weighted_degree=True)
 
 
 def baseline_sybilrank(g: Graph, benign_seeds: np.ndarray, iterations: int | None = None) -> np.ndarray:
     """The seed-only walk over unit weights, so final scores are divided by degree."""
-    return _seed_walk(g, benign_seeds, np.ones(g.indices.shape[0]), iterations, "baseline_sybilrank")
+    return _seed_walk(g, benign_seeds, np.ones(g.edge_count), iterations, "baseline_sybilrank")
 
 
 def baseline_cia(g: Graph, sybil_seeds: np.ndarray, restart: float = 0.85,
@@ -260,7 +296,7 @@ def baseline_cia(g: Graph, sybil_seeds: np.ndarray, restart: float = 0.85,
     if not 0.0 < restart <= 1.0:
         raise ValueError("restart probability must lie in (0, 1]")
     d = _rounds(iterations, default_walk_iterations(g.node_count))
-    return _walk(g, dist.copy(), np.ones(g.indices.shape[0]), d,
+    return _walk(g, dist.copy(), np.ones(g.edge_count), d,
                  restart=restart, restart_dist=dist)
 
 
@@ -290,4 +326,4 @@ def baseline_integro(g: Graph, benign_seeds: np.ndarray, victim_prob: np.ndarray
                      beta: float = 2.0, iterations: int | None = None) -> np.ndarray:
     """Seed-only walk over victim-probability weights, normalized by weighted degree."""
     weights = integro_edge_weights(g, victim_prob, beta)
-    return _seed_walk(g, benign_seeds, weights[g.edge_ids], iterations, "baseline_integro")
+    return _seed_walk(g, benign_seeds, weights, iterations, "baseline_integro")

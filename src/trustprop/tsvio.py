@@ -26,6 +26,7 @@ from .graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, G
 FORMAT_VERSION = 1
 _WRITE_CHUNK = 2**12  # rows per write_rows batch
 _SCAN_BLOCK = 2**20  # bytes per block of the trailing-comment scan
+_PARSE_BLOCK = 2**14  # data lines parsed at a time while the error path looks for a bad one
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 # Bytes that cannot be part of a value: the ASCII whitespace of str.strip(), and
 # every byte of a non-ASCII character, as numpy parses only ASCII numbers.
@@ -107,8 +108,9 @@ def read_rows(path, fields) -> np.ndarray:
     numpy's C reader parses the whole file in one pass, given its path, with
     `#` as the comment mark. A `#` after a value is an error, as any extra field
     is, so a binary pre-scan (`_value_before_comment`) sends such a file to the
-    error path. Only when the fast path fails are the data lines parsed one at
-    a time, to name the first bad one as `file:line`.
+    error path. Only when the fast path fails are the data lines parsed again,
+    _PARSE_BLOCK at a time; the first block that fails is bisected to name its
+    first bad line as `file:line`.
     """
     dtype = np.dtype(fields)
     # numpy opens a path itself: it would decompress a file with one of these
@@ -125,12 +127,26 @@ def read_rows(path, fields) -> np.ndarray:
         layout = " ".join(f"{name}:{dtype[name].base}"
                           + (f"*{dtype[name].shape[0]}" if dtype[name].shape else "")
                           for name in dtype.names)
-        for row, (_, text) in enumerate(_data_lines(path)):
-            try:
-                np.loadtxt([text], dtype=dtype, comments=None)
-            except ValueError:
-                _fail(path, row, f"expected '{layout}'")
+        lines = (text for _, text in _data_lines(path))
+        row = 0  # data rows before the block
+        while block := list(itertools.islice(lines, _PARSE_BLOCK)):
+            if not _parses(block, dtype):
+                lo, hi = 0, len(block)  # the block's first bad line is in [lo, hi)
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    lo, hi = (mid, hi) if _parses(block[lo:mid], dtype) else (lo, mid)
+                _fail(path, row + lo, f"expected '{layout}'")
+            row += len(block)
         raise
+
+
+def _parses(lines: list[str], dtype: np.dtype) -> bool:
+    """Whether numpy parses every one of these data lines into `dtype`."""
+    try:
+        np.loadtxt(lines, dtype=dtype, comments=None)
+    except ValueError:
+        return False
+    return True
 
 
 def _table_top(col, rows: int) -> int:

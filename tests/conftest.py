@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trustprop.graph import BENIGN, SYBIL, DirectedGraph, EdgeListParseError, Graph
-from trustprop.propagate import _incoming, _send
+from trustprop.propagate import SEED_BENIGN_SCORE, SEED_SYBIL_SCORE, _incoming, _send
 
 
 def graph_from_pairs(n, pairs) -> Graph:
@@ -195,6 +195,33 @@ def walk_matrix_oracle(g: Graph, edge_values, init, d, hold_isolated=False) -> n
         scores = m @ scores
         if hold_isolated:
             scores[isolated] = init[isolated]
+    return scores
+
+
+def walk_oracle(g: Graph, init, weights, iterations, restart=0.0, restart_dist=None, pin=None,
+                hold_isolated=False, per_weighted_degree=False) -> np.ndarray:
+    """The walk engine as one whole-array bincount per round over the row id of
+    every CSR position, with the engine's arguments and operation order."""
+    n = g.node_count
+    rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
+    cols = g.indices
+    position_weights = np.asarray(weights, dtype=float)[g.edge_ids]
+    wsum = np.bincount(rows, weights=position_weights, minlength=n)
+    share = np.where(wsum[cols] > 0, position_weights / np.maximum(wsum[cols], 1e-300), 0.0)
+    isolated = g.degrees == 0
+    scores = init.astype(float, copy=True)
+    for _ in range(iterations):
+        scores = np.bincount(rows, weights=scores[cols] * share, minlength=n).astype(float, copy=False)
+        if restart:
+            scores = (1.0 - restart) * scores + restart * restart_dist
+        if hold_isolated:
+            scores[isolated] = init[isolated]
+        if pin is not None:
+            scores = scores.copy()
+            scores[pin.benign] = SEED_BENIGN_SCORE
+            scores[pin.sybil] = SEED_SYBIL_SCORE
+    if per_weighted_degree:
+        scores = np.where(wsum > 0, scores / np.maximum(wsum, 1e-300), scores)
     return scores
 
 

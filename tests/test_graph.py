@@ -105,6 +105,13 @@ class TestGraphStructure:
         with pytest.raises(ValueError):
             Graph.from_edges(2, [0], [2])
 
+    @pytest.mark.parametrize("cls", [Graph, DirectedGraph])
+    def test_node_count_past_int64_keys(self, cls):
+        # (2**32 - 2) * 2**32 + 2**32 - 1 does not fit in int64; no array is sized by n
+        n = 2**32
+        with pytest.raises(ValueError, match="overflow int64"):
+            cls.from_edges(n, [n - 2], [n - 1])
+
     def test_build_matches_sort_oracle_on_multigraphs(self):
         # self-loops, repeated edges in both orientations, isolated nodes
         rng = np.random.default_rng(9)

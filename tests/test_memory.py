@@ -1,0 +1,48 @@
+"""Memory guard: the traced allocation peak of each engine-side stage, per edge.
+
+A stage's peak counts what it allocates beyond its inputs, its output included.
+On a 200k-edge random graph the stages peak at about 68 (build), 36 (walk) and
+35 (LBP) bytes per edge. One more whole-array temporary of m int64 or float64
+values adds 8 bytes per edge, of 2m values 16, so the budgets below leave room
+for block-sized temporaries but not for a second copy of a graph array.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from trustprop.graph import Graph
+from trustprop.propagate import weighted_lbp, weighted_random_walk
+
+BUDGET_BYTES_PER_EDGE = {"build": 80, "walk": 44, "lbp": 42}
+
+
+def _traced_peak(call) -> tuple:
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def stage_peaks():
+    rng = np.random.default_rng(5)
+    n, m = 20_000, 200_000
+    u, v = rng.integers(0, n, m), rng.integers(0, n, m)
+    g, build = _traced_peak(lambda: Graph.from_edges(n, u, v))
+    node_scores = 0.05 + 0.9 * rng.random(n)
+    edge_scores = 0.05 + 0.9 * rng.random(g.edge_count)
+    _, walk = _traced_peak(lambda: weighted_random_walk(g, node_scores, edge_scores))
+    _, lbp = _traced_peak(lambda: weighted_lbp(g, node_scores, edge_scores))
+    return g.edge_count, {"build": build, "walk": walk, "lbp": lbp}
+
+
+@pytest.mark.parametrize("stage", sorted(BUDGET_BYTES_PER_EDGE))
+def test_stage_peak_within_budget(stage_peaks, stage):
+    edges, peaks = stage_peaks
+    assert edges > 199_000
+    per_edge = peaks[stage] / edges
+    assert per_edge <= BUDGET_BYTES_PER_EDGE[stage], f"{stage} peaked at {per_edge:.1f} B per edge"

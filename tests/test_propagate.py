@@ -11,7 +11,8 @@ from trustprop.propagate import (PropagationConfig, baseline_cia, baseline_integ
                                  update_messages, weighted_lbp, weighted_random_walk)
 
 from conftest import (graph_from_pairs, lbp_enumeration_oracle, lbp_round_oracle,
-                      lbp_two_vector_oracle, random_graph, random_tree, walk_matrix_oracle)
+                      lbp_two_vector_oracle, random_graph, random_tree, walk_matrix_oracle,
+                      walk_oracle)
 
 
 class TestWeightedRandomWalk:
@@ -137,6 +138,79 @@ class TestWeightedRandomWalk:
         assert np.array_equal(a, b)
 
 
+def _hub_graph() -> tuple:
+    """160 nodes: node 5 joined to 100 others, random edges, and isolated nodes 3
+    and 150-159; edge weights in [0, 1) with about a fifth of them 0.0 or -0.0."""
+    rng = np.random.default_rng(61)
+    pairs = {(5, j) for j in range(20, 120)}
+    pairs |= {(i, j) for i in range(150) for j in range(i + 1, 150)
+              if 3 not in (i, j) and rng.random() < 0.03}
+    g = graph_from_pairs(160, sorted(pairs))
+    weights = rng.random(g.edge_count) * (rng.random(g.edge_count) > 0.2)
+    weights[::2] *= -1.0  # -0.0 is non-negative too
+    np.abs(weights, out=weights, where=weights != 0)
+    return g, weights, rng.random(160)
+
+
+class TestBlockedWalk:
+    """The walk's row-aligned blocks give the whole-array walk bit for bit."""
+
+    SETUPS = {
+        "plain": {"hold_isolated": True},
+        "restart": {"restart": 0.85},
+        "pins": {"pin": TrainingSet(benign=np.array([5, 7]), sybil=np.array([3, 150])),
+                 "hold_isolated": True},
+        "per_weighted_degree": {"per_weighted_degree": True},
+        "all": {"restart": 0.3, "pin": TrainingSet(benign=np.array([0]), sybil=np.array([9])),
+                "hold_isolated": True, "per_weighted_degree": True},
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    def test_matches_whole_array_walk(self, chunk, setup, monkeypatch):
+        monkeypatch.setattr(propagate, "_WALK_CHUNK", chunk)
+        g, weights, init = _hub_graph()
+        assert g.degrees.max() > 64 and np.any(g.degrees == 0)
+        total = np.bincount(g.edge_u, weights, g.node_count) + np.bincount(g.edge_v, weights, g.node_count)
+        assert np.any((total == 0) & (g.degrees > 0))  # columns that send nothing
+        kwargs = dict(self.SETUPS[setup])
+        if "restart" in kwargs:
+            kwargs["restart_dist"] = np.random.default_rng(62).random(g.node_count)
+        got = propagate._walk(g, init, weights, 7, **kwargs)
+        want = walk_oracle(g, init, weights, 7, **kwargs)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_edgeless_graph(self, chunk, n, monkeypatch):
+        monkeypatch.setattr(propagate, "_WALK_CHUNK", chunk)
+        g = graph_from_pairs(n, [])
+        init = np.linspace(0.1, 0.9, n)
+        for kwargs in ({}, {"hold_isolated": True}, {"per_weighted_degree": True}):
+            got = propagate._walk(g, init, np.zeros(0), 3, **kwargs)
+            assert got.dtype == float
+            assert got.tobytes() == walk_oracle(g, init, np.zeros(0), 3, **kwargs).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_engines_match_whole_array_walk(self, chunk, monkeypatch):
+        monkeypatch.setattr(propagate, "_WALK_CHUNK", chunk)
+        g, weights, init = _hub_graph()
+        d = default_walk_iterations(g.node_count)
+        assert weighted_random_walk(g, init, weights).tobytes() == \
+            walk_oracle(g, init, weights, d, hold_isolated=True).tobytes()
+        seeds = np.array([5, 7])
+        dist = np.zeros(g.node_count)
+        dist[seeds] = 0.5
+        ones = np.ones(g.edge_count)
+        assert baseline_sybilrank(g, seeds).tobytes() == \
+            walk_oracle(g, dist, ones, d, per_weighted_degree=True).tobytes()
+        assert baseline_cia(g, seeds).tobytes() == \
+            walk_oracle(g, dist, ones, d, restart=0.85, restart_dist=dist).tobytes()
+        victim = np.linspace(0.0, 1.0, g.node_count)
+        assert baseline_integro(g, seeds, victim).tobytes() == walk_oracle(
+            g, dist, integro_edge_weights(g, victim, 2.0), d, per_weighted_degree=True).tobytes()
+
+
 class TestWeightedLbp:
     def test_uninformative_fixed_point(self):
         rng = np.random.default_rng(24)
@@ -252,6 +326,20 @@ class TestWeightedLbp:
             want = lbp_round_oracle(g, prior, coupling, want)
             assert got.shape == (2, g.edge_count)
             assert np.array_equal(got, want)
+
+    def test_round_leaves_its_input_unchanged(self, monkeypatch):
+        monkeypatch.setattr(propagate, "_EDGE_CHUNK", 3)
+        rng = np.random.default_rng(43)
+        g = random_graph(20, 0.4, rng)
+        prior = rng.standard_normal(g.node_count)
+        coupling = 4.0 * rng.standard_normal(g.edge_count)
+        messages = rng.standard_normal((2, g.edge_count))
+        before = messages.copy()
+        got = update_messages(g, prior, coupling, messages)
+        assert got is not messages and np.array_equal(messages, before)
+        assert np.array_equal(got, lbp_round_oracle(g, prior, coupling, before))
+        assert update_messages(g, prior, coupling, messages, out=messages) is messages
+        assert np.array_equal(messages, got)
 
     def test_potential_outside_unit_interval_error(self):
         g = graph_from_pairs(2, [(0, 1)])

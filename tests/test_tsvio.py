@@ -354,6 +354,23 @@ class TestRowReader:
             assert _rows_or_error(tsvio.read_rows, path, fields) == _rows_or_error(read_rows_oracle, path, fields)
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(file=reader_files(), block=st.sampled_from([1, 2, 3, 5]))
+    def test_bisected_blocks_match_the_line_oracle(self, tmp_path_factory, file, block):
+        fields, text = file
+        path = tmp_path_factory.mktemp("rows") / "f.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(tsvio, "_PARSE_BLOCK", block):
+            assert _rows_or_error(tsvio.read_rows, path, fields) == _rows_or_error(read_rows_oracle, path, fields)
+
+    def test_bad_last_line_of_a_long_file(self, tmp_path):
+        path = tmp_path / "g.tsv"
+        path.write_text("# arcs\n" + "".join(f"{i}\t{i * 7 % 1000}\n" for i in range(200_000)) + "5\t6\t7\n")
+        fields = [("u", np.int64), ("v", np.int64)]
+        message = _rows_or_error(tsvio.read_rows, path, fields)
+        assert message == f"{path}:200002: expected 'u:int64 v:int64', got '5\\t6\\t7'"
+        assert message == _rows_or_error(read_rows_oracle, path, fields)
+
 def read_labels_sized_by_file(path):
     """A label file over the id space of its own largest id."""
     return tsvio.read_by_node([(path, "label")])[0]
