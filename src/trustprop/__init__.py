@@ -10,8 +10,8 @@ and a sweep harness support robustness experiments.
 from .classifier import (LocalModel, TrainConfig, TrainingSet, edge_scores, predict_scores,
                          sample_training_set, select_threshold, train)
 from .features import feature_matrix
-from .graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, Graph, component_census,
-                    connected_components, modularity, mutualize)
+from .graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, Graph, component_census, modularity,
+                    mutualize)
 from .harness import (PipelineConfig, PipelineResult, StageError, SweepSpec,
                       run_detection_pipeline, run_robustness_sweep)
 from .metrics import (RankingReport, accuracy_at_threshold, auc, build_ranking_report,

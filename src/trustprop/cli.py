@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, classifier, features, harness, metrics, propagate, synth, tsvio
-from .graph import (UNKNOWN, EdgeListParseError, component_census,
-                    connected_components, modularity, mutualize, sybil_components)
+from .graph import (SYBIL, UNKNOWN, EdgeListParseError, component_census, component_labels,
+                    modularity, mutualize)
 from .tsvio import load_edge_list
 
 VERSION_LINE = (f"trustprop {__version__} "
@@ -30,6 +30,13 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
+
+
+def _count(text: str) -> int:
+    """Argparse type for a count of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {text!r}")
+    return int(text)
 
 
 def _list_of(item):
@@ -58,7 +65,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     training.add_argument("--train-sybil", type=int, default=50)
     engine = _Parser(add_help=False)
     engine.add_argument("--engine", choices=tuple(propagate.ENGINES), default="lbp")
-    engine.add_argument("--iterations", type=int, default=None)
+    engine.add_argument("--iterations", type=_count, default=None)
     engine.add_argument("--pin-seeds", action="store_true")
     ranking = _Parser(add_help=False)
     ranking.add_argument("--scores", required=True)
@@ -66,7 +73,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     ranking.add_argument("--threshold", type=float, default=0.5)
     ranking.add_argument("--exclude", default=None, help="label-format file of nodes to drop")
     top_k = _Parser(add_help=False)
-    top_k.add_argument("--top-k", type=_list_of(int), default=[100, 200, 500])
+    top_k.add_argument("--top-k", type=_list_of(_count), default=[100, 200, 500])
 
     parser = _Parser(prog="trustprop", description=__doc__)
     parser.add_argument("--version", action="version", version=VERSION_LINE)
@@ -179,7 +186,7 @@ def _apply_config_file(args, registry) -> dict | None:
             elif action.type is not None:
                 try:
                     overrides[key] = action.type(value)
-                except ValueError:
+                except (ValueError, argparse.ArgumentTypeError):
                     raise UsageError(f"{args.config}:{lineno}: bad value for {key!r}") from None
             else:
                 overrides[key] = value
@@ -249,12 +256,12 @@ def _cmd_score_edges(args, out: Path) -> int:
 
 def _cmd_propagate(args, out: Path) -> int:
     graph = load_edge_list(args.graph, directed=False)
-    node_scores = tsvio.read_node_scores(args.node_scores, graph.node_count)
+    node_scores, = tsvio.read_by_node([(args.node_scores, "score")], graph.node_count)
     if not np.isfinite(node_scores).all():
         raise ValueError(f"{args.node_scores}: missing or non-finite score for some nodes")
     edge_scores = tsvio.read_edge_scores(args.edge_scores, graph)
-    seeds = (classifier.TrainingSet.from_labels(tsvio.read_labels(args.seeds, graph.node_count))
-             if args.seeds else None)
+    seeds = (classifier.TrainingSet.from_labels(
+        tsvio.read_by_node([(args.seeds, "label")], graph.node_count)[0]) if args.seeds else None)
     cfg = propagate.PropagationConfig(iterations=args.iterations, seeds=seeds,
                                       pin_seeds=args.pin_seeds,
                                       degree_normalize=args.degree_normalize)
@@ -272,8 +279,8 @@ def _ranking_report(args, graph_path: str | None = None) -> metrics.RankingRepor
         raise ValueError(f"{args.scores}: labeled node is missing a score")
     scores = np.nan_to_num(scores, nan=np.inf)
     graph = load_edge_list(graph_path, directed=False) if graph_path else None
-    exclude = (classifier.TrainingSet.from_labels(tsvio.read_labels(args.exclude, labels.shape[0])).all_ids
-               if args.exclude else None)
+    exclude = (classifier.TrainingSet.from_labels(
+        tsvio.read_by_node([(args.exclude, "label")], labels.shape[0])[0]).all_ids if args.exclude else None)
     return metrics.build_ranking_report(scores, labels, threshold=args.threshold,
                                         exclude=exclude, graph=graph)
 
@@ -331,23 +338,25 @@ def _cmd_pipeline(args, out: Path) -> int:
 
 
 def _cmd_components(args, out: Path) -> int:
-    if args.sybil_only and not args.labels:
-        raise UsageError("--sybil-only requires --labels")
+    if bool(args.labels) != args.sybil_only:
+        raise UsageError("--sybil-only requires --labels, and --labels is read only with --sybil-only")
     graph = load_edge_list(args.graph, directed=False)
+    keep = None
     if args.sybil_only:
-        labels = tsvio.read_labels(args.labels, graph.node_count)
-    comps = sybil_components(graph, labels) if args.sybil_only else connected_components(graph)
-    tsvio.write_component_report(out / "components.tsv", comps)
-    print(f"{len(comps)} components, largest {comps[0].shape[0] if comps else 0}")
+        labels, = tsvio.read_by_node([(args.labels, "label")], graph.node_count)
+        keep = np.flatnonzero(labels == SYBIL)
+    sizes = component_labels(graph, keep)[1]
+    tsvio.write_component_report(out / "components.tsv", sizes)
+    print(f"{len(sizes)} components, largest {sizes.max(initial=0)}")
     if args.sybil_only:
-        census = component_census(comps)
+        census = component_census(sizes)
         print(f"isolated {census['isolated']}  lcc {census['lcc']}  others {census['others']}")
     return 0
 
 
 def _cmd_modularity(args, out: Path) -> int:
     graph = load_edge_list(args.graph, directed=False)
-    labels = tsvio.read_labels(args.labels, graph.node_count)
+    labels, = tsvio.read_by_node([(args.labels, "label")], graph.node_count)
     print(repr(modularity(graph, labels)))
     return 0
 

@@ -295,14 +295,6 @@ def component_labels(g: Graph, restrict_to=None) -> tuple[np.ndarray, np.ndarray
     return index[root], sizes[heads]
 
 
-def connected_components(g: Graph, restrict_to=None) -> list[np.ndarray]:
-    """Connected components, optionally of the subgraph induced by `restrict_to`,
-    as sorted node-id arrays in `component_labels` order."""
-    labels, sizes = component_labels(g, restrict_to)
-    members = np.argsort(labels, kind="stable")[labels.shape[0] - int(sizes.sum()):]  # past the -1s
-    return np.split(members, np.cumsum(sizes)[:-1]) if sizes.size else []
-
-
 def modularity(g: Graph, labels: np.ndarray) -> float:
     """Newman modularity Q of the two-group partition given by a full label map.
 
@@ -326,11 +318,6 @@ def modularity(g: Graph, labels: np.ndarray) -> float:
     return q
 
 
-def sybil_components(g: Graph, labels: np.ndarray) -> list[np.ndarray]:
-    """Components of the Sybil-induced subgraph, as `connected_components` orders them."""
-    return connected_components(g, restrict_to=np.flatnonzero(np.asarray(labels) == SYBIL))
-
-
 def component_classes(sizes: np.ndarray) -> np.ndarray:
     """Class of each component in `component_labels` order, from its size: a
     singleton is isolated, else the first (largest) is the lcc and the rest others."""
@@ -338,10 +325,10 @@ def component_classes(sizes: np.ndarray) -> np.ndarray:
                      [CLASS_ISOLATED, CLASS_LCC], CLASS_OTHERS)
 
 
-def component_census(comps: list[np.ndarray]) -> dict[str, int]:
-    """Component count and node count per `component_classes` class of the
-    Sybil-subgraph components that `sybil_components` returns."""
-    sizes = np.array([c.shape[0] for c in comps], dtype=np.int64)
+def component_census(sizes: np.ndarray) -> dict[str, int]:
+    """Component count and node count per `component_classes` class of
+    component sizes in `component_labels` order."""
+    sizes = np.asarray(sizes, dtype=np.int64)
     classes = component_classes(sizes)
-    return {"components": len(comps), **{cls: int(sizes[classes == cls].sum())
+    return {"components": len(sizes), **{cls: int(sizes[classes == cls].sum())
                                          for cls in (CLASS_ISOLATED, CLASS_LCC, CLASS_OTHERS)}}

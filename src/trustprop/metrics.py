@@ -149,5 +149,5 @@ def decompose_top_k(report: RankingReport, k: int) -> dict[str, int]:
 
 def write_ranking(path, report: RankingReport) -> None:
     """Write `rank<TAB>node_id<TAB>score<TAB>true_label<TAB>class` rows."""
-    tsvio.write_rows(path, "%s\t%s\t%s\t%s\t%s\n", range(1, report.node_ids.shape[0] + 1),
-                     report.node_ids, report.scores, report.labels, report.component_class)
+    tsvio.write_rows(path, range(1, report.node_ids.shape[0] + 1), report.node_ids,
+                     report.scores, report.labels, report.component_class)

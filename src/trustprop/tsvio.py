@@ -6,10 +6,11 @@ are skipped, every other line holds one whitespace-separated value per
 column, and a bad line, one that is not UTF-8 included, is reported as
 `file:line`. numpy's C reader parses a file from its path in one pass; a
 binary scan for `#` sends a file with a comment after a value to the error
-path, which alone reads the file line by line. `write_rows` writes every
-TSV file column by column, each distinct value formatted once per chunk as its
-str(), which is repr() for floats, so values round-trip exactly and repeated
-runs produce byte-identical files.
+path, which alone reads the file line by line. Labels, node scores and
+features are all read by `read_by_node`. `write_rows` writes every TSV file
+as one tab-separated value per column, column by column, each distinct value
+formatted once per chunk as its str(), which is repr() for floats, so values
+round-trip exactly and repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -181,17 +182,15 @@ def _texts(part, table) -> list:
     return np.array(list(map(str, values.tolist())), dtype=object)[inverse].tolist()
 
 
-def write_rows(path, fmt: str, *cols) -> None:
-    """Write one `fmt % row` line per row of equal-length columns (arrays, ranges or
-    sequences); `fmt` is one tab-separated `%s` per column and a newline.
+def write_rows(path, *cols) -> None:
+    """Write one line of tab-separated values per row of equal-length columns
+    (arrays, ranges or sequences).
 
     Each column is formatted on its own, `_WRITE_CHUNK` rows at a time: ids index
     one table of str(i), built once per call when its size stays within twice the
     rows, and any other column formats each of its distinct values once per chunk.
     Every value is written as its str(), which is repr() for floats.
     """
-    if cols and fmt != "\t".join(["%s"] * len(cols)) + "\n":
-        raise ValueError(f"expected one tab-separated '%s' per column, got {fmt!r}")
     lengths = sorted({len(c) for c in cols})
     if len(lengths) > 1:
         raise ValueError(f"columns of unequal length {lengths}")
@@ -252,7 +251,7 @@ def write_edge_list(path, g) -> None:
         src, dst = g.edge_u, g.edge_v
     else:
         src, dst = np.repeat(np.arange(g.node_count), g.out_degrees), g.out_indices
-    write_rows(path, "%s\t%s\n", src, dst)
+    write_rows(path, src, dst)
 
 
 def read_by_node(files, ids=None) -> list[np.ndarray]:
@@ -293,29 +292,19 @@ def write_labels(path, labels: np.ndarray) -> None:
     """Write `node_id<TAB>{0|1}` rows (1 = benign, 0 = sybil); unknown nodes skipped."""
     labels = np.asarray(labels)
     known = np.flatnonzero(labels != UNKNOWN)
-    write_rows(path, "%s\t%s\n", known, labels[known])
-
-
-def read_labels(path, node_count: int) -> np.ndarray:
-    """Read a label file into a full array; nodes absent from the file are unknown."""
-    return read_by_node([(path, "label")], node_count)[0]
+    write_rows(path, known, labels[known])
 
 
 def write_id_map(path, original_ids: np.ndarray) -> None:
     """Write `dense_id<TAB>original_id` rows for remapped inputs."""
     original_ids = np.asarray(original_ids)
-    write_rows(path, "%s\t%s\n", range(original_ids.shape[0]), original_ids)
+    write_rows(path, range(original_ids.shape[0]), original_ids)
 
 
 def write_node_scores(path, scores: np.ndarray) -> None:
     """Write `node_id<TAB>score` rows."""
     scores = np.asarray(scores, dtype=float)
-    write_rows(path, "%s\t%s\n", range(scores.shape[0]), scores)
-
-
-def read_node_scores(path, node_count: int) -> np.ndarray:
-    """Read a node-score file into a full array; nodes absent from the file are nan."""
-    return read_by_node([(path, "score")], node_count)[0]
+    write_rows(path, range(scores.shape[0]), scores)
 
 
 def write_edge_scores(path, g: Graph, values: np.ndarray) -> None:
@@ -323,7 +312,7 @@ def write_edge_scores(path, g: Graph, values: np.ndarray) -> None:
     values = np.asarray(values, dtype=float)
     if values.shape[0] != g.edge_count:
         raise ValueError("edge score array does not match graph edge count")
-    write_rows(path, "%s\t%s\t%s\n", g.edge_u, g.edge_v, values)
+    write_rows(path, g.edge_u, g.edge_v, values)
 
 
 def read_edge_scores(path, g: Graph) -> np.ndarray:
@@ -347,25 +336,19 @@ def read_edge_scores(path, g: Graph) -> np.ndarray:
 def write_features(path, features: np.ndarray) -> None:
     """Write `node_id<TAB>req_in<TAB>req_out<TAB>cc` rows."""
     features = np.asarray(features, dtype=float)
-    write_rows(path, "%s" + "\t%s" * features.shape[1] + "\n",
-               range(features.shape[0]), *features.T)
+    write_rows(path, range(features.shape[0]), *features.T)
 
 
-def read_features(path, node_count: int) -> np.ndarray:
-    """Read a feature file into a full matrix; nodes absent from the file get zeros."""
-    return read_by_node([(path, "features")], node_count)[0]
-
-
-def write_component_report(path, components) -> None:
-    """Write `component_id<TAB>size` rows (components already size-sorted)."""
-    write_rows(path, "%s\t%s\n", range(len(components)), [c.shape[0] for c in components])
+def write_component_report(path, sizes: np.ndarray) -> None:
+    """Write `component_id<TAB>size` rows of component sizes (already size-sorted)."""
+    write_rows(path, range(len(sizes)), sizes)
 
 
 def write_metrics_report(path, rows) -> None:
     """Write `metric<TAB>parameter<TAB>value` rows."""
-    write_rows(path, "%s\t%s\t%s\n", *zip(*rows))
+    write_rows(path, *zip(*rows))
 
 
 def write_sweep_table(path, rows) -> None:
     """Write `variable_value<TAB>engine<TAB>metric<TAB>mean<TAB>std<TAB>trials` rows."""
-    write_rows(path, "%s\t%s\t%s\t%s\t%s\t%s\n", *zip(*rows))
+    write_rows(path, *zip(*rows))

@@ -4,13 +4,14 @@ These tests fail here, instead of as a KeyError in a traced benchmark run,
 when one of those names goes away."""
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 
 import trustprop
 import trustprop.cli  # noqa: F401  (the tracer wraps trustprop.cli as well)
-from trustprop import graph, harness, propagate
+from trustprop import graph, harness, propagate, tsvio
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -48,3 +49,14 @@ def test_engine_config_as_the_workloads_build_it():
     walk = propagate.weighted_random_walk(
         g, scores, edge_scores, propagate.PropagationConfig(engine="random_walk"))
     assert np.all(np.isfinite(lbp)) and np.all(np.isfinite(walk))
+
+
+def test_traced_writers_take_the_path_first():
+    # The tracer notes a writer's output size from the file named by its first argument.
+    spans = _bench_module("spans")
+    writers = [name.split(".", 1)[1] for name in spans.NOTES if name.startswith("tsvio.write_")]
+    assert writers
+    for name in writers:
+        fn = getattr(tsvio, name, None)
+        assert callable(fn), name
+        assert next(iter(inspect.signature(fn).parameters)) == "path", name

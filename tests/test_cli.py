@@ -27,7 +27,7 @@ def scenario_dir(tmp_path):
 class TestGenerate:
     def test_files_and_counts(self, scenario_dir):
         g = load_edge_list(scenario_dir / "graph.tsv")
-        labels = tsvio.read_labels(scenario_dir / "labels.tsv", g.node_count)
+        labels = tsvio.read_by_node([(scenario_dir / "labels.tsv", "label")], g.node_count)[0]
         assert g.node_count == 180
         cross = np.count_nonzero(labels[g.edge_u] != labels[g.edge_v])
         assert cross == 90
@@ -36,7 +36,7 @@ class TestGenerate:
         assert run("generate", "--benign", 50, "--sybil", 25, "--attack-edges", 30,
                    "--fpr", 0.2, "--fnr", 0.2, "--seed", 1, "--out-dir", tmp_path) == 0
         g = load_edge_list(tmp_path / "graph.tsv")
-        scores = tsvio.read_node_scores(tmp_path / "node_scores.tsv", g.node_count)
+        scores = tsvio.read_by_node([(tmp_path / "node_scores.tsv", "score")], g.node_count)[0]
         assert np.all((scores >= 0.1) & (scores <= 0.9))
 
     def test_determinism(self, tmp_path):
@@ -96,6 +96,34 @@ class TestUsageErrors:
         assert run("components", "--graph", tmp_path / "nope.tsv", "--sybil-only",
                    "--out-dir", tmp_path) == 1
         assert "--sybil-only requires --labels" in capsys.readouterr().err
+
+    def test_labels_without_sybil_only_is_usage_error_before_any_read(self, tmp_path, capsys):
+        assert run("components", "--graph", tmp_path / "nope.tsv", "--labels", tmp_path / "nope.tsv",
+                   "--out-dir", tmp_path / "out") == 1
+        assert "--labels is read only with --sybil-only" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "components.tsv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--graph", "graph.tsv", "--labels", "labels.tsv", "--top-k", "-3"],
+        ["pipeline", "--graph", "graph.tsv", "--labels", "labels.tsv", "--iterations", "0"],
+        ["propagate", "--graph", "graph.tsv", "--node-scores", "labels.tsv",
+         "--edge-scores", "labels.tsv", "--iterations", "-1"],
+        ["evaluate", "--scores", "labels.tsv", "--labels", "labels.tsv", "--top-k", "0,5"],
+    ])
+    def test_counts_below_one_are_usage_errors_before_any_write(self, scenario_dir, tmp_path,
+                                                                 capsys, argv):
+        argv = [scenario_dir / a if a.endswith(".tsv") else a for a in argv]
+        assert run(*argv, "--out-dir", tmp_path / "out") == 1
+        assert "expected a count of at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_count_below_one_in_config_file_is_usage_error(self, scenario_dir, tmp_path, capsys):
+        (tmp_path / "run.cfg").write_text("iterations = 0\n")
+        assert run("pipeline", "--graph", scenario_dir / "graph.tsv",
+                   "--labels", scenario_dir / "labels.tsv", "--config", tmp_path / "run.cfg",
+                   "--out-dir", tmp_path / "out") == 1
+        assert "run.cfg:1: bad value for 'iterations'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestBadInputFiles:
@@ -302,7 +330,7 @@ class TestStageCommands:
                    "--seeds", out / "train_seeds.tsv",
                    "--out-dir", out) == 0
         g = load_edge_list(out / "graph.tsv")
-        final = tsvio.read_node_scores(out / "final_scores.tsv", g.node_count)
+        final = tsvio.read_by_node([(out / "final_scores.tsv", "score")], g.node_count)[0]
         assert np.all(np.isfinite(final))
         assert run("rank", "--scores", out / "final_scores.tsv", "--labels", out / "labels.tsv",
                    "--graph", out / "graph.tsv", "--exclude", out / "train_seeds.tsv",
@@ -347,15 +375,15 @@ class TestStageCommands:
         assert -0.5 <= q <= 1.0
 
     def test_sybil_only_components_searched_once(self, scenario_dir, monkeypatch):
-        from trustprop import graph as graph_module
+        from trustprop import cli
         calls = []
-        search = graph_module.connected_components
+        search = cli.component_labels
 
         def counted(*args, **kwargs):
             calls.append(args)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(graph_module, "connected_components", counted)
+        monkeypatch.setattr(cli, "component_labels", counted)
         assert run("components", "--graph", scenario_dir / "graph.tsv",
                    "--labels", scenario_dir / "labels.tsv", "--sybil-only",
                    "--out-dir", scenario_dir) == 0

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustprop.graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError,
-                             Graph, component_census, connected_components, modularity,
-                             mutualize, sybil_components)
+                             Graph, component_census, component_labels, modularity, mutualize)
 from trustprop.metrics import sybil_component_classes
 from trustprop.tsvio import load_edge_list, load_graph
 
@@ -206,34 +205,48 @@ class TestMutualize:
             assert got.edge_count == len({(min(a, b), max(a, b)) for a, b in pairs if a != b})
 
 
+def components(g, restrict_to=None):
+    """Member ids of each `component_labels` component in its order; each member
+    list must be as long as the size it returns."""
+    index, sizes = component_labels(g, restrict_to)
+    members = [np.flatnonzero(index == c) for c in range(sizes.shape[0])]
+    assert [c.shape[0] for c in members] == sizes.tolist()
+    return members
+
+
+def sybil_sizes(g, labels):
+    """Component sizes of the Sybil-induced subgraph."""
+    return component_labels(g, np.flatnonzero(labels == SYBIL))[1]
+
+
 class TestConnectedComponents:
     def test_two_triangles(self):
         g = graph_from_pairs(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
-        comps = connected_components(g)
+        comps = components(g)
         assert [c.shape[0] for c in comps] == [3, 3]
 
     def test_sizes_sum_to_node_count(self):
         rng = np.random.default_rng(4)
         g = random_graph(30, 0.05, rng)
-        comps = connected_components(g)
+        comps = components(g)
         assert sum(c.shape[0] for c in comps) == 30
 
     def test_restricted_subgraph(self):
         # path 0-1-2-3; restricting to {0, 1, 3} cuts the path
         g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3)])
-        comps = connected_components(g, restrict_to=[0, 1, 3])
+        comps = components(g, restrict_to=[0, 1, 3])
         assert [sorted(c.tolist()) for c in comps] == [[0, 1], [3]]
 
     def test_out_of_range_restrict(self):
         g = graph_from_pairs(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            connected_components(g, restrict_to=[5])
+        with pytest.raises(ValueError, match="out-of-range"):
+            component_labels(g, restrict_to=[5])
 
     def test_against_bfs_oracle(self):
         rng = np.random.default_rng(5)
         for trial in range(10):
             g = random_graph(10, 0.15, rng)
-            got = {frozenset(c.tolist()) for c in connected_components(g)}
+            got = {frozenset(c.tolist()) for c in components(g)}
             want = set(bfs_components_oracle(g))
             assert got == want
 
@@ -242,12 +255,12 @@ class TestConnectedComponents:
         for trial in range(10):
             g = random_graph(12, 0.2, rng)
             subset = rng.choice(12, size=7, replace=False)
-            got = {frozenset(c.tolist()) for c in connected_components(g, restrict_to=subset)}
+            got = {frozenset(c.tolist()) for c in components(g, restrict_to=subset)}
             want = set(bfs_components_oracle(g, restrict=subset))
             assert got == want
 
     def assert_exact_order(self, g, restrict_to=None):
-        got = connected_components(g, restrict_to=restrict_to)
+        got = components(g, restrict_to=restrict_to)
         want = dfs_components_oracle(g, restrict_to)
         assert [c.tolist() for c in got] == [c.tolist() for c in want]
 
@@ -286,7 +299,7 @@ class TestConnectedComponents:
         pairs = [(0, 1), (1, 2), (3, 4), (4, 5), (6, 7), (0, 8), (2, 6), (1, 3)]
         g = graph_from_pairs(9, pairs)
         labels = np.array([BENIGN] * 3 + [SYBIL] * 6, dtype=np.int8)
-        census = component_census(sybil_components(g, labels))
+        census = component_census(sybil_sizes(g, labels))
         assert census == {"components": 3, "isolated": 1, "lcc": 3, "others": 2}
 
     def test_census_counts_the_ranking_classes(self):
@@ -296,16 +309,16 @@ class TestConnectedComponents:
             g = random_graph(n, float(rng.choice([0.0, 0.05, 0.12, 0.4])), rng)
             labels = rng.choice([BENIGN, SYBIL, UNKNOWN], size=n,
                                 p=rng.dirichlet(np.ones(3))).astype(np.int8)
-            census = component_census(sybil_components(g, labels))
+            census = component_census(sybil_sizes(g, labels))
             classes = sybil_component_classes(g, labels)
-            assert census["components"] == len(sybil_components(g, labels))
+            assert census["components"] == len(bfs_components_oracle(g, np.flatnonzero(labels == SYBIL)))
             for cls in ("isolated", "lcc", "others"):
                 assert census[cls] == np.count_nonzero(classes == cls)
 
     def test_census_all_isolated(self):
         g = graph_from_pairs(4, [(0, 2), (0, 3), (1, 2)])
         labels = np.array([BENIGN, BENIGN, SYBIL, SYBIL], dtype=np.int8)
-        census = component_census(sybil_components(g, labels))
+        census = component_census(sybil_sizes(g, labels))
         assert census["isolated"] == 2
         assert census["lcc"] == 0
         assert census["others"] == 0

@@ -158,9 +158,9 @@ class TestPreferentialAttachment:
             assert int(g.degrees.sum()) == 2 * g.edge_count
 
     def test_connected(self):
-        from trustprop.graph import connected_components
+        from trustprop.graph import component_labels
         g = preferential_attachment(200, 2, seed=3)
-        assert len(connected_components(g)) == 1
+        assert component_labels(g)[1].tolist() == [200]
 
     def test_size_check(self):
         with pytest.raises(ValueError):

@@ -17,20 +17,20 @@ class TestLabels:
         labels = np.array([BENIGN, SYBIL, UNKNOWN, BENIGN], dtype=np.int8)
         path = tmp_path / "labels.tsv"
         tsvio.write_labels(path, labels)
-        assert np.array_equal(tsvio.read_labels(path, 4), labels)
+        assert np.array_equal(tsvio.read_by_node([(path, "label")], 4)[0], labels)
         assert len(path.read_text().splitlines()) == 3
 
     def test_bad_label_value(self, tmp_path):
         path = tmp_path / "labels.tsv"
         path.write_text("0\t2\n")
         with pytest.raises(EdgeListParseError):
-            tsvio.read_labels(path, 2)
+            tsvio.read_by_node([(path, "label")], 2)
 
     def test_out_of_range_node(self, tmp_path):
         path = tmp_path / "labels.tsv"
         path.write_text("7\t1\n")
         with pytest.raises(EdgeListParseError):
-            tsvio.read_labels(path, 3)
+            tsvio.read_by_node([(path, "label")], 3)
 
 
 class TestNodeScores:
@@ -38,12 +38,12 @@ class TestNodeScores:
         scores = np.array([0.1, 0.45000000000000001, 1 / 3, 0.9])
         path = tmp_path / "scores.tsv"
         tsvio.write_node_scores(path, scores)
-        assert np.array_equal(tsvio.read_node_scores(path, 4), scores)
+        assert np.array_equal(tsvio.read_by_node([(path, "score")], 4)[0], scores)
 
     def test_missing_rows_are_nan(self, tmp_path):
         path = tmp_path / "scores.tsv"
         path.write_text("1\t0.5\n")
-        scores = tsvio.read_node_scores(path, 3)
+        scores = tsvio.read_by_node([(path, "score")], 3)[0]
         assert np.isnan(scores[0])
         assert scores[1] == 0.5
 
@@ -87,13 +87,13 @@ class TestFeaturesFile:
         feats = np.array([[0.1, 0.2, 0.3], [1.0, 0.0, 2 / 3]])
         path = tmp_path / "features.tsv"
         tsvio.write_features(path, feats)
-        assert np.array_equal(tsvio.read_features(path, 2), feats)
+        assert np.array_equal(tsvio.read_by_node([(path, "features")], 2)[0], feats)
 
     def test_inconsistent_width(self, tmp_path):
         path = tmp_path / "features.tsv"
         path.write_text("0\t0.1\t0.2\n1\t0.3\n")
         with pytest.raises(EdgeListParseError):
-            tsvio.read_features(path, 2)
+            tsvio.read_by_node([(path, "features")], 2)
 
 
 class TestEdgeListFile:
@@ -198,7 +198,7 @@ class TestRowWriter:
     def test_arrays_ranges_and_sequences(self, tmp_path, monkeypatch, chunk):
         monkeypatch.setattr(tsvio, "_WRITE_CHUNK", chunk)
         path = tmp_path / "rows.tsv"
-        tsvio.write_rows(path, "%s\t%s\t%s\t%s\n", range(5), np.array([0.1, 1 / 3, 2.0, 1e-300, -0.0]),
+        tsvio.write_rows(path, range(5), np.array([0.1, 1 / 3, 2.0, 1e-300, -0.0]),
                          np.array(["lcc", "b", "c", "d", "e"]), (1, 2, 3, 4, 5))
         assert path.read_text() == ("0\t0.1\tlcc\t1\n1\t0.3333333333333333\tb\t2\n2\t2.0\tc\t3\n"
                                     "3\t1e-300\td\t4\n4\t-0.0\te\t5\n")
@@ -214,22 +214,17 @@ class TestRowWriter:
     @settings(max_examples=80, deadline=None)
     @given(cols=writer_columns())
     def test_matches_the_row_oracle(self, tmp_path_factory, chunk, cols):
-        fmt = "\t".join(["%s"] * len(cols)) + "\n"
         out = tmp_path_factory.mktemp("rows")
         with mock.patch.object(tsvio, "_WRITE_CHUNK", chunk):
-            tsvio.write_rows(out / "rows.tsv", fmt, *cols)
-        write_rows_oracle(out / "oracle.tsv", fmt, *cols)
+            tsvio.write_rows(out / "rows.tsv", *cols)
+        write_rows_oracle(out / "oracle.tsv", "\t".join(["%s"] * len(cols)) + "\n", *cols)
         assert (out / "rows.tsv").read_bytes() == (out / "oracle.tsv").read_bytes()
 
     def test_ragged_columns_rejected(self, tmp_path):
         path = tmp_path / "rows.tsv"
         with pytest.raises(ValueError, match=r"unequal length \[2, 3\]"):
-            tsvio.write_rows(path, "%s\t%s\n", range(3), np.array([0.5, 0.25]))
+            tsvio.write_rows(path, range(3), np.array([0.5, 0.25]))
         assert not path.exists()
-
-    def test_format_must_match_the_columns(self, tmp_path):
-        with pytest.raises(ValueError, match="one tab-separated '%s' per column"):
-            tsvio.write_rows(tmp_path / "rows.tsv", "%s %s\n", range(2), range(2))
 
 
 # Text the reader must split, skip and parse as the line-by-line oracle does: every
@@ -380,11 +375,11 @@ class TestRepeatedRows:
     """A node or edge given twice is a data error naming the second line."""
 
     @pytest.mark.parametrize("reader, text", [
-        (lambda p: tsvio.read_labels(p, 3), "0\t1\n2\t0\n0\t0\n"),
-        (lambda p: tsvio.read_labels(p, 3), "0\t1\n2\t0\n0\t1\n"),
+        (lambda p: tsvio.read_by_node([(p, "label")], 3)[0], "0\t1\n2\t0\n0\t0\n"),
+        (lambda p: tsvio.read_by_node([(p, "label")], 3)[0], "0\t1\n2\t0\n0\t1\n"),
         (read_labels_sized_by_file, "0\t1\n2\t0\n0\t0\n"),
-        (lambda p: tsvio.read_node_scores(p, 3), "0\t0.5\n1\t0.2\n0\t0.7\n"),
-        (lambda p: tsvio.read_features(p, 3), "0\t1.0\t2.0\n1\t1.0\t2.0\n0\t3.0\t4.0\n"),
+        (lambda p: tsvio.read_by_node([(p, "score")], 3)[0], "0\t0.5\n1\t0.2\n0\t0.7\n"),
+        (lambda p: tsvio.read_by_node([(p, "features")], 3)[0], "0\t1.0\t2.0\n1\t1.0\t2.0\n0\t3.0\t4.0\n"),
     ])
     def test_repeated_node(self, tmp_path, reader, text):
         path = tmp_path / "f.tsv"
@@ -460,7 +455,7 @@ class TestWriteReadIdentity:
         labels = np.array(labels, dtype=np.int8)
         path = tmp_path_factory.mktemp("lab") / "labels.tsv"
         tsvio.write_labels(path, labels)
-        got = tsvio.read_labels(path, labels.shape[0])
+        got = tsvio.read_by_node([(path, "label")], labels.shape[0])[0]
         assert got.dtype == np.int8 and np.array_equal(got, labels)
 
     @settings(max_examples=60, deadline=None)
@@ -468,7 +463,7 @@ class TestWriteReadIdentity:
     def test_node_scores(self, tmp_path_factory, scores):
         path = tmp_path_factory.mktemp("ns") / "scores.tsv"
         tsvio.write_node_scores(path, scores)
-        assert _bits(tsvio.read_node_scores(path, len(scores))) == _bits(scores)
+        assert _bits(tsvio.read_by_node([(path, "score")], len(scores))[0]) == _bits(scores)
 
     @settings(max_examples=60, deadline=None)
     @given(edges=edge_lists(), data=st.data())
@@ -486,5 +481,5 @@ class TestWriteReadIdentity:
                          dtype=float).reshape(rows, width)
         path = tmp_path_factory.mktemp("ft") / "features.tsv"
         tsvio.write_features(path, feats)
-        got = tsvio.read_features(path, rows)
+        got = tsvio.read_by_node([(path, "features")], rows)[0]
         assert got.shape == feats.shape and _bits(got) == _bits(feats)
