@@ -246,9 +246,9 @@ def _cmd_train(args, out: Path) -> int:
 
 
 def _cmd_score_edges(args, out: Path) -> int:
-    graph = load_edge_list(args.graph, directed=False)
     if args.metric is not None and args.value is not None:
         raise UsageError("--value and --metric are mutually exclusive")
+    graph = load_edge_list(args.graph, directed=False)
     values = classifier.edge_scores(graph, args.metric, 0.9 if args.value is None else args.value)
     tsvio.write_edge_scores(out / "edge_scores.tsv", graph, values)
     return 0
@@ -375,10 +375,16 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         out = Path(args.out_dir)
+        made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
         return args.handler(args, out)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for d in made:  # a usage error leaves no empty directory behind that this run made
+            try:
+                d.rmdir()
+            except OSError:  # not empty
+                break
         return 1
     except (EdgeListParseError, ValueError, OSError, harness.StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

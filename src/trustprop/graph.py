@@ -7,6 +7,11 @@ quantities (trust scores, weights) can be stored once per undirected edge.
 All graph objects are immutable after construction; derived arrays (position
 rows, the reverse index, per-edge triangle counts) are computed once and
 cached on the graph.
+
+Index arrays (node ids and edge ids) are stored as int32 while n < 2**31 and
+2m < 2**31, and as int64 past either limit (`index_dtype`); `indptr` is
+always int64. NumPy keeps `int32 * int` in int32, so every product of a
+stored index with n or m (the u * n + v edge keys) is formed in int64.
 """
 
 from __future__ import annotations
@@ -30,6 +35,11 @@ CLASS_OTHERS = "others"
 
 # Largest node count whose keys u * n + v (u, v < n) all fit in int64.
 _MAX_NODES = math.isqrt(2**63 - 1)
+
+
+def index_dtype(n: int, m: int) -> type:
+    """Storage type of the node and edge ids of a graph with n nodes and m edges."""
+    return np.int32 if n < 2**31 and 2 * m < 2**31 else np.int64
 
 
 class EdgeListParseError(ValueError):
@@ -74,6 +84,9 @@ class Graph:
             lists are sorted and symmetric.
         edge_u / edge_v: canonical endpoints (edge_u < edge_v), length m.
         edge_ids: per-position index into the canonical edge arrays, length 2m.
+
+    indptr is int64; indices, edge_u, edge_v and edge_ids have the type
+    `index_dtype(n, m)`: int32 while n < 2**31 and 2m < 2**31, else int64.
     """
 
     def __init__(self, node_count, indptr, indices, edge_u, edge_v, edge_ids):
@@ -116,15 +129,16 @@ class Graph:
         `keys` may be overwritten: its buffer holds the stable order by edge_v.
         """
         m = keys.shape[0]
-        edge_u, edge_v = np.divmod(keys, n)
+        idx = index_dtype(n, m)
+        edge_u, edge_v = np.divmod(keys, n, out=(np.empty(m, idx), np.empty(m, idx)))
         below = np.bincount(edge_v, minlength=n)
         above = np.bincount(edge_u, minlength=n)
         indptr = np.concatenate(([0], np.cumsum(below + above)))
         # Stable argsort of edge_v, as one plain sort of edge_v * m + id where
         # that key fits in int64 (plain sorts run many times faster).
         if 0 < m and n * m < 2**63:
-            order = np.multiply(edge_v, m, out=keys)
-            order += np.arange(m)
+            order = np.multiply(edge_v, np.int64(m), out=keys)
+            order += np.arange(m, dtype=idx)
             order.sort()
             order %= m
         else:
@@ -133,13 +147,13 @@ class Graph:
         # below slots, in order, take the edges sorted by edge_v, so their row
         # ends; the above slots take the edges in id order, so their edge_v.
         slot_below = np.repeat(np.tile([True, False], n), np.stack([below, above], axis=1).ravel())
-        indices = np.empty(2 * m, dtype=np.int64)
-        edge_ids = np.empty(2 * m, dtype=np.int64)
+        indices = np.empty(2 * m, dtype=idx)
+        edge_ids = np.empty(2 * m, dtype=idx)
         indices[slot_below] = edge_u[order]
         edge_ids[slot_below] = order
         np.logical_not(slot_below, out=slot_below)
         indices[slot_below] = edge_v
-        edge_ids[slot_below] = np.arange(m)
+        edge_ids[slot_below] = np.arange(m, dtype=idx)
         return cls(n, indptr, indices, edge_u, edge_v, edge_ids)
 
     @property
@@ -193,13 +207,13 @@ def _triangle_pass(g: Graph, weights: np.ndarray | None) -> np.ndarray:
     n, m = g.node_count, g.edge_count
     out = np.zeros(m, dtype=np.int64 if weights is None else float)
     cols, deg = g.indices, g.degrees
-    rows = np.repeat(np.arange(n, dtype=np.int64), deg)  # local, so only the sums outlive the pass
+    rows = np.repeat(np.arange(n, dtype=cols.dtype), deg)  # local, so only the sums outlive the pass
     up = (deg[cols] > deg[rows]) | ((deg[cols] == deg[rows]) & (cols > rows))
     src, dst, eid = rows[up], cols[up], g.edge_ids[up]
     later = np.cumsum(np.bincount(src, minlength=n))[src] - np.arange(1, m + 1)
     ends = np.cumsum(later)  # wedges pair out-position p with the `later` ones of its row
     starts = ends - later
-    keys = g.edge_u * n + g.edge_v
+    keys = np.multiply(g.edge_u, np.int64(n)) + g.edge_v
     total = int(ends[-1]) if m else 0
     for lo in range(0, total, _WEDGE_CHUNK):
         hi = min(lo + _WEDGE_CHUNK, total)
@@ -207,7 +221,7 @@ def _triangle_pass(g: Graph, weights: np.ndarray | None) -> np.ndarray:
         span = np.arange(first, last + 1)
         p = np.repeat(span, np.minimum(ends[span], hi) - np.maximum(starts[span], lo))
         q = p + 1 + np.arange(lo, hi) - starts[p]
-        close = dst[p] * n + dst[q]
+        close = np.multiply(dst[p], np.int64(n)) + dst[q]
         at = np.minimum(np.searchsorted(keys, close), m - 1)
         hit = keys[at] == close
         p, q, at = p[hit], q[hit], at[hit]
@@ -217,7 +231,8 @@ def _triangle_pass(g: Graph, weights: np.ndarray | None) -> np.ndarray:
 
 
 class DirectedGraph:
-    """Immutable directed simple graph; only its out-adjacency is stored, in CSR form."""
+    """Immutable directed simple graph; only its out-adjacency is stored, in CSR
+    form: int64 out_indptr, and out_indices of type `index_dtype(n, m)`."""
 
     def __init__(self, node_count, out_indptr, out_indices):
         self.node_count = int(node_count)
@@ -233,10 +248,11 @@ class DirectedGraph:
         keys = _sorted_unique(src * n + dst)
         if raw - keys.shape[0]:
             logger.warning("dropped %d duplicate arc(s) while building directed graph", raw - keys.shape[0])
-        srcs = keys // n if n else keys
+        out_indices = np.empty(keys.shape[0], dtype=index_dtype(n, keys.shape[0]))
+        srcs, _ = np.divmod(keys, n, out=(keys, out_indices))
         out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(srcs, minlength=n), out=out_indptr[1:])
-        return cls(n, out_indptr, keys - srcs * n)
+        return cls(n, out_indptr, out_indices)
 
     def out_neighbors(self, v: int) -> np.ndarray:
         return self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]]

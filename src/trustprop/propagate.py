@@ -149,10 +149,11 @@ def _walk(g: Graph, init: np.ndarray, weights: np.ndarray, iterations: int,
     wsum = row_sums(lambda p0, p1, x: np.take(weights, eids[p0:p1], out=x, mode="clip"))
     # weight / column sum. The weight is one term of that sum, so a sum of 0
     # has only 0 weights, whose share 0 / 1e-300 is 0.
-    share = wsum[cols]
-    np.maximum(share, 1e-300, out=share)
+    share = np.empty(cols.shape[0])
     for _, _, p0, p1 in blocks:
-        np.divide(np.take(weights, eids[p0:p1], out=buf[:p1 - p0], mode="clip"), share[p0:p1], out=share[p0:p1])
+        col_sum = np.take(wsum, cols[p0:p1], out=share[p0:p1], mode="clip")
+        np.maximum(col_sum, 1e-300, out=col_sum)
+        np.divide(np.take(weights, eids[p0:p1], out=buf[:p1 - p0], mode="clip"), col_sum, out=col_sum)
     isolated = deg == 0
     scores = init.astype(float, copy=True)
     for _ in range(iterations):
@@ -233,16 +234,23 @@ def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
     out = np.empty((2, g.edge_count)) if out is None else out
     for lo in range(0, g.edge_count, _EDGE_CHUNK):
         e = slice(lo, lo + _EDGE_CHUNK)
-        forward = _send(cavity[g.edge_u[e]] - bwd[e], coupling[e])
-        out[1, e] = _send(cavity[g.edge_v[e]] - fwd[e], coupling[e])
+        forward = _send(np.take(cavity, g.edge_u[e], mode="clip") - bwd[e], coupling[e])
+        out[1, e] = _send(np.take(cavity, g.edge_v[e], mode="clip") - fwd[e], coupling[e])
         out[0, e] = forward
     return out
 
 
 def _incoming(g: Graph, messages: np.ndarray) -> np.ndarray:
-    """Sum of the log-odds messages into every node."""
-    return (np.bincount(g.edge_v, weights=messages[0], minlength=g.node_count)
-            + np.bincount(g.edge_u, weights=messages[1], minlength=g.node_count))
+    """Sum of the log-odds messages into every node: each direction summed in edge
+    order from 0.0, as a whole-array bincount sums it, but _EDGE_CHUNK edges at a
+    time, as bincount would first copy all int32 ids to intp (8 bytes per edge)."""
+    into_v, into_u = np.zeros(g.node_count), np.zeros(g.node_count)
+    for lo in range(0, g.edge_count, _EDGE_CHUNK):
+        e = slice(lo, lo + _EDGE_CHUNK)
+        np.add.at(into_v, g.edge_v[e], messages[0, e])
+        np.add.at(into_u, g.edge_u[e], messages[1, e])
+    into_v += into_u
+    return into_v
 
 
 def _send(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -258,7 +266,10 @@ def _softplus(t: np.ndarray) -> np.ndarray:
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
-    return np.log(p) - np.log1p(-p)
+    """log(p) - log1p(-p), the difference taken in place in the log(p) array."""
+    out = np.log(p)
+    out -= np.log1p(-p)
+    return out
 
 
 def _seed_distribution(g: Graph, seeds, what: str) -> np.ndarray:
@@ -318,7 +329,8 @@ def integro_edge_weights(g: Graph, victim_prob: np.ndarray, beta: float) -> np.n
         raise ValueError("victim probability array must cover every node")
     if not np.all((victim_prob >= 0.0) & (victim_prob <= 1.0)):
         raise ValueError("victim probabilities must lie in [0, 1]")
-    pmax = np.maximum(victim_prob[g.edge_u], victim_prob[g.edge_v])
+    pmax = np.maximum(np.take(victim_prob, g.edge_u, mode="clip"),
+                      np.take(victim_prob, g.edge_v, mode="clip"))
     return np.minimum(1.0, beta * (1.0 - pmax))
 
 

@@ -227,8 +227,14 @@ def simulate_edge_trust_scores(g: Graph, labels: np.ndarray, noise: NoiseConfig)
     if np.any(labels == UNKNOWN):
         raise ValueError("simulate_edge_trust_scores requires every node to be labeled")
     rng = np.random.default_rng(noise.rng_seed)
-    same = labels[g.edge_u] == labels[g.edge_v]
+    same = np.take(labels, g.edge_u, mode="clip") == np.take(labels, g.edge_v, mode="clip")
     flip = rng.random(g.edge_count)
-    high, low = _half_interval_draws(rng, g.edge_count)
     correct = np.where(same, flip >= noise.fnr, flip >= noise.fpr)
-    return np.where(same == correct, high, low)
+    del flip
+    # The draws and arithmetic of _half_interval_draws, with one float array alive
+    # besides the scores: 0.1 + 0.4 u where the score is wrong, 0.9 - 0.4 u where right.
+    u = rng.random(g.edge_count)
+    u *= 0.4
+    scores = np.add(0.1, u)
+    np.copyto(scores, np.subtract(0.9, u, out=u), where=same == correct)
+    return scores

@@ -322,7 +322,7 @@ def read_edge_scores(path, g: Graph) -> np.ndarray:
     lo, hi = np.minimum(rows["u"], rows["v"]), np.maximum(rows["u"], rows["v"])
     _check(path, (lo < 0) | (hi >= n), "node id out of range")
     keys = lo * n + hi
-    canon = np.append(g.edge_u * n + g.edge_v, -1)  # the -1 matches no key
+    canon = np.append(np.multiply(g.edge_u, np.int64(n)) + g.edge_v, -1)  # the -1 matches no key
     idx = np.searchsorted(canon[:-1], keys)
     _check(path, canon[idx] != keys, "edge not present in graph")
     _check(path, _repeats(idx), "repeated edge")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trustprop.graph import BENIGN, SYBIL, DirectedGraph, EdgeListParseError, Graph
-from trustprop.propagate import SEED_BENIGN_SCORE, SEED_SYBIL_SCORE, _incoming, _send
+from trustprop.propagate import SEED_BENIGN_SCORE, SEED_SYBIL_SCORE, _send
 
 
 def graph_from_pairs(n, pairs) -> Graph:
@@ -30,8 +30,8 @@ def has_edge(g: Graph, u: int, v: int) -> bool:
 
 
 def arcs(dg: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
-    """(source, target) of every arc, in CSR order (sources ascending)."""
-    return np.repeat(np.arange(dg.node_count), dg.out_degrees), dg.out_indices
+    """(source, target) of every arc as int64, in CSR order (sources ascending)."""
+    return np.repeat(np.arange(dg.node_count), dg.out_degrees), dg.out_indices.astype(np.int64)
 
 
 def in_neighbors(dg: DirectedGraph, v: int) -> np.ndarray:
@@ -264,7 +264,8 @@ def reverse_positions_oracle(g: Graph) -> np.ndarray:
     """Partner position of every CSR position by binary search over the row*n + col keys."""
     n = g.node_count
     rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    return np.searchsorted(rows * n + g.indices, g.indices * n + rows)
+    cols = g.indices.astype(np.int64)
+    return np.searchsorted(rows * n + cols, cols * n + rows)
 
 
 def preferential_attachment_oracle(n, edges_per_node, seed) -> Graph:
@@ -356,7 +357,9 @@ def lbp_two_vector_oracle(g: Graph, node_scores, edge_values, iterations) -> np.
 def lbp_round_oracle(g: Graph, prior, coupling, messages) -> np.ndarray:
     """One synchronous log-odds message round over whole edge arrays, unblocked."""
     fwd, bwd = messages
-    cavity = prior + _incoming(g, messages)
+    n = g.node_count
+    cavity = prior + (np.bincount(g.edge_v, weights=fwd, minlength=n)
+                      + np.bincount(g.edge_u, weights=bwd, minlength=n))
     return np.stack([_send(cavity[g.edge_u] - bwd, coupling), _send(cavity[g.edge_v] - fwd, coupling)])
 
 

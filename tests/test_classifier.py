@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,8 +57,19 @@ class TestTrain:
             train(features, TrainingSet(benign=np.arange(10), sybil=np.array([], dtype=int)))
 
     def test_overlapping_classes_error(self):
-        with pytest.raises(ValueError):
-            TrainingSet(benign=np.array([1, 2]), sybil=np.array([2, 3])).validate()
+        for benign, sybil in [([1, 2], [2, 3]), ([9, 4, 4], [0, 4]), ([5], [7, 5]), ([3, 1], [1])]:
+            with pytest.raises(ValueError, match="both benign and Sybil"):
+                TrainingSet(benign=np.array(benign), sybil=np.array(sybil)).validate()
+        for benign, sybil in [([1, 2], [3]), ([9, 4, 4], [0, 10, 0]), ([5], [7, 2])]:
+            TrainingSet(benign=np.array(benign), sybil=np.array(sybil)).validate()
+
+    def test_validate_does_not_import_numpy_ma(self):
+        code = ("import sys; import trustprop.cli; from trustprop.classifier import TrainingSet; "
+                "TrainingSet([4, 1], [3, 0]).validate(); print('numpy.ma' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                             check=True)
+        assert out.stdout.strip() == "False"
 
     def test_non_finite_features_error(self):
         features, training = toy_training()

@@ -101,7 +101,7 @@ class TestUsageErrors:
         assert run("components", "--graph", tmp_path / "nope.tsv", "--labels", tmp_path / "nope.tsv",
                    "--out-dir", tmp_path / "out") == 1
         assert "--labels is read only with --sybil-only" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "components.tsv").exists()
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["pipeline", "--graph", "graph.tsv", "--labels", "labels.tsv", "--top-k", "-3"],
@@ -360,7 +360,13 @@ class TestStageCommands:
     def test_score_edges_metric_and_value_conflict(self, scenario_dir):
         assert run("score-edges", "--graph", scenario_dir / "graph.tsv",
                    "--value", 0.9, "--metric", "jaccard",
-                   "--out-dir", scenario_dir) == 1
+                   "--out-dir", scenario_dir / "new" / "out") == 1
+        assert not (scenario_dir / "new").exists()
+        (scenario_dir / "empty").mkdir()  # an empty directory the run did not make stays
+        assert run("score-edges", "--graph", scenario_dir / "nope.tsv",
+                   "--value", 0.9, "--metric", "jaccard", "--out-dir", scenario_dir / "empty") == 1
+        assert (scenario_dir / "empty").is_dir()
+        assert not list((scenario_dir / "empty").iterdir())
 
     def test_components_and_modularity(self, scenario_dir, capsys):
         assert run("components", "--graph", scenario_dir / "graph.tsv",

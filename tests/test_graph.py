@@ -4,20 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustprop.graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError,
-                             Graph, component_census, component_labels, modularity, mutualize)
+                             Graph, component_census, component_labels, index_dtype, modularity,
+                             mutualize)
 from trustprop.metrics import sybil_component_classes
-from trustprop.tsvio import load_edge_list, load_graph
+from trustprop.tsvio import load_edge_list, load_graph, read_edge_scores, write_edge_scores
 
-from conftest import (bfs_components_oracle, dfs_components_oracle, digraph_from_pairs,
+from conftest import (arcs, bfs_components_oracle, dfs_components_oracle, digraph_from_pairs,
                       from_edges_sort_oracle, graph_from_pairs, modularity_pair_oracle,
                       mutualize_oracle, random_graph, reverse_positions_oracle, transpose)
 
 
 def assert_same_csr(g, n, u, v):
+    """g equals the sort oracle's CSR, with int64 indptr and, on these small
+    graphs, int32 node and edge ids."""
     want = from_edges_sort_oracle(n, u, v)
     got = (g.indptr, g.indices, g.edge_u, g.edge_v, g.edge_ids)
     for name, a, b in zip(("indptr", "indices", "edge_u", "edge_v", "edge_ids"), got, want):
-        assert a.dtype == np.int64, name
+        assert a.dtype == (np.int64 if name == "indptr" else np.int32), name
         assert np.array_equal(a, b), name
 
 
@@ -203,6 +206,76 @@ class TestMutualize:
             assert got.edge_count == 0
         elif shape == "every arc mutual":
             assert got.edge_count == len({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+
+
+class TestIndexWidth:
+    def test_rule_at_its_limits(self):
+        assert index_dtype(2**31 - 1, 2**30 - 1) is np.int32
+        assert index_dtype(2**31, 0) is np.int64
+        assert index_dtype(0, 2**30) is np.int64  # 2m = 2**31 CSR positions
+
+    def test_stored_widths(self):
+        dg = digraph_from_pairs(4, [(0, 1), (1, 0), (2, 3)])
+        g = mutualize(dg)
+        assert dg.out_indptr.dtype == g.indptr.dtype == np.int64
+        assert dg.out_indices.dtype == np.int32
+        assert all(a.dtype == np.int32 for a in (g.indices, g.edge_u, g.edge_v, g.edge_ids))
+
+
+# n * n > 2**31: an edge key u * n + v, or a stable-order key edge_v * m + id,
+# formed in int32 from stored ids would wrap.
+WIDE_N = 100_000
+WIDE_TOP = 2_000
+
+
+class TestWideKeys:
+    """Builds, triangles and edge-score reads on a graph whose edges all join the
+    top WIDE_TOP ids of WIDE_N nodes, given as int32 endpoint arrays."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = np.random.default_rng(17)
+        u, v = (WIDE_N - 1 - rng.integers(0, WIDE_TOP, (2, 60_000))).astype(np.int32)
+        return u, v
+
+    @pytest.fixture(scope="class")
+    def g(self, pairs):
+        return Graph.from_edges(WIDE_N, *pairs)
+
+    def test_build_matches_sort_oracle(self, pairs, g):
+        assert g.edge_count > 50_000 and int(g.edge_v.max()) * g.edge_count > 2**31
+        assert_same_csr(g, WIDE_N, *pairs)
+
+    def test_mutualize_matches_sort_oracle(self, pairs):
+        u, v = pairs
+        src_in = np.concatenate([u, v[::2]])  # every other arc reciprocated
+        dst_in = np.concatenate([v, u[::2]])
+        dg = DirectedGraph.from_edges(WIDE_N, src_in, dst_in)
+        keys = src_in.astype(np.int64) * WIDE_N + dst_in
+        src, dst = arcs(dg)
+        assert np.array_equal(src * WIDE_N + dst, np.unique(keys[src_in != dst_in]))
+        arc_set = set(zip(src_in.tolist(), dst_in.tolist()))
+        mu, mv = np.array(sorted((a, b) for a, b in arc_set if a < b and (b, a) in arc_set)).T
+        g = mutualize(dg)
+        assert int(g.edge_v.max()) * g.edge_count > 2**31
+        assert_same_csr(g, WIDE_N, mu, mv)
+
+    def test_triangle_sums_match_dense_count(self, g):
+        a = np.zeros((WIDE_TOP, WIDE_TOP))
+        low = WIDE_N - WIDE_TOP
+        a[g.edge_u - low, g.edge_v - low] = a[g.edge_v - low, g.edge_u - low] = 1.0
+        weights = np.random.default_rng(3).random(WIDE_N)
+        eu, ev = g.edge_u - low, g.edge_v - low
+        counts = (a @ a)[eu, ev]
+        sums = (a * weights[low:]) @ a
+        assert counts.sum() > 0
+        assert np.array_equal(g.triangle_sums(), counts.astype(np.int64))
+        assert np.allclose(g.triangle_sums(weights), sums[eu, ev], rtol=1e-12, atol=0.0)
+
+    def test_edge_scores_round_trip(self, g, tmp_path):
+        values = np.random.default_rng(4).random(g.edge_count)
+        write_edge_scores(tmp_path / "scores.tsv", g, values)
+        assert np.array_equal(read_edge_scores(tmp_path / "scores.tsv", g), values)
 
 
 def components(g, restrict_to=None):

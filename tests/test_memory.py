@@ -1,10 +1,11 @@
 """Memory guard: the traced allocation peak of each engine-side stage, per edge.
 
 A stage's peak counts what it allocates beyond its inputs, its output included.
-On a 200k-edge random graph the stages peak at about 68 (build), 36 (walk) and
-35 (LBP) bytes per edge. One more whole-array temporary of m int64 or float64
-values adds 8 bytes per edge, of 2m values 16, so the budgets below leave room
-for block-sized temporaries but not for a second copy of a graph array.
+On a 200k-edge random graph, stored with int32 ids, the stages peak at about
+40 (build), 19 (simulated edge scores), 30 (walk) and 35 (LBP) bytes per
+edge. One more whole-array temporary of m int64 or float64 values adds 8
+bytes per edge, of 2m values 16, so the budgets below leave room for
+block-sized temporaries but not for a second copy of a graph array.
 """
 
 import tracemalloc
@@ -14,8 +15,9 @@ import pytest
 
 from trustprop.graph import Graph
 from trustprop.propagate import weighted_lbp, weighted_random_walk
+from trustprop.synth import NoiseConfig, simulate_edge_trust_scores
 
-BUDGET_BYTES_PER_EDGE = {"build": 80, "walk": 44, "lbp": 42}
+BUDGET_BYTES_PER_EDGE = {"build": 46, "edge_scores": 25, "walk": 36, "lbp": 41}
 
 
 def _traced_peak(call) -> tuple:
@@ -34,10 +36,12 @@ def stage_peaks():
     u, v = rng.integers(0, n, m), rng.integers(0, n, m)
     g, build = _traced_peak(lambda: Graph.from_edges(n, u, v))
     node_scores = 0.05 + 0.9 * rng.random(n)
-    edge_scores = 0.05 + 0.9 * rng.random(g.edge_count)
+    labels = (rng.random(n) < 0.7).astype(np.int8)
+    edge_scores, scores = _traced_peak(
+        lambda: simulate_edge_trust_scores(g, labels, NoiseConfig(0.3, 0.3, 1)))
     _, walk = _traced_peak(lambda: weighted_random_walk(g, node_scores, edge_scores))
     _, lbp = _traced_peak(lambda: weighted_lbp(g, node_scores, edge_scores))
-    return g.edge_count, {"build": build, "walk": walk, "lbp": lbp}
+    return g.edge_count, {"build": build, "edge_scores": scores, "walk": walk, "lbp": lbp}
 
 
 @pytest.mark.parametrize("stage", sorted(BUDGET_BYTES_PER_EDGE))

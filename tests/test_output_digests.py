@@ -9,8 +9,10 @@ derived here from the generated text, so they do not go through the writer.
 
 import hashlib
 
+import numpy as np
 import pytest
 
+from trustprop import graph
 from trustprop.cli import dispatch
 
 TRAINING = ["--train-benign", "15", "--train-sybil", "15", "--seed", "6"]
@@ -139,3 +141,10 @@ def test_same_output_files(digests):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_bytes_unchanged(digests, name):
     assert digests.get(name) == GOLDEN[name]
+
+
+def test_int64_storage_writes_the_same_bytes(tmp_path, monkeypatch):
+    """Graphs past 2**31 nodes or positions store int64 ids; every file reads the same."""
+    monkeypatch.setattr(graph, "index_dtype", lambda n, m: np.int64)
+    assert graph.Graph.from_edges(2, [0], [1]).indices.dtype == np.int64
+    assert output_digests(tmp_path) == GOLDEN

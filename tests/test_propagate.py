@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustprop import graph as graph_module
 from trustprop import propagate
 from trustprop.classifier import TrainingSet
 from trustprop.propagate import (PropagationConfig, baseline_cia, baseline_integro,
                                  baseline_sybilbelief, baseline_sybilrank,
                                  default_walk_iterations, integro_edge_weights,
                                  update_messages, weighted_lbp, weighted_random_walk)
+from trustprop.synth import (NoiseConfig, ScenarioConfig, compose_attack_scenario,
+                             simulate_edge_trust_scores, simulate_trust_scores)
 
 from conftest import (graph_from_pairs, lbp_enumeration_oracle, lbp_round_oracle,
                       lbp_two_vector_oracle, random_graph, random_tree, walk_matrix_oracle,
@@ -538,3 +541,32 @@ class TestIntegro:
             d = int(rng.integers(1, 9))
             got = baseline_integro(g, seeds, np.zeros(15), beta=1.5, iterations=d)
             assert np.array_equal(got, baseline_sybilrank(g, seeds, iterations=d))
+
+
+class TestIndexWidth:
+    @pytest.mark.parametrize("chunks", [None, (1000, 3000)], ids=["default", "small-blocks"])
+    def test_int64_storage_gives_the_same_bytes(self, chunks, monkeypatch):
+        """Engines, baselines, simulated edge scores and triangle sums read the
+        same from int64 ids, which graphs past 2**31 nodes or positions store."""
+        if chunks:
+            monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunks[0])
+            monkeypatch.setattr(propagate, "_WALK_CHUNK", chunks[1])
+        cfg = ScenarioConfig(benign_count=1500, sybil_count=700, attack_edge_count=900, rng_seed=9)
+        narrow, labels = compose_attack_scenario(cfg)
+        monkeypatch.setattr(graph_module, "index_dtype", lambda n, m: np.int64)
+        wide, _ = compose_attack_scenario(cfg)
+        assert narrow.indices.dtype == np.int32 and wide.indices.dtype == np.int64
+        node_scores = simulate_trust_scores(labels, NoiseConfig(0.3, 0.3, 1))
+        seeds = TrainingSet(benign=[0, 5, 9], sybil=[1600, 1700])
+
+        def outputs(g):
+            edge_scores = simulate_edge_trust_scores(g, labels, NoiseConfig(0.3, 0.3, 2))
+            return [edge_scores,
+                    weighted_random_walk(g, node_scores, edge_scores, PropagationConfig(seeds=seeds)),
+                    weighted_lbp(g, node_scores, edge_scores, PropagationConfig(seeds=seeds)),
+                    baseline_sybilrank(g, seeds.benign), baseline_cia(g, seeds.sybil),
+                    baseline_sybilbelief(g, seeds), baseline_integro(g, seeds.benign, node_scores),
+                    g.triangle_sums(), g.triangle_sums(node_scores)]
+
+        for got, want in zip(outputs(wide), outputs(narrow)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

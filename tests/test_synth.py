@@ -89,8 +89,10 @@ def synth_digest() -> str:
             g, labels = compose_attack_scenario(case)
         else:
             g, labels = preferential_attachment(*case), np.empty(0, np.int8)
-        for a in (g.indptr, g.indices, g.edge_u, g.edge_v, labels):
-            h.update(np.ascontiguousarray(a).tobytes())
+        # Widened to int64, so the digest pins the values whatever width the graph stores.
+        for a in (g.indptr, g.indices, g.edge_u, g.edge_v):
+            h.update(a.astype(np.int64).tobytes())
+        h.update(labels.tobytes())
     return h.hexdigest()
 
 
