@@ -17,6 +17,7 @@ import numpy as np
 from .graph import BENIGN, SYBIL, UNKNOWN, Graph
 
 MODEL_FORMAT_VERSION = 1
+_MODEL_ARRAYS = ("mean", "scale", "weights")  # the model file's array rows, in order
 
 THRESHOLD_GRID = np.round(np.arange(1, 20) * 0.05, 2)
 
@@ -230,9 +231,8 @@ def save_model(path, model: LocalModel) -> None:
     """Write the versioned text model file."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"format\t{MODEL_FORMAT_VERSION}\n")
-        fh.write("mean\t" + "\t".join(repr(x) for x in model.mean.tolist()) + "\n")
-        fh.write("scale\t" + "\t".join(repr(x) for x in model.scale.tolist()) + "\n")
-        fh.write("weights\t" + "\t".join(repr(x) for x in model.weights.tolist()) + "\n")
+        for name in _MODEL_ARRAYS:
+            fh.write(name + "\t" + "\t".join(map(repr, getattr(model, name).tolist())) + "\n")
         fh.write(f"bias\t{model.bias!r}\n")
 
 
@@ -246,11 +246,7 @@ def load_model(path) -> LocalModel:
     if fields.get("format") != [str(MODEL_FORMAT_VERSION)]:
         raise ValueError(f"{path}: unsupported model format {fields.get('format')}")
     try:
-        return LocalModel(
-            mean=np.array([float(x) for x in fields["mean"]]),
-            scale=np.array([float(x) for x in fields["scale"]]),
-            weights=np.array([float(x) for x in fields["weights"]]),
-            bias=float(fields["bias"][0]),
-        )
+        return LocalModel(**{name: np.array([float(x) for x in fields[name]]) for name in _MODEL_ARRAYS},
+                          bias=float(fields["bias"][0]))
     except (KeyError, IndexError, ValueError) as exc:
         raise ValueError(f"{path}: malformed model file ({exc})") from None

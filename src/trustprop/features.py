@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import DirectedGraph, Graph, mutualize
+from .propagate import _scatter
 
 
 def req_ratios(dg: DirectedGraph, mutual: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -28,7 +29,7 @@ def clustering_all(g: Graph) -> np.ndarray:
     """Local clustering coefficient for every node: its linked ordered neighbor
     pairs (the triangle counts of its edges, summed) over k(k - 1)."""
     t, n, k = g.triangle_sums(), g.node_count, g.degrees
-    links = np.bincount(g.edge_u, t, minlength=n) + np.bincount(g.edge_v, t, minlength=n)
+    links = _scatter(np.zeros(n), (g.edge_u, t.__getitem__)) + _scatter(np.zeros(n), (g.edge_v, t.__getitem__))
     return np.where(k >= 2, links / np.maximum(k * (k - 1), 1), 0.0)
 
 

@@ -1,12 +1,12 @@
 """Graph structures and structural analysis.
 
-Graphs are stored in compressed sparse (CSR-style) adjacency form with dense
-integer node ids 0..n-1. Undirected graphs keep both directions of every edge
-in the adjacency arrays plus a canonical edge list (u < v) so that per-edge
-quantities (trust scores, weights) can be stored once per undirected edge.
-All graph objects are immutable after construction; derived arrays (position
-rows, the reverse index, per-edge triangle counts) are computed once and
-cached on the graph.
+Nodes have dense integer ids 0..n-1. An undirected graph stores its canonical
+edge list (u < v, ascending), so that per-edge quantities (trust scores,
+weights) are stored once per edge, and its degrees as a CSR row pointer; its
+CSR adjacency (both directions of every edge) is built only on first use. A
+directed graph stores its out-adjacency in CSR form. All graph objects are
+immutable after construction; derived arrays (the adjacency, position rows,
+the reverse index, per-edge triangle counts) are computed once and cached.
 
 Index arrays (node ids and edge ids) are stored as int32 while n < 2**31 and
 2m < 2**31, and as int64 past either limit (`index_dtype`); `indptr` is
@@ -16,6 +16,7 @@ stored index with n or m (the u * n + v edge keys) is formed in int64.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 
@@ -75,29 +76,26 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 
 class Graph:
-    """Immutable undirected simple graph in compressed adjacency form.
+    """Immutable undirected simple graph, stored as its canonical edge list.
 
     Attributes:
         node_count: number of nodes n.
         edge_count: number of undirected edges m.
-        indptr / indices: CSR arrays over 2m directed positions; neighbor
-            lists are sorted and symmetric.
-        edge_u / edge_v: canonical endpoints (edge_u < edge_v), length m.
-        edge_ids: per-position index into the canonical edge arrays, length 2m.
+        edge_u / edge_v: canonical endpoints (edge_u < edge_v), length m, ascending.
+        indptr: CSR row offsets (row r spans degree(r) positions), length n + 1.
+        indices / edge_ids: CSR arrays over 2m directed positions, built on first
+            read: sorted, symmetric neighbor lists and each position's edge id.
 
-    indptr is int64; indices, edge_u, edge_v and edge_ids have the type
+    indptr is int64; edge_u, edge_v, indices and edge_ids have the type
     `index_dtype(n, m)`: int32 while n < 2**31 and 2m < 2**31, else int64.
     """
 
-    def __init__(self, node_count, indptr, indices, edge_u, edge_v, edge_ids):
+    def __init__(self, node_count, indptr, edge_u, edge_v):
         self.node_count = int(node_count)
         self.indptr = indptr
-        self.indices = indices
         self.edge_u = edge_u
         self.edge_v = edge_v
-        self.edge_ids = edge_ids
         self.edge_count = int(edge_u.shape[0])
-        self._rows = None
         self._rev = None
         self._tri = None
 
@@ -105,9 +103,7 @@ class Graph:
     def from_edges(cls, node_count: int, u, v) -> "Graph":
         """Build a graph from endpoint arrays; self-loops and duplicates are dropped.
 
-        One sort of the keys min*n + max gives the canonical edges, which then
-        go straight into their CSR slots: row r lists its neighbors below r
-        (ordered by one stable sort on edge_v), then those above r (in order).
+        One sort of the keys min*n + max gives the canonical edges.
         """
         n = int(node_count)
         u, v = _clean_pairs(n, u, v, "undirected graph")
@@ -115,7 +111,7 @@ class Graph:
         keys = np.minimum(u, v)
         keys *= n
         keys += np.maximum(u, v)
-        del u, v  # only the keys go on to the fill
+        del u, v  # only the keys go on to the split
         keys = _sorted_unique(keys)
         dup = raw - keys.shape[0]
         if dup:
@@ -124,29 +120,38 @@ class Graph:
 
     @classmethod
     def _from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
-        """The graph of the ascending, unique canonical keys u * n + v (u < v).
-
-        `keys` may be overwritten: its buffer holds the stable order by edge_v.
-        """
+        """The graph of the ascending, unique canonical keys u * n + v (u < v)."""
         m = keys.shape[0]
         idx = index_dtype(n, m)
         edge_u, edge_v = np.divmod(keys, n, out=(np.empty(m, idx), np.empty(m, idx)))
-        below = np.bincount(edge_v, minlength=n)
-        above = np.bincount(edge_u, minlength=n)
-        indptr = np.concatenate(([0], np.cumsum(below + above)))
+        degrees = np.bincount(edge_v, minlength=n) + np.bincount(edge_u, minlength=n)
+        return cls(n, np.concatenate(([0], np.cumsum(degrees))), edge_u, edge_v)
+
+    indices = property(lambda self: self._adjacency[0])
+    edge_ids = property(lambda self: self._adjacency[1])
+
+    @functools.cached_property
+    def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, edge_ids), built on first read.
+
+        Row r lists its neighbors below r (the edges with edge_v == r, in id
+        order), then those above r (edge_u == r, in id order). The below slots,
+        in order, take the edges in stable order by edge_v, so their row ends;
+        the above slots take the edges in id order, so their edge_v.
+        """
+        n, m, edge_u, edge_v = self.node_count, self.edge_count, self.edge_u, self.edge_v
+        idx = edge_u.dtype
         # Stable argsort of edge_v, as one plain sort of edge_v * m + id where
         # that key fits in int64 (plain sorts run many times faster).
         if 0 < m and n * m < 2**63:
-            order = np.multiply(edge_v, np.int64(m), out=keys)
+            order = np.multiply(edge_v, np.int64(m))
             order += np.arange(m, dtype=idx)
             order.sort()
             order %= m
         else:
             order = np.argsort(edge_v, kind="stable")
-        # Each row's slots hold its `below` neighbors, then its `above` ones. The
-        # below slots, in order, take the edges sorted by edge_v, so their row
-        # ends; the above slots take the edges in id order, so their edge_v.
-        slot_below = np.repeat(np.tile([True, False], n), np.stack([below, above], axis=1).ravel())
+        below = np.bincount(edge_v, minlength=n)
+        slot_below = np.repeat(np.tile([True, False], n), np.stack([below, self.degrees - below], axis=1).ravel())
         indices = np.empty(2 * m, dtype=idx)
         edge_ids = np.empty(2 * m, dtype=idx)
         indices[slot_below] = edge_u[order]
@@ -154,7 +159,7 @@ class Graph:
         np.logical_not(slot_below, out=slot_below)
         indices[slot_below] = edge_v
         edge_ids[slot_below] = np.arange(m, dtype=idx)
-        return cls(n, indptr, indices, edge_u, edge_v, edge_ids)
+        return indices, edge_ids
 
     @property
     def degrees(self) -> np.ndarray:
@@ -164,10 +169,8 @@ class Graph:
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def position_rows(self) -> np.ndarray:
-        """Row (target) node id of every CSR position, cached."""
-        if self._rows is None:
-            self._rows = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
-        return self._rows
+        """Row (target) node id of every CSR position."""
+        return np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
 
     def triangle_sums(self, weights=None) -> np.ndarray:
         """Per canonical edge, the number of triangles through it (cached) or,
@@ -275,7 +278,11 @@ def mutualize(dg: DirectedGraph) -> Graph:
     n = dg.node_count
     src = np.repeat(np.arange(n, dtype=np.int64), dg.out_degrees)
     dst = dg.out_indices
-    keys = np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+    keys = np.minimum(src, dst)
+    keys *= n
+    keys += np.maximum(src, dst, out=src)
+    del src
+    keys.sort()
     return Graph._from_keys(n, keys[1:][keys[1:] == keys[:-1]])
 
 

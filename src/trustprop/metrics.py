@@ -20,11 +20,9 @@ CLASS_BENIGN = "benign"
 
 
 def _evaluation_mask(labels: np.ndarray, exclude) -> np.ndarray:
-    mask = np.asarray(labels) != UNKNOWN
+    mask = np.asarray(labels) != UNKNOWN  # a new array, so the exclusion writes to it alone
     if exclude is not None:
-        exclude = np.asarray(exclude, dtype=np.int64)
-        mask = mask.copy()
-        mask[exclude] = False
+        mask[np.asarray(exclude, dtype=np.int64)] = False
     return mask
 
 

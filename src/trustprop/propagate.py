@@ -10,10 +10,11 @@ Two engines spread local trust scores through the graph:
   run synchronously with one log-odds message per edge direction for d = 8
   rounds by default.
 
-Neither engine keeps a per-round temporary as long as the graph. An LBP
-round sends in blocks of edges whose temporaries fit in the L2 cache,
-into the one message array it updates in place; a walk round sums over
-blocks of whole CSR rows. Both give results identical to whole-array rounds.
+Both engines run over the canonical edge list, never the CSR adjacency, in
+blocks of edges whose temporaries fit in the L2 cache, so neither keeps a
+per-round temporary as long as the graph. An LBP round sends into the one
+message array it updates in place; a walk round adds up each node's CSR row
+in row order. Both give results identical to whole-array rounds.
 
 Baselines (seed-only random walk with final degree normalization, a
 restart walk from Sybil seeds, seed-only belief propagation, and the
@@ -122,43 +123,24 @@ def _walk(g: Graph, init: np.ndarray, weights: np.ndarray, iterations: int,
     per_weighted_degree, the final scores are divided by each node's total
     incident weight; nodes with none keep theirs.
 
-    Per-row sums run over blocks of whole rows, about _WALK_CHUNK positions
-    each, with block-local row ids. Each row's sum starts from 0.0 and adds
-    its positions in CSR order, as one bincount over all positions does, so
-    the result is bit-identical to an unblocked walk.
+    Each node sums its CSR row from 0.0: the edges it ends (edge_v), then those
+    it starts (edge_u), each in edge order, as one bincount over all CSR
+    positions does, so the blocked sums are bit-identical to it.
     """
-    n, indptr, cols, eids, deg = g.node_count, g.indptr, g.indices, g.edge_ids, g.degrees
-    starts = np.searchsorted(indptr, np.arange(_WALK_CHUNK, cols.shape[0], _WALK_CHUNK), side="right") - 1
-    bounds = sorted({0, n, *starts.tolist()})  # not np.unique, whose first call imports numpy.ma (1 MiB)
-    blocks = [(r0, r1, int(indptr[r0]), int(indptr[r1])) for r0, r1 in zip(bounds[:-1], bounds[1:])]
-
-    # One buffer takes every block's values: a fresh block-sized array per block
-    # and round made the walk about twice as slow on sweep-sized graphs.
-    buf = np.empty(max((p1 - p0 for _, _, p0, p1 in blocks), default=0))
-
-    def row_sums(fill) -> np.ndarray:
-        """Per row, the sum over its positions of the block values fill(p0, p1, x) writes to x."""
-        out = np.empty(n)
-        for r0, r1, p0, p1 in blocks:
-            x = buf[:p1 - p0]
-            fill(p0, p1, x)
-            out[r0:r1] = np.bincount(np.repeat(np.arange(r1 - r0), deg[r0:r1]), weights=x, minlength=r1 - r0)
-        return out
-
-    # take(mode="clip") writes to x itself; mode="raise" would copy x first.
-    wsum = row_sums(lambda p0, p1, x: np.take(weights, eids[p0:p1], out=x, mode="clip"))
-    # weight / column sum. The weight is one term of that sum, so a sum of 0
-    # has only 0 weights, whose share 0 / 1e-300 is 0.
-    share = np.empty(cols.shape[0])
-    for _, _, p0, p1 in blocks:
-        col_sum = np.take(wsum, cols[p0:p1], out=share[p0:p1], mode="clip")
-        np.maximum(col_sum, 1e-300, out=col_sum)
-        np.divide(np.take(weights, eids[p0:p1], out=buf[:p1 - p0], mode="clip"), col_sum, out=col_sum)
-    isolated = deg == 0
+    n, edge_u, edge_v = g.node_count, g.edge_u, g.edge_v
+    wsum = _scatter(np.zeros(n), (edge_v, weights.__getitem__), (edge_u, weights.__getitem__))
+    # weight / sum at the sending end. The weight is one term of that sum, so a
+    # sum of 0 has only 0 weights, whose share 0 / 1e-300 is 0.
+    share_b, share_a = np.empty(g.edge_count), np.empty(g.edge_count)  # sent by edge_u, by edge_v
+    for lo in range(0, g.edge_count, _EDGE_CHUNK):
+        e = slice(lo, lo + _EDGE_CHUNK)
+        share_b[e] = weights[e] / np.maximum(np.take(wsum, edge_u[e], mode="clip"), 1e-300)
+        share_a[e] = weights[e] / np.maximum(np.take(wsum, edge_v[e], mode="clip"), 1e-300)
+    isolated = g.degrees == 0
     scores = init.astype(float, copy=True)
     for _ in range(iterations):
-        scores = row_sums(lambda p0, p1, x: np.multiply(np.take(scores, cols[p0:p1], out=x, mode="clip"),
-                                                         share[p0:p1], out=x))
+        scores = _scatter(np.zeros(n), (edge_v, lambda e: np.take(scores, edge_u[e], mode="clip") * share_b[e]),
+                          (edge_u, lambda e: np.take(scores, edge_v[e], mode="clip") * share_a[e]))
         if restart:
             scores = (1.0 - restart) * scores + restart * restart_dist
         if hold_isolated:
@@ -206,11 +188,9 @@ def weighted_lbp(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
     return _sigmoid(prior + _incoming(g, messages))
 
 
-# Edges per block of an LBP message round: a block's float64 temporaries
+# Edges per block of a walk or LBP round: a block's float64 temporaries
 # (256 KiB each) stay in a core's L2 cache.
 _EDGE_CHUNK = 1 << 15
-# CSR positions per block of a walk round, so no per-round temporary spans all 2m positions.
-_WALK_CHUNK = 1 << 17
 
 
 def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
@@ -241,16 +221,22 @@ def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
 
 
 def _incoming(g: Graph, messages: np.ndarray) -> np.ndarray:
-    """Sum of the log-odds messages into every node: each direction summed in edge
-    order from 0.0, as a whole-array bincount sums it, but _EDGE_CHUNK edges at a
-    time, as bincount would first copy all int32 ids to intp (8 bytes per edge)."""
-    into_v, into_u = np.zeros(g.node_count), np.zeros(g.node_count)
-    for lo in range(0, g.edge_count, _EDGE_CHUNK):
-        e = slice(lo, lo + _EDGE_CHUNK)
-        np.add.at(into_v, g.edge_v[e], messages[0, e])
-        np.add.at(into_u, g.edge_u[e], messages[1, e])
-    into_v += into_u
+    """Sum of the log-odds messages into every node: each direction summed on its own."""
+    into_v = _scatter(np.zeros(g.node_count), (g.edge_v, lambda e: messages[0, e]))
+    into_v += _scatter(np.zeros(g.node_count), (g.edge_u, lambda e: messages[1, e]))
     return into_v
+
+
+def _scatter(acc: np.ndarray, *sources) -> np.ndarray:
+    """For each (ends, values) source in turn, add values(e) to acc at ends[e] over
+    the blocks e of _EDGE_CHUNK edges; return acc. Each node's sum runs in source
+    and edge order, as a whole-array bincount's does, but no m-sized temporary is
+    made: bincount would first copy all int32 ids to intp (8 bytes per edge)."""
+    for ends, values in sources:
+        for lo in range(0, ends.shape[0], _EDGE_CHUNK):
+            e = slice(lo, lo + _EDGE_CHUNK)
+            np.add.at(acc, ends[e], values(e))
+    return acc
 
 
 def _send(x: np.ndarray, c: np.ndarray) -> np.ndarray:

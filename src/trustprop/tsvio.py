@@ -254,10 +254,11 @@ def write_edge_list(path, g) -> None:
     write_rows(path, src, dst)
 
 
-def read_by_node(files, ids=None) -> list[np.ndarray]:
+def read_by_node(files, ids=None, score_domain=None) -> list[np.ndarray]:
     """Per-node arrays of `(path, kind)` files, kind "label", "score" or "features",
     over the id space `ids` of `load_graph` (by default the files' largest id + 1).
-    Each node may be given once, and a row whose id is not a node is a data error;
+    Each node may be given once, and a row whose id is not a node is a data error,
+    as is a score outside the open interval `score_domain` when one is given;
     nodes a file leaves out are unknown (labels), nan (scores) or zero (features)."""
     tables = []
     for path, kind in files:
@@ -271,6 +272,9 @@ def read_by_node(files, ids=None) -> list[np.ndarray]:
         if kind == "label":
             _check(path, (values != BENIGN) & (values != SYBIL), "label must be 0 or 1")
             values = values.astype(np.int8)
+        if kind == "score" and score_domain:
+            _check(path, ~((values > score_domain[0]) & (values < score_domain[1])),
+                   f"score must lie strictly inside {score_domain}")
         tables.append((path, kind, rows["node"], values))
     if ids is None:
         ids = _node_count([(path, nodes) for path, _, nodes, _ in tables])
@@ -315,9 +319,13 @@ def write_edge_scores(path, g: Graph, values: np.ndarray) -> None:
     write_rows(path, g.edge_u, g.edge_v, values)
 
 
-def read_edge_scores(path, g: Graph) -> np.ndarray:
-    """Read per-edge scores; every edge of g must be covered exactly once."""
+def read_edge_scores(path, g: Graph, domain=None) -> np.ndarray:
+    """Read per-edge scores; every edge of g must be covered exactly once, and
+    each score lie inside the open interval `domain` when one is given."""
     rows = read_rows(path, [("u", np.int64), ("v", np.int64), ("score", np.float64)])
+    if domain:
+        _check(path, ~((rows["score"] > domain[0]) & (rows["score"] < domain[1])),
+               f"edge score must lie strictly inside {domain}")
     n, m = g.node_count, g.edge_count
     lo, hi = np.minimum(rows["u"], rows["v"]), np.maximum(rows["u"], rows["v"])
     _check(path, (lo < 0) | (hi >= n), "node id out of range")

@@ -161,6 +161,22 @@ class TestBadInputFiles:
                    "--edge-scores", tmp_path / "e.tsv", "--out-dir", tmp_path) == 2
         assert "e.tsv:2: repeated edge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("nodes, edges, message", [
+        ("0\t0.6\n1\t0.4\n2\t0\n", "0\t1\t0.9\n1\t2\t0.5\n",
+         "n.tsv:3: score must lie strictly inside (0, 1), got '2\\t0'"),
+        ("0\t0.6\n1\t0.4\n2\t0.5\n", "0\t1\t0.9\n# comment\n1\t2\t1.5\n",
+         "e.tsv:3: edge score must lie strictly inside (0, 1), got '1\\t2\\t1.5'"),
+    ], ids=["node", "edge"])
+    def test_lbp_score_outside_unit_interval_names_row(self, tmp_path, capsys, nodes, edges, message):
+        (tmp_path / "g.tsv").write_text("0\t1\n1\t2\n")
+        (tmp_path / "n.tsv").write_text(nodes)
+        (tmp_path / "e.tsv").write_text(edges)
+        argv = ["propagate", "--graph", tmp_path / "g.tsv", "--node-scores", tmp_path / "n.tsv",
+                "--edge-scores", tmp_path / "e.tsv", "--out-dir", tmp_path]
+        assert run(*argv, "--engine", "lbp") == 2
+        assert message in capsys.readouterr().err
+        assert run(*argv, "--engine", "random_walk") == 0  # the walk accepts these scores
+
 
 class TestSparseIds:
     """Ids used as given that are far above the rows read exit 2 before any node array exists."""

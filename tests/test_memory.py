@@ -2,10 +2,14 @@
 
 A stage's peak counts what it allocates beyond its inputs, its output included.
 On a 200k-edge random graph, stored with int32 ids, the stages peak at about
-40 (build), 19 (simulated edge scores), 30 (walk) and 35 (LBP) bytes per
+32 (build), 19 (simulated edge scores), 21 (walk) and 35 (LBP) bytes per
 edge. One more whole-array temporary of m int64 or float64 values adds 8
 bytes per edge, of 2m values 16, so the budgets below leave room for
 block-sized temporaries but not for a second copy of a graph array.
+
+The graph itself stores its canonical edge list (8 bytes per edge at int32)
+and the n + 1 int64 row pointer; none of these stages builds the CSR
+adjacency, which would add 16 bytes per edge.
 """
 
 import tracemalloc
@@ -17,7 +21,7 @@ from trustprop.graph import Graph
 from trustprop.propagate import weighted_lbp, weighted_random_walk
 from trustprop.synth import NoiseConfig, simulate_edge_trust_scores
 
-BUDGET_BYTES_PER_EDGE = {"build": 46, "edge_scores": 25, "walk": 36, "lbp": 41}
+BUDGET_BYTES_PER_EDGE = {"build": 38, "edge_scores": 25, "walk": 27, "lbp": 41}
 
 
 def _traced_peak(call) -> tuple:
@@ -41,12 +45,19 @@ def stage_peaks():
         lambda: simulate_edge_trust_scores(g, labels, NoiseConfig(0.3, 0.3, 1)))
     _, walk = _traced_peak(lambda: weighted_random_walk(g, node_scores, edge_scores))
     _, lbp = _traced_peak(lambda: weighted_lbp(g, node_scores, edge_scores))
-    return g.edge_count, {"build": build, "edge_scores": scores, "walk": walk, "lbp": lbp}
+    return g, {"build": build, "edge_scores": scores, "walk": walk, "lbp": lbp}
 
 
 @pytest.mark.parametrize("stage", sorted(BUDGET_BYTES_PER_EDGE))
 def test_stage_peak_within_budget(stage_peaks, stage):
-    edges, peaks = stage_peaks
-    assert edges > 199_000
-    per_edge = peaks[stage] / edges
+    g, peaks = stage_peaks
+    assert g.edge_count > 199_000
+    per_edge = peaks[stage] / g.edge_count
     assert per_edge <= BUDGET_BYTES_PER_EDGE[stage], f"{stage} peaked at {per_edge:.1f} B per edge"
+
+
+def test_graph_stores_its_edge_list_and_row_pointer(stage_peaks):
+    g, _ = stage_peaks
+    stored = sum(a.nbytes for x in vars(g).values() for a in (x if isinstance(x, tuple) else (x,))
+                 if isinstance(a, np.ndarray))
+    assert stored <= 8 * g.edge_count + 8 * (g.node_count + 1), f"graph stores {stored} B"

@@ -156,7 +156,7 @@ def _hub_graph() -> tuple:
 
 
 class TestBlockedWalk:
-    """The walk's row-aligned blocks give the whole-array walk bit for bit."""
+    """The walk's edge blocks give the whole-array walk bit for bit."""
 
     SETUPS = {
         "plain": {"hold_isolated": True},
@@ -171,7 +171,7 @@ class TestBlockedWalk:
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     @pytest.mark.parametrize("setup", sorted(SETUPS))
     def test_matches_whole_array_walk(self, chunk, setup, monkeypatch):
-        monkeypatch.setattr(propagate, "_WALK_CHUNK", chunk)
+        monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunk)
         g, weights, init = _hub_graph()
         assert g.degrees.max() > 64 and np.any(g.degrees == 0)
         total = np.bincount(g.edge_u, weights, g.node_count) + np.bincount(g.edge_v, weights, g.node_count)
@@ -186,7 +186,7 @@ class TestBlockedWalk:
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_edgeless_graph(self, chunk, n, monkeypatch):
-        monkeypatch.setattr(propagate, "_WALK_CHUNK", chunk)
+        monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunk)
         g = graph_from_pairs(n, [])
         init = np.linspace(0.1, 0.9, n)
         for kwargs in ({}, {"hold_isolated": True}, {"per_weighted_degree": True}):
@@ -196,7 +196,7 @@ class TestBlockedWalk:
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_engines_match_whole_array_walk(self, chunk, monkeypatch):
-        monkeypatch.setattr(propagate, "_WALK_CHUNK", chunk)
+        monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunk)
         g, weights, init = _hub_graph()
         d = default_walk_iterations(g.node_count)
         assert weighted_random_walk(g, init, weights).tobytes() == \
@@ -544,13 +544,12 @@ class TestIntegro:
 
 
 class TestIndexWidth:
-    @pytest.mark.parametrize("chunks", [None, (1000, 3000)], ids=["default", "small-blocks"])
-    def test_int64_storage_gives_the_same_bytes(self, chunks, monkeypatch):
+    @pytest.mark.parametrize("chunk", [None, 1000], ids=["default", "small-blocks"])
+    def test_int64_storage_gives_the_same_bytes(self, chunk, monkeypatch):
         """Engines, baselines, simulated edge scores and triangle sums read the
         same from int64 ids, which graphs past 2**31 nodes or positions store."""
-        if chunks:
-            monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunks[0])
-            monkeypatch.setattr(propagate, "_WALK_CHUNK", chunks[1])
+        if chunk:
+            monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunk)
         cfg = ScenarioConfig(benign_count=1500, sybil_count=700, attack_edge_count=900, rng_seed=9)
         narrow, labels = compose_attack_scenario(cfg)
         monkeypatch.setattr(graph_module, "index_dtype", lambda n, m: np.int64)
@@ -570,3 +569,28 @@ class TestIndexWidth:
 
         for got, want in zip(outputs(wide), outputs(narrow)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestLazyAdjacency:
+    def test_engines_leave_the_adjacency_unbuilt(self):
+        """Engines, baselines and simulated edge scores read only the edge list;
+        the triangle pass and neighbor lists build the CSR adjacency, once."""
+        cfg = ScenarioConfig(benign_count=300, sybil_count=150, attack_edge_count=100, rng_seed=3)
+        g, labels = compose_attack_scenario(cfg)
+        node_scores = simulate_trust_scores(labels, NoiseConfig(0.2, 0.2, 1))
+        edge_scores = simulate_edge_trust_scores(g, labels, NoiseConfig(0.2, 0.2, 2))
+        seeds = TrainingSet(benign=[0, 5], sybil=[310])
+        weighted_random_walk(g, node_scores, edge_scores, PropagationConfig(seeds=seeds))
+        weighted_lbp(g, node_scores, edge_scores, PropagationConfig(seeds=seeds))
+        baseline_sybilrank(g, seeds.benign)
+        baseline_cia(g, seeds.sybil)
+        baseline_sybilbelief(g, seeds)
+        baseline_integro(g, seeds.benign, node_scores)
+        assert "_adjacency" not in vars(g)
+        g.triangle_sums()
+        adjacency = vars(g)["_adjacency"]
+        assert np.array_equal(g.neighbors(7), np.sort(np.concatenate(
+            [g.edge_u[g.edge_v == 7], g.edge_v[g.edge_u == 7]])))
+        g.triangle_sums(node_scores)
+        assert vars(g)["_adjacency"] is adjacency
+        assert g.indices is adjacency[0] and g.edge_ids is adjacency[1]

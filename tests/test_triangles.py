@@ -93,7 +93,7 @@ def test_chunk_budget_does_not_change_results(monkeypatch, budget):
             for g in graphs]
     monkeypatch.setattr(graph_module, "_WEDGE_CHUNK", budget)
     for g, (counts, sims) in zip(graphs, want):
-        fresh = Graph(g.node_count, g.indptr, g.indices, g.edge_u, g.edge_v, g.edge_ids)
+        fresh = Graph(g.node_count, g.indptr, g.edge_u, g.edge_v)
         assert np.array_equal(fresh.triangle_sums(), counts)
         for metric, expected in zip(SIMILARITY_METRICS, sims):
             got = edge_similarity(fresh, metric)
