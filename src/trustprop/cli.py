@@ -256,10 +256,10 @@ def _cmd_score_edges(args, out: Path) -> int:
 
 def _cmd_propagate(args, out: Path) -> int:
     graph = load_edge_list(args.graph, directed=False)
-    domain = (0, 1) if args.engine == "lbp" else None  # LBP potentials; the walk takes any non-negative score
+    domain = propagate.SCORE_DOMAINS[args.engine]
     node_scores, = tsvio.read_by_node([(args.node_scores, "score")], graph.node_count, domain)
-    if not np.isfinite(node_scores).all():
-        raise ValueError(f"{args.node_scores}: missing or non-finite score for some nodes")
+    if np.isnan(node_scores).any():
+        raise ValueError(f"{args.node_scores}: missing score for some nodes")
     edge_scores = tsvio.read_edge_scores(args.edge_scores, graph, domain)
     seeds = (classifier.TrainingSet.from_labels(
         tsvio.read_by_node([(args.seeds, "label")], graph.node_count)[0]) if args.seeds else None)

@@ -2,11 +2,13 @@
 
 Nodes have dense integer ids 0..n-1. An undirected graph stores its canonical
 edge list (u < v, ascending), so that per-edge quantities (trust scores,
-weights) are stored once per edge, and its degrees as a CSR row pointer; its
-CSR adjacency (both directions of every edge) is built only on first use. A
-directed graph stores its out-adjacency in CSR form. All graph objects are
-immutable after construction; derived arrays (the adjacency, position rows,
-the reverse index, per-edge triangle counts) are computed once and cached.
+weights) are stored once per edge, and its degrees as a CSR row pointer. Every
+library kernel, the triangle pass included, reads the edge list; the CSR
+adjacency (both directions of every edge) is built only for `neighbors` and
+the position helpers. A directed graph stores its out-adjacency in CSR form.
+All graph objects are immutable after construction; derived arrays (the
+adjacency, the reverse index, per-edge triangle counts) are computed once and
+cached.
 
 Index arrays (node ids and edge ids) are stored as int32 while n < 2**31 and
 2m < 2**31, and as int64 past either limit (`index_dtype`); `indptr` is
@@ -47,8 +49,10 @@ class EdgeListParseError(ValueError):
     """Raised for malformed data files (the message names the file and line)."""
 
 
-def _clean_pairs(n: int, a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """Endpoint arrays as int64 and within the n nodes, self-loops dropped and counted in the log."""
+def _unique_keys(n: int, a, b, undirected: bool) -> tuple[np.ndarray, int]:
+    """The ascending distinct keys a * n + b (min * n + max if `undirected`) of
+    the pairs within the n nodes, and how many repeats were dropped. Self-loops
+    are dropped and counted in the log: their keys become -1, which sorts first."""
     if n < 0:
         raise ValueError("node_count must be non-negative")
     if n > _MAX_NODES:
@@ -60,11 +64,18 @@ def _clean_pairs(n: int, a, b, what: str) -> tuple[np.ndarray, np.ndarray]:
     if a.size and (a.min() < 0 or b.min() < 0 or max(a.max(), b.max()) >= n):
         raise ValueError("edge endpoint out of range")
     loops = a == b
-    dropped = int(loops.sum())
+    keys = np.minimum(a, b) if undirected else a.copy()
+    keys *= n
+    keys += np.maximum(a, b) if undirected else b
+    dropped = int(np.count_nonzero(loops))
     if dropped:
+        what = "undirected graph" if undirected else "directed graph"
         logger.warning("dropped %d self-loop%s while building %s", dropped, "s" if dropped != 1 else "", what)
-        a, b = a[~loops], b[~loops]
-    return a, b
+        keys[loops] = -1
+    del a, b, loops  # only the keys go on to the sort
+    raw = keys.shape[0] - dropped
+    keys = _sorted_unique(keys)[1 if dropped else 0:]
+    return keys, raw - keys.shape[0]
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -85,6 +96,7 @@ class Graph:
         indptr: CSR row offsets (row r spans degree(r) positions), length n + 1.
         indices / edge_ids: CSR arrays over 2m directed positions, built on first
             read: sorted, symmetric neighbor lists and each position's edge id.
+            Only `neighbors`, `position_rows` and `reverse_positions` read them.
 
     indptr is int64; edge_u, edge_v, indices and edge_ids have the type
     `index_dtype(n, m)`: int32 while n < 2**31 and 2m < 2**31, else int64.
@@ -106,14 +118,7 @@ class Graph:
         One sort of the keys min*n + max gives the canonical edges.
         """
         n = int(node_count)
-        u, v = _clean_pairs(n, u, v, "undirected graph")
-        raw = u.shape[0]
-        keys = np.minimum(u, v)
-        keys *= n
-        keys += np.maximum(u, v)
-        del u, v  # only the keys go on to the split
-        keys = _sorted_unique(keys)
-        dup = raw - keys.shape[0]
+        keys, dup = _unique_keys(n, u, v, undirected=True)
         if dup:
             logger.warning("dropped %d duplicate edge%s while building undirected graph", dup, "s" if dup != 1 else "")
         return cls._from_keys(n, keys)
@@ -132,34 +137,14 @@ class Graph:
 
     @functools.cached_property
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, edge_ids), built on first read.
-
-        Row r lists its neighbors below r (the edges with edge_v == r, in id
-        order), then those above r (edge_u == r, in id order). The below slots,
-        in order, take the edges in stable order by edge_v, so their row ends;
-        the above slots take the edges in id order, so their edge_v.
-        """
-        n, m, edge_u, edge_v = self.node_count, self.edge_count, self.edge_u, self.edge_v
-        idx = edge_u.dtype
-        # Stable argsort of edge_v, as one plain sort of edge_v * m + id where
-        # that key fits in int64 (plain sorts run many times faster).
-        if 0 < m and n * m < 2**63:
-            order = np.multiply(edge_v, np.int64(m))
-            order += np.arange(m, dtype=idx)
-            order.sort()
-            order %= m
-        else:
-            order = np.argsort(edge_v, kind="stable")
-        below = np.bincount(edge_v, minlength=n)
-        slot_below = np.repeat(np.tile([True, False], n), np.stack([below, self.degrees - below], axis=1).ravel())
-        indices = np.empty(2 * m, dtype=idx)
-        edge_ids = np.empty(2 * m, dtype=idx)
-        indices[slot_below] = edge_u[order]
-        edge_ids[slot_below] = order
-        np.logical_not(slot_below, out=slot_below)
-        indices[slot_below] = edge_v
-        edge_ids[slot_below] = np.arange(m, dtype=idx)
-        return indices, edge_ids
+        """(indices, edge_ids), built on first read by one stable sort of both
+        directions of every edge by row: row r lists its neighbors below r
+        (the edges with edge_v == r, in id order), then those above r (edge_u
+        == r, in id order). Entry k of the two directions is edge k mod m."""
+        order = np.argsort(np.concatenate([self.edge_v, self.edge_u]), kind="stable")
+        indices = np.concatenate([self.edge_u, self.edge_v])[order]
+        order %= self.edge_count
+        return indices, order.astype(self.edge_u.dtype, copy=False)
 
     @property
     def degrees(self) -> np.ndarray:
@@ -200,22 +185,25 @@ _WEDGE_CHUNK = 1 << 16
 def _triangle_pass(g: Graph, weights: np.ndarray | None) -> np.ndarray:
     """Forward triangle listing (Schank & Wagner 2005; Latapy 2008).
 
-    Each edge points toward its endpoint higher in (degree, id) order, so a
-    triangle is found once: as a wedge of out-positions p < q of its lowest
-    vertex (in CSR order, so the targets ascend) closed by an edge that one
+    Each canonical edge points toward its endpoint higher in (degree, id)
+    order; as u < v, it flips only when deg[u] > deg[v]. One argsort of the
+    oriented keys src * n + dst lists each node's out-edges with their targets
+    ascending, and its index is the edge id. A triangle is then found once: as
+    a wedge of out-edges p < q of its lowest vertex, closed by an edge that one
     binary search finds among the sorted canonical keys. Wedges are expanded
     _WEDGE_CHUNK at a time; each hit adds 1, or the weight of the vertex
     opposite, to the triangle's three edges.
     """
     n, m = g.node_count, g.edge_count
     out = np.zeros(m, dtype=np.int64 if weights is None else float)
-    cols, deg = g.indices, g.degrees
-    rows = np.repeat(np.arange(n, dtype=cols.dtype), deg)  # local, so only the sums outlive the pass
-    up = (deg[cols] > deg[rows]) | ((deg[cols] == deg[rows]) & (cols > rows))
-    src, dst, eid = rows[up], cols[up], g.edge_ids[up]
+    deg = g.degrees
+    flip = deg[g.edge_u] > deg[g.edge_v]
+    src, dst = np.where(flip, g.edge_v, g.edge_u), np.where(flip, g.edge_u, g.edge_v)
+    eid = np.argsort(np.multiply(src, np.int64(n)) + dst)  # the keys are distinct, so the order is unique
+    src, dst = src[eid], dst[eid]
     later = np.cumsum(np.bincount(src, minlength=n))[src] - np.arange(1, m + 1)
     ends = np.cumsum(later)  # wedges pair out-position p with the `later` ones of its row
-    starts = ends - later
+    starts = np.subtract(ends, later, out=later)
     keys = np.multiply(g.edge_u, np.int64(n)) + g.edge_v
     total = int(ends[-1]) if m else 0
     for lo in range(0, total, _WEDGE_CHUNK):
@@ -246,11 +234,9 @@ class DirectedGraph:
     @classmethod
     def from_edges(cls, node_count: int, src, dst) -> "DirectedGraph":
         n = int(node_count)
-        src, dst = _clean_pairs(n, src, dst, "directed graph")
-        raw = src.shape[0]
-        keys = _sorted_unique(src * n + dst)
-        if raw - keys.shape[0]:
-            logger.warning("dropped %d duplicate arc(s) while building directed graph", raw - keys.shape[0])
+        keys, dup = _unique_keys(n, src, dst, undirected=False)
+        if dup:
+            logger.warning("dropped %d duplicate arc(s) while building directed graph", dup)
         out_indices = np.empty(keys.shape[0], dtype=index_dtype(n, keys.shape[0]))
         srcs, _ = np.divmod(keys, n, out=(keys, out_indices))
         out_indptr = np.zeros(n + 1, dtype=np.int64)

@@ -42,6 +42,11 @@ DEFAULT_LBP_ITERATIONS = 8
 # Engine name -> (label of its pipeline scores, engine function name); callers
 # fetch the function from this module at call time, so wrappers on it apply.
 ENGINES = {"random_walk": ("sf_rw", "weighted_random_walk"), "lbp": ("sf_lbp", "weighted_lbp")}
+# Engine name -> the domain of its node and edge scores, as a test and the
+# phrase of its error: LBP potentials lie strictly inside (0, 1); the walk
+# needs only finite, non-negative scores and weights.
+SCORE_DOMAINS = {"random_walk": (lambda x: (x >= 0) & (x < np.inf), "must be finite and non-negative"),
+                 "lbp": (lambda x: (x > 0) & (x < 1), "must lie strictly inside (0, 1)")}
 
 
 def get_engine(name: str):
@@ -80,19 +85,16 @@ def _apply_seeds(scores: np.ndarray, seeds: TrainingSet | None) -> np.ndarray:
     return scores
 
 
-def _check_scores(values, count: int, what: str, *, open_unit: bool) -> np.ndarray:
-    """One finite score per node or edge: inside (0, 1) for LBP potentials,
-    non-negative for walk scores and weights."""
+def _check_scores(values, count: int, what: str, engine: str) -> np.ndarray:
+    """One finite score per node or edge, inside the `engine`'s SCORE_DOMAINS entry."""
     values = np.asarray(values, dtype=float)
     if values.shape[0] != count:
         raise ValueError(f"expected {count} {what}, got {values.shape[0]}")
     if not np.all(np.isfinite(values)):
         raise ValueError(f"{what} contain missing or non-finite values")
-    if open_unit:
-        if not np.all((values > 0.0) & (values < 1.0)):
-            raise ValueError(f"{what} must lie strictly inside (0, 1)")
-    elif not np.all(values >= 0.0):
-        raise ValueError(f"{what} must be non-negative")
+    inside, phrase = SCORE_DOMAINS[engine]
+    if not np.all(inside(values)):
+        raise ValueError(f"{what} {phrase}")
     return values
 
 
@@ -104,11 +106,11 @@ def _rounds(iterations: int | None, default: int) -> int:
 
 
 def _engine_inputs(g: Graph, node_scores, edge_scores, cfg: PropagationConfig,
-                   default_iterations: int, *, open_unit: bool) -> tuple[int, np.ndarray, np.ndarray]:
+                   default_iterations: int, engine: str) -> tuple[int, np.ndarray, np.ndarray]:
     """Validated (iterations, seeded node scores, edge scores) for either engine."""
     d = _rounds(cfg.iterations, default_iterations)
-    node_scores = _check_scores(node_scores, g.node_count, "node scores", open_unit=open_unit)
-    edge_scores = _check_scores(edge_scores, g.edge_count, "edge scores", open_unit=open_unit)
+    node_scores = _check_scores(node_scores, g.node_count, "node scores", engine)
+    edge_scores = _check_scores(edge_scores, g.edge_count, "edge scores", engine)
     return d, _apply_seeds(node_scores, cfg.seeds), edge_scores
 
 
@@ -161,7 +163,7 @@ def weighted_random_walk(g: Graph, node_scores: np.ndarray, edge_scores: np.ndar
     their initial score.
     """
     d, init, edge_scores = _engine_inputs(g, node_scores, edge_scores, cfg,
-                                          default_walk_iterations(g.node_count), open_unit=False)
+                                          default_walk_iterations(g.node_count), "random_walk")
     # The walk's stationary background is proportional to the weighted degree,
     # so that is the right normalizer (raw degree would leave the mean incident
     # edge score as per-node noise).
@@ -179,7 +181,7 @@ def weighted_lbp(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
     local score.
     """
     d, s, edge_scores = _engine_inputs(g, node_scores, edge_scores, cfg,
-                                       DEFAULT_LBP_ITERATIONS, open_unit=True)
+                                       DEFAULT_LBP_ITERATIONS, "lbp")
     prior = _logit(s)
     coupling = _logit(edge_scores)
     messages = np.zeros((2, g.edge_count))

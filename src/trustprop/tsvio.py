@@ -258,7 +258,7 @@ def read_by_node(files, ids=None, score_domain=None) -> list[np.ndarray]:
     """Per-node arrays of `(path, kind)` files, kind "label", "score" or "features",
     over the id space `ids` of `load_graph` (by default the files' largest id + 1).
     Each node may be given once, and a row whose id is not a node is a data error,
-    as is a score outside the open interval `score_domain` when one is given;
+    as is a score outside `score_domain`, a (test, phrase) pair, when one is given;
     nodes a file leaves out are unknown (labels), nan (scores) or zero (features)."""
     tables = []
     for path, kind in files:
@@ -273,8 +273,7 @@ def read_by_node(files, ids=None, score_domain=None) -> list[np.ndarray]:
             _check(path, (values != BENIGN) & (values != SYBIL), "label must be 0 or 1")
             values = values.astype(np.int8)
         if kind == "score" and score_domain:
-            _check(path, ~((values > score_domain[0]) & (values < score_domain[1])),
-                   f"score must lie strictly inside {score_domain}")
+            _check(path, ~score_domain[0](values), f"score {score_domain[1]}")
         tables.append((path, kind, rows["node"], values))
     if ids is None:
         ids = _node_count([(path, nodes) for path, _, nodes, _ in tables])
@@ -321,11 +320,10 @@ def write_edge_scores(path, g: Graph, values: np.ndarray) -> None:
 
 def read_edge_scores(path, g: Graph, domain=None) -> np.ndarray:
     """Read per-edge scores; every edge of g must be covered exactly once, and
-    each score lie inside the open interval `domain` when one is given."""
+    each score pass `domain`, a (test, phrase) pair, when one is given."""
     rows = read_rows(path, [("u", np.int64), ("v", np.int64), ("score", np.float64)])
     if domain:
-        _check(path, ~((rows["score"] > domain[0]) & (rows["score"] < domain[1])),
-               f"edge score must lie strictly inside {domain}")
+        _check(path, ~domain[0](rows["score"]), f"edge score {domain[1]}")
     n, m = g.node_count, g.edge_count
     lo, hi = np.minimum(rows["u"], rows["v"]), np.maximum(rows["u"], rows["v"])
     _check(path, (lo < 0) | (hi >= n), "node id out of range")

@@ -177,6 +177,21 @@ class TestBadInputFiles:
         assert message in capsys.readouterr().err
         assert run(*argv, "--engine", "random_walk") == 0  # the walk accepts these scores
 
+    @pytest.mark.parametrize("engine", ["random_walk", "lbp"])
+    @pytest.mark.parametrize("bad", ["-0.5", "nan", "inf"])
+    @pytest.mark.parametrize("kind", ["node", "edge"])
+    def test_negative_or_non_finite_score_names_row(self, tmp_path, capsys, kind, bad, engine):
+        nodes, edges = ["0\t0.6", "# comment", "1\t0.4", "2\t0.5"], ["0\t1\t0.9", "# comment", "1\t2\t0.5"]
+        rows = nodes if kind == "node" else edges
+        rows[2] = rows[2].rsplit("\t", 1)[0] + "\t" + bad
+        (tmp_path / "g.tsv").write_text("0\t1\n1\t2\n")
+        (tmp_path / "n.tsv").write_text("\n".join(nodes) + "\n")
+        (tmp_path / "e.tsv").write_text("\n".join(edges) + "\n")
+        assert run("propagate", "--graph", tmp_path / "g.tsv", "--node-scores", tmp_path / "n.tsv",
+                   "--edge-scores", tmp_path / "e.tsv", "--engine", engine, "--out-dir", tmp_path) == 2
+        where = "n.tsv:3: score" if kind == "node" else "e.tsv:3: edge score"
+        assert f"{where} must " in capsys.readouterr().err
+
 
 class TestSparseIds:
     """Ids used as given that are far above the rows read exit 2 before any node array exists."""

@@ -2,7 +2,9 @@
 subcommands write on one small seeded scenario.
 
 The digests were recorded before the row writer formatted column by column,
-so a changed digest means a changed output byte. Inputs that are not command
+so a changed digest means a changed output byte. The Adamic-Adar and cosine
+edge scores were recorded while the triangle pass still read the CSR
+adjacency; they pin the order of its weighted sums. Inputs that are not command
 outputs (the directed and sparse-id variants of the generated graph) are
 derived here from the generated text, so they do not go through the writer.
 """
@@ -54,6 +56,10 @@ def _commands(root) -> list[list]:
         ["train", "--features", st / "features.tsv", "--labels", gen / "labels.tsv", *TRAINING,
          "--out-dir", st],
         ["score-edges", "--graph", gen / "graph.tsv", "--metric", "jaccard", "--out-dir", st],
+        ["score-edges", "--graph", gen / "graph.tsv", "--metric", "adamic-adar",
+         "--out-dir", root / "score_edges_adamic_adar"],
+        ["score-edges", "--graph", gen / "graph.tsv", "--metric", "cosine",
+         "--out-dir", root / "score_edges_cosine"],
         ["propagate", "--graph", gen / "graph.tsv", "--node-scores", gen / "node_scores.tsv",
          "--edge-scores", st / "edge_scores.tsv", "--seeds", st / "train_seeds.tsv",
          "--out-dir", st],
@@ -115,6 +121,8 @@ GOLDEN = {
     "pipeline_remap/model.txt": "974ce93cba3359f516f4b3f518c84ca7c878a2ae908abb0a00e7b47a54508571",
     "pipeline_remap/ranking.tsv": "4fbb05ffd5061570b9827937bd9e5b7436e342e10de790fa2772ccc9ec12c2dd",
     "pipeline_remap/train_seeds.tsv": "2c1adc9320abb4c3150756869a1f83124e4a2b898ed12fabc5c454de4fd1538b",
+    "score_edges_adamic_adar/edge_scores.tsv": "9a06bbf38df7815a124682b2cc9a8729684bad3343d1df94e8f1ef40e6652316",
+    "score_edges_cosine/edge_scores.tsv": "0b4e34409a8dd9bce9e606c8a427231ec111a1cbac3da2a3b7b0ead5441ef1c9",
     "stages/edge_scores.tsv": "692adb91c5a9dd4a53ab1171b27dd7fb7bd8c1c9c66689ed9996d0141ee6b5d2",
     "stages/features.tsv": "44e342f1a27f764877b12964f236c0fe66a51061ad0bd2f835b2b02dcb552289",
     "stages/final_scores.tsv": "d37c7036e02d272dae97e9de8ebfdb3aee256f45f1eba69c510413b72e6de855",

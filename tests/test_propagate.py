@@ -5,13 +5,16 @@ from hypothesis import strategies as st
 
 from trustprop import graph as graph_module
 from trustprop import propagate
-from trustprop.classifier import TrainingSet
+from trustprop.classifier import SIMILARITY_METRICS, TrainingSet, edge_similarity
+from trustprop.cli import dispatch
+from trustprop.features import feature_matrix
 from trustprop.propagate import (PropagationConfig, baseline_cia, baseline_integro,
                                  baseline_sybilbelief, baseline_sybilrank,
                                  default_walk_iterations, integro_edge_weights,
                                  update_messages, weighted_lbp, weighted_random_walk)
 from trustprop.synth import (NoiseConfig, ScenarioConfig, compose_attack_scenario,
                              simulate_edge_trust_scores, simulate_trust_scores)
+from trustprop.tsvio import write_labels, write_rows
 
 from conftest import (graph_from_pairs, lbp_enumeration_oracle, lbp_round_oracle,
                       lbp_two_vector_oracle, random_graph, random_tree, walk_matrix_oracle,
@@ -573,8 +576,9 @@ class TestIndexWidth:
 
 class TestLazyAdjacency:
     def test_engines_leave_the_adjacency_unbuilt(self):
-        """Engines, baselines and simulated edge scores read only the edge list;
-        the triangle pass and neighbor lists build the CSR adjacency, once."""
+        """Engines, baselines, simulated edge scores, features and all three
+        similarity metrics read only the edge list; neighbor lists build the
+        CSR adjacency, once."""
         cfg = ScenarioConfig(benign_count=300, sybil_count=150, attack_edge_count=100, rng_seed=3)
         g, labels = compose_attack_scenario(cfg)
         node_scores = simulate_trust_scores(labels, NoiseConfig(0.2, 0.2, 1))
@@ -586,11 +590,31 @@ class TestLazyAdjacency:
         baseline_cia(g, seeds.sybil)
         baseline_sybilbelief(g, seeds)
         baseline_integro(g, seeds.benign, node_scores)
+        feature_matrix(None, g)
+        for metric in SIMILARITY_METRICS:
+            edge_similarity(g, metric)
         assert "_adjacency" not in vars(g)
-        g.triangle_sums()
-        adjacency = vars(g)["_adjacency"]
         assert np.array_equal(g.neighbors(7), np.sort(np.concatenate(
             [g.edge_u[g.edge_v == 7], g.edge_v[g.edge_u == 7]])))
-        g.triangle_sums(node_scores)
+        adjacency = vars(g)["_adjacency"]
+        g.neighbors(8)
         assert vars(g)["_adjacency"] is adjacency
         assert g.indices is adjacency[0] and g.edge_ids is adjacency[1]
+
+    def test_directed_pipeline_never_builds_the_adjacency(self, tmp_path, monkeypatch):
+        cfg = ScenarioConfig(benign_count=120, sybil_count=60, attack_edge_count=90, rng_seed=4)
+        g, labels = compose_attack_scenario(cfg)
+        one_way = np.arange(g.edge_count) % 5 == 0
+        write_rows(tmp_path / "arcs.tsv", np.concatenate([g.edge_u, g.edge_v[~one_way]]),
+                   np.concatenate([g.edge_v, g.edge_u[~one_way]]))
+        write_labels(tmp_path / "labels.tsv", labels)
+
+        def unbuilt(self):
+            raise AssertionError("the CSR adjacency was built")
+
+        monkeypatch.setattr(graph_module.Graph, "_adjacency", property(unbuilt))
+        assert dispatch([str(a) for a in [
+            "pipeline", "--graph", tmp_path / "arcs.tsv", "--labels", tmp_path / "labels.tsv",
+            "--directed", "--baselines", "--edge-metric", "jaccard", "--train-benign", "15",
+            "--train-sybil", "15", "--seed", "6", "--out-dir", tmp_path / "out"]]) == 0
+        assert (tmp_path / "out" / "final_scores_sf_lbp.tsv").exists()
