@@ -358,6 +358,8 @@ def _cmd_components(args, out: Path) -> int:
 def _cmd_modularity(args, out: Path) -> int:
     graph = load_edge_list(args.graph, directed=False)
     labels, = tsvio.read_by_node([(args.labels, "label")], graph.node_count)
+    if unlabeled := int(np.count_nonzero(labels == UNKNOWN)):
+        raise ValueError(f"{args.labels}: {unlabeled} graph node(s) unlabeled; modularity needs every label")
     print(repr(modularity(graph, labels)))
     return 0
 

@@ -2,13 +2,13 @@
 
 Nodes have dense integer ids 0..n-1. An undirected graph stores its canonical
 edge list (u < v, ascending), so that per-edge quantities (trust scores,
-weights) are stored once per edge, and its degrees as a CSR row pointer. Every
-library kernel, the triangle pass included, reads the edge list; the CSR
-adjacency (both directions of every edge) is built only for `neighbors` and
-the position helpers. A directed graph stores its out-adjacency in CSR form.
-All graph objects are immutable after construction; derived arrays (the
-adjacency, the reverse index, per-edge triangle counts) are computed once and
-cached.
+weights) are stored once per edge, and its degrees as a CSR row pointer that
+the constructor derives from the edges. Every library kernel, the triangle
+pass included, reads the edge list; the CSR adjacency (both directions of
+every edge) is built only for `neighbors` and the position helpers. A
+directed graph stores its out-adjacency in CSR form. All graph objects are
+immutable after construction; derived arrays (the adjacency, the reverse
+index, per-edge triangle counts) are computed once and cached.
 
 Index arrays (node ids and edge ids) are stored as int32 while n < 2**31 and
 2m < 2**31, and as int64 past either limit (`index_dtype`); `indptr` is
@@ -93,7 +93,8 @@ class Graph:
         node_count: number of nodes n.
         edge_count: number of undirected edges m.
         edge_u / edge_v: canonical endpoints (edge_u < edge_v), length m, ascending.
-        indptr: CSR row offsets (row r spans degree(r) positions), length n + 1.
+        indptr: CSR row offsets (row r spans degree(r) positions), length n + 1,
+            derived from the edges.
         indices / edge_ids: CSR arrays over 2m directed positions, built on first
             read: sorted, symmetric neighbor lists and each position's edge id.
             Only `neighbors`, `position_rows` and `reverse_positions` read them.
@@ -102,12 +103,13 @@ class Graph:
     `index_dtype(n, m)`: int32 while n < 2**31 and 2m < 2**31, else int64.
     """
 
-    def __init__(self, node_count, indptr, edge_u, edge_v):
-        self.node_count = int(node_count)
-        self.indptr = indptr
+    def __init__(self, node_count, edge_u, edge_v):
+        self.node_count = n = int(node_count)
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.edge_count = int(edge_u.shape[0])
+        degrees = np.bincount(edge_v, minlength=n) + np.bincount(edge_u, minlength=n)
+        self.indptr = np.concatenate(([0], np.cumsum(degrees)))
         self._rev = None
         self._tri = None
 
@@ -128,9 +130,7 @@ class Graph:
         """The graph of the ascending, unique canonical keys u * n + v (u < v)."""
         m = keys.shape[0]
         idx = index_dtype(n, m)
-        edge_u, edge_v = np.divmod(keys, n, out=(np.empty(m, idx), np.empty(m, idx)))
-        degrees = np.bincount(edge_v, minlength=n) + np.bincount(edge_u, minlength=n)
-        return cls(n, np.concatenate(([0], np.cumsum(degrees))), edge_u, edge_v)
+        return cls(n, *np.divmod(keys, n, out=(np.empty(m, idx), np.empty(m, idx))))
 
     indices = property(lambda self: self._adjacency[0])
     edge_ids = property(lambda self: self._adjacency[1])
@@ -242,9 +242,6 @@ class DirectedGraph:
         out_indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(srcs, minlength=n), out=out_indptr[1:])
         return cls(n, out_indptr, out_indices)
-
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]]
 
     @property
     def out_degrees(self) -> np.ndarray:

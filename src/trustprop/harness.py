@@ -90,7 +90,6 @@ def _run_trial(spec: SweepSpec, value, trial: int) -> dict[tuple[str, str], floa
         node_scores = synth.simulate_trust_scores(labels, noise)
         edge_scores = classifier.edge_scores(graph)
         seeds = None
-        exclude = None
     else:
         node_scores = np.full(graph.node_count, 0.5)
         edge_scores = synth.simulate_edge_trust_scores(graph, labels, noise)
@@ -99,7 +98,7 @@ def _run_trial(spec: SweepSpec, value, trial: int) -> dict[tuple[str, str], floa
             benign=np.array([int(rng.choice(np.flatnonzero(labels == BENIGN)))]),
             sybil=np.array([int(rng.choice(np.flatnonzero(labels == SYBIL)))]),
         )
-        exclude = seeds.all_ids
+    exclude = None if seeds is None else seeds.all_ids
 
     out: dict[tuple[str, str], float] = {}
     # Rank walk scores degree-normalized: the raw update concentrates trust on
@@ -220,6 +219,10 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
     with _stage("load"):
         loaded, ids = tsvio.load_graph(graph_path, directed, remap=cfg.remap_ids)
         labels, = tsvio.read_by_node([(label_path, "label")], ids)
+        if cfg.baselines and victim_prob_path is not None:
+            unit = (lambda x: (x >= 0) & (x <= 1), "must lie in [0, 1]")
+            victim_prob, = tsvio.read_by_node([(victim_prob_path, "score")], ids, unit)
+            victim_prob = np.nan_to_num(victim_prob, nan=0.0)  # for the nodes the file leaves out
         if cfg.remap_ids:
             tsvio.write_id_map(out / "id_map.tsv", ids)
 
@@ -252,8 +255,6 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
             final_scores["cia"] = -propagate.baseline_cia(graph, training.sybil, cfg.restart, cfg.iterations)
             final_scores["sybilbelief"] = propagate.baseline_sybilbelief(graph, training, cfg.homophily)
             if victim_prob_path is not None:
-                victim_prob, = tsvio.read_by_node([(victim_prob_path, "score")], ids)
-                victim_prob = np.nan_to_num(victim_prob, nan=0.0)
                 final_scores["integro"] = propagate.baseline_integro(
                     graph, training.benign, victim_prob, cfg.integro_beta, cfg.iterations)
         for name, scores in final_scores.items():

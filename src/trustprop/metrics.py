@@ -66,8 +66,7 @@ def accuracy_at_threshold(scores: np.ndarray, labels: np.ndarray, threshold: flo
         raise ValueError("empty evaluation set")
     s = np.asarray(scores, dtype=float)[mask]
     y = np.asarray(labels)[mask]
-    predicted_benign = s > threshold
-    return float(np.mean(predicted_benign == (y == BENIGN)))
+    return float(np.mean((s > threshold) == (y == BENIGN)))
 
 
 def rank_nodes(scores: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
@@ -87,12 +86,11 @@ def sybil_component_classes(g: Graph, labels: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RankingReport:
-    """Ascending ranking of evaluated nodes with labels, predictions and metrics."""
+    """Ascending ranking of evaluated nodes with labels, classes and metrics."""
 
     node_ids: np.ndarray          # ranked ascending by (score, id)
     scores: np.ndarray            # aligned with node_ids
     labels: np.ndarray            # aligned true labels
-    predicted: np.ndarray         # aligned +1 (benign) / -1 (sybil)
     threshold: float
     component_class: np.ndarray   # aligned class names
     metrics: dict[str, float] = field(default_factory=dict)
@@ -100,47 +98,39 @@ class RankingReport:
 
 def build_ranking_report(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5,
                          exclude=None, graph: Graph | None = None) -> RankingReport:
-    """Rank evaluated nodes and attach predictions, classes and base metrics."""
+    """Rank evaluated nodes and attach their classes and base metrics."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
-    mask = _evaluation_mask(labels, exclude)
-    ids = np.flatnonzero(mask)
+    ids = np.flatnonzero(_evaluation_mask(labels, exclude))
     ranked = rank_nodes(scores[ids], ids)
     if graph is not None:
         classes = sybil_component_classes(graph, labels)[ranked]
     else:
         classes = np.where(labels[ranked] == SYBIL, CLASS_OTHERS, CLASS_BENIGN).astype("U8")
-    predicted = np.where(scores[ranked] > threshold, 1, -1)
-    report = RankingReport(
-        node_ids=ranked,
-        scores=scores[ranked],
-        labels=labels[ranked],
-        predicted=predicted,
-        threshold=threshold,
-        component_class=classes,
-    )
-    report.metrics["auc"] = auc(scores, labels, exclude=exclude)
-    report.metrics["accuracy"] = accuracy_at_threshold(scores, labels, threshold, exclude=exclude)
-    return report
+    base = {"auc": auc(scores, labels, exclude=exclude),
+            "accuracy": accuracy_at_threshold(scores, labels, threshold, exclude=exclude)}
+    return RankingReport(node_ids=ranked, scores=scores[ranked], labels=labels[ranked],
+                         threshold=threshold, component_class=classes, metrics=base)
+
+
+def _head(ranked: np.ndarray, k: int) -> np.ndarray:
+    """The first k entries of a report column, for 1 <= k <= its length."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if k > ranked.shape[0]:
+        raise ValueError(f"k={k} exceeds the {ranked.shape[0]} evaluated nodes")
+    return ranked[:k]
 
 
 def top_k_sybil_fraction(report: RankingReport, k: int) -> float:
     """Fraction of true Sybils among the k lowest-ranked nodes."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k > report.node_ids.shape[0]:
-        raise ValueError(f"k={k} exceeds the {report.node_ids.shape[0]} evaluated nodes")
-    return float(np.mean(report.labels[:k] == SYBIL))
+    return float(np.mean(_head(report.labels, k) == SYBIL))
 
 
 def decompose_top_k(report: RankingReport, k: int) -> dict[str, int]:
     """Count top-k nodes per component class (isolated / lcc / others / benign),
     using the classes stored in the report."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if k > report.node_ids.shape[0]:
-        raise ValueError(f"k={k} exceeds the {report.node_ids.shape[0]} evaluated nodes")
-    head = report.component_class[:k]
+    head = _head(report.component_class, k)
     return {cls: int(np.count_nonzero(head == cls))
             for cls in (CLASS_ISOLATED, CLASS_LCC, CLASS_OTHERS, CLASS_BENIGN)}
 

@@ -12,12 +12,12 @@ Two engines spread local trust scores through the graph:
 
 Both engines run over the canonical edge list, never the CSR adjacency, in
 blocks of edges whose temporaries fit in the L2 cache, so neither keeps a
-per-round temporary as long as the graph. An LBP round sends into the one
-message array it updates in place; a walk round adds up each node's CSR row
-in row order. Both give results identical to whole-array rounds.
+per-round temporary as long as the graph. An LBP round (`update_messages`)
+overwrites the one message array it reads; a walk round adds up each node's
+CSR row in row order. Both give results identical to whole-array rounds.
 
 Baselines (seed-only random walk with final degree normalization, a
-restart walk from Sybil seeds, seed-only belief propagation, and the
+walk that restarts at the Sybil seeds, seed-only belief propagation, and the
 victim-probability edge weighting) are thin configurations of the same
 engines. All updates are synchronous: a round reads only the scores and
 messages of the round before, so results are bit-identical across runs and
@@ -60,7 +60,7 @@ def get_engine(name: str):
 class PropagationConfig:
     """Iteration count and seed handling shared by both engines."""
 
-    engine: str = "lbp"  # not read by the engines; kept for callers that still pass it
+    engine: str = "lbp"  # read by no engine; bench/workload.py and tests/test_bench_api.py pass it
     iterations: int | None = None  # None: engine default (ceil(log2 n) / 8)
     seeds: TrainingSet | None = None
     pin_seeds: bool = False  # re-apply seed scores after every round
@@ -115,13 +115,13 @@ def _engine_inputs(g: Graph, node_scores, edge_scores, cfg: PropagationConfig,
 
 
 def _walk(g: Graph, init: np.ndarray, weights: np.ndarray, iterations: int,
-          restart: float = 0.0, restart_dist: np.ndarray | None = None,
-          pin: TrainingSet | None = None, hold_isolated: bool = False,
+          restart: float = 0.0, pin: TrainingSet | None = None, hold_isolated: bool = False,
           per_weighted_degree: bool = False) -> np.ndarray:
     """Shared power-iteration core: scores <- column-normalized-weight update.
 
     `weights` holds one weight per canonical edge. Nodes with zero incident
-    weight distribute nothing (their column is zero). With
+    weight distribute nothing (their column is zero). A restart returns the
+    fraction `restart` of the mass to `init` every round. With
     per_weighted_degree, the final scores are divided by each node's total
     incident weight; nodes with none keep theirs.
 
@@ -144,7 +144,7 @@ def _walk(g: Graph, init: np.ndarray, weights: np.ndarray, iterations: int,
         scores = _scatter(np.zeros(n), (edge_v, lambda e: np.take(scores, edge_u[e], mode="clip") * share_b[e]),
                           (edge_u, lambda e: np.take(scores, edge_v[e], mode="clip") * share_a[e]))
         if restart:
-            scores = (1.0 - restart) * scores + restart * restart_dist
+            scores = (1.0 - restart) * scores + restart * init
         if hold_isolated:
             scores[isolated] = init[isolated]
         scores = _apply_seeds(scores, pin)
@@ -186,7 +186,7 @@ def weighted_lbp(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
     coupling = _logit(edge_scores)
     messages = np.zeros((2, g.edge_count))
     for _ in range(d):
-        update_messages(g, prior, coupling, messages, out=messages)
+        update_messages(g, prior, coupling, messages)
     return _sigmoid(prior + _incoming(g, messages))
 
 
@@ -196,8 +196,9 @@ _EDGE_CHUNK = 1 << 15
 
 
 def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
-                    messages: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """One synchronous round of log-odds messages over the canonical edges.
+                    messages: np.ndarray) -> np.ndarray:
+    """One synchronous round of log-odds messages over the canonical edges,
+    written over `messages`, which is returned.
 
     messages[0] holds edge_u -> edge_v and messages[1] edge_v -> edge_u;
     prior and coupling hold logit(S_v) and logit(S_e). A sender whose cavity
@@ -208,18 +209,17 @@ def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
     _EDGE_CHUNK edges at a time, so _send's temporaries stay in L2 instead of
     streaming m-element arrays through memory. Each message goes through the
     same elementwise operations, so the result is bit-identical to an
-    unblocked round. The round is written to `out`, a new array by default;
-    `out` may be `messages` itself, as a block reads no message of another.
+    unblocked round. A block reads no message of another, so each block's
+    messages are overwritten as soon as both directions are sent.
     """
     fwd, bwd = messages
     cavity = prior + _incoming(g, messages)
-    out = np.empty((2, g.edge_count)) if out is None else out
     for lo in range(0, g.edge_count, _EDGE_CHUNK):
         e = slice(lo, lo + _EDGE_CHUNK)
         forward = _send(np.take(cavity, g.edge_u[e], mode="clip") - bwd[e], coupling[e])
-        out[1, e] = _send(np.take(cavity, g.edge_v[e], mode="clip") - fwd[e], coupling[e])
-        out[0, e] = forward
-    return out
+        bwd[e] = _send(np.take(cavity, g.edge_v[e], mode="clip") - fwd[e], coupling[e])
+        fwd[e] = forward
+    return messages
 
 
 def _incoming(g: Graph, messages: np.ndarray) -> np.ndarray:
@@ -295,8 +295,7 @@ def baseline_cia(g: Graph, sybil_seeds: np.ndarray, restart: float = 0.85,
     if not 0.0 < restart <= 1.0:
         raise ValueError("restart probability must lie in (0, 1]")
     d = _rounds(iterations, default_walk_iterations(g.node_count))
-    return _walk(g, dist.copy(), np.ones(g.edge_count), d,
-                 restart=restart, restart_dist=dist)
+    return _walk(g, dist, np.ones(g.edge_count), d, restart=restart)
 
 
 def baseline_sybilbelief(g: Graph, seeds: TrainingSet | None, homophily: float = 0.9,

@@ -1,10 +1,10 @@
 """Synthetic benign/Sybil scenarios and simulated noisy local trust scores.
 
 Both regions are grown with preferential attachment and joined by uniformly
-random attack edges. Local classifier outputs are simulated by drawing scores
-from [0.1, 0.9] on the correct or wrong side of the 0.5 threshold according
-to configured false positive / false negative rates. Everything is
-deterministic given the configured seeds.
+random attack edges. Local classifier outputs, node and edge scores alike,
+are simulated by one draw from [0.1, 0.9] on the correct or wrong side of
+the 0.5 threshold according to configured false positive / false negative
+rates. Everything is deterministic given the configured seeds.
 """
 
 from __future__ import annotations
@@ -190,10 +190,19 @@ def compose_attack_scenario(cfg: ScenarioConfig) -> tuple[Graph, np.ndarray]:
     return graph, labels
 
 
-def _half_interval_draws(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform draws from the two halves of [0.1, 0.9]: (0.5, 0.9] and [0.1, 0.5)."""
-    u = rng.random(size)
-    return 0.9 - 0.4 * u, 0.1 + 0.4 * u
+def _draw_scores(rng: np.random.Generator, trusted: np.ndarray, trusted_miss: float,
+                 other_miss: float) -> np.ndarray:
+    """One score per `trusted` flag, in (0.5, 0.9] where set and in [0.1, 0.5)
+    elsewhere, but on the wrong side with probability `trusted_miss` or
+    `other_miss`: the misses are drawn first, then u for 0.9 - 0.4 u or 0.1 + 0.4 u."""
+    flip = rng.random(trusted.shape[0])
+    correct = np.where(trusted, flip >= trusted_miss, flip >= other_miss)
+    del flip
+    u = rng.random(trusted.shape[0])
+    u *= 0.4
+    scores = np.add(0.1, u)
+    np.copyto(scores, np.subtract(0.9, u, out=u), where=trusted == correct)
+    return scores
 
 
 def simulate_trust_scores(labels: np.ndarray, noise: NoiseConfig) -> np.ndarray:
@@ -207,13 +216,7 @@ def simulate_trust_scores(labels: np.ndarray, noise: NoiseConfig) -> np.ndarray:
     labels = np.asarray(labels)
     if np.any(labels == UNKNOWN):
         raise ValueError("simulate_trust_scores requires every node to be labeled")
-    rng = np.random.default_rng(noise.rng_seed)
-    flip = rng.random(labels.shape[0])
-    high, low = _half_interval_draws(rng, labels.shape[0])
-    benign = labels == BENIGN
-    correct = np.where(benign, flip >= noise.fpr, flip >= noise.fnr)
-    scores = np.where(benign == correct, high, low)
-    return scores
+    return _draw_scores(np.random.default_rng(noise.rng_seed), labels == BENIGN, noise.fpr, noise.fnr)
 
 
 def simulate_edge_trust_scores(g: Graph, labels: np.ndarray, noise: NoiseConfig) -> np.ndarray:
@@ -226,15 +229,5 @@ def simulate_edge_trust_scores(g: Graph, labels: np.ndarray, noise: NoiseConfig)
     labels = np.asarray(labels)
     if np.any(labels == UNKNOWN):
         raise ValueError("simulate_edge_trust_scores requires every node to be labeled")
-    rng = np.random.default_rng(noise.rng_seed)
     same = np.take(labels, g.edge_u, mode="clip") == np.take(labels, g.edge_v, mode="clip")
-    flip = rng.random(g.edge_count)
-    correct = np.where(same, flip >= noise.fnr, flip >= noise.fpr)
-    del flip
-    # The draws and arithmetic of _half_interval_draws, with one float array alive
-    # besides the scores: 0.1 + 0.4 u where the score is wrong, 0.9 - 0.4 u where right.
-    u = rng.random(g.edge_count)
-    u *= 0.4
-    scores = np.add(0.1, u)
-    np.copyto(scores, np.subtract(0.9, u, out=u), where=same == correct)
-    return scores
+    return _draw_scores(np.random.default_rng(noise.rng_seed), same, noise.fnr, noise.fpr)

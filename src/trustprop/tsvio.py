@@ -258,8 +258,9 @@ def read_by_node(files, ids=None, score_domain=None) -> list[np.ndarray]:
     """Per-node arrays of `(path, kind)` files, kind "label", "score" or "features",
     over the id space `ids` of `load_graph` (by default the files' largest id + 1).
     Each node may be given once, and a row whose id is not a node is a data error,
-    as is a score outside `score_domain`, a (test, phrase) pair, when one is given;
-    nodes a file leaves out are unknown (labels), nan (scores) or zero (features)."""
+    as are a nan or infinite score or feature and a score outside `score_domain`,
+    a (test, phrase) pair, when one is given; nodes a file leaves out are unknown
+    (labels), nan (scores) or zero (features)."""
     tables = []
     for path, kind in files:
         shape = ()
@@ -272,6 +273,8 @@ def read_by_node(files, ids=None, score_domain=None) -> list[np.ndarray]:
         if kind == "label":
             _check(path, (values != BENIGN) & (values != SYBIL), "label must be 0 or 1")
             values = values.astype(np.int8)
+        else:
+            _check(path, ~np.isfinite(values).all(axis=tuple(range(1, values.ndim))), f"{kind} must be finite")
         if kind == "score" and score_domain:
             _check(path, ~score_domain[0](values), f"score {score_domain[1]}")
         tables.append((path, kind, rows["node"], values))

@@ -34,6 +34,12 @@ def arcs(dg: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(dg.node_count), dg.out_degrees), dg.out_indices.astype(np.int64)
 
 
+def out_neighbors(dg: DirectedGraph, v: int) -> np.ndarray:
+    """Sorted targets of the arcs out of v, read off the arc arrays."""
+    src, dst = arcs(dg)
+    return dst[src == v]
+
+
 def in_neighbors(dg: DirectedGraph, v: int) -> np.ndarray:
     """Sorted sources of the arcs into v, read off the arc arrays."""
     src, dst = arcs(dg)
@@ -57,12 +63,12 @@ def req_in_oracle(dg: DirectedGraph, v: int) -> float:
     inbound = in_neighbors(dg, v)
     if inbound.shape[0] == 0:
         return 0.0
-    return np.intersect1d(inbound, dg.out_neighbors(v), assume_unique=True).shape[0] / inbound.shape[0]
+    return np.intersect1d(inbound, out_neighbors(dg, v), assume_unique=True).shape[0] / inbound.shape[0]
 
 
 def req_out_oracle(dg: DirectedGraph, v: int) -> float:
     """Fraction of v's out-neighbors that follow back: |In ∩ Out| / |Out|."""
-    outbound = dg.out_neighbors(v)
+    outbound = out_neighbors(dg, v)
     if outbound.shape[0] == 0:
         return 0.0
     return np.intersect1d(in_neighbors(dg, v), outbound, assume_unique=True).shape[0] / outbound.shape[0]

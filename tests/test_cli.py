@@ -281,6 +281,21 @@ def mutations(draw, text):
     return "".join("\t".join(row) + "\n" for row in rows)
 
 
+def _write_inputs(tmp: Path, inputs: dict, argv) -> list:
+    """Write the input files under tmp; argv with its file names made paths there."""
+    for name, text in inputs.items():
+        (tmp / name).write_text(text)
+    return [str(tmp / a) if a.endswith(".tsv") else a for a in argv]
+
+
+def _dispatch_quietly(argv) -> tuple[int, str]:
+    """Exit code and stderr of a run; stdout is dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = dispatch(argv)
+    return code, err.getvalue()
+
+
 class TestMutatedInputs:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -289,12 +304,47 @@ class TestMutatedInputs:
         target = data.draw(st.sampled_from([a for a in argv if a.endswith(".tsv")]))
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            for name, text in mutation_inputs.items():
-                (tmp / name).write_text(data.draw(mutations(text)) if name == target else text)
-            argv = [str(tmp / a) if a.endswith(".tsv") else a for a in argv]
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = dispatch(argv + ["--out-dir", str(tmp / "out")])
+            inputs = dict(mutation_inputs, **{target: data.draw(mutations(mutation_inputs[target]))})
+            argv = _write_inputs(tmp, inputs, argv)
+            code, err = _dispatch_quietly(argv + ["--out-dir", str(tmp / "out")])
+            outputs = {p.name: p.read_text().split() for p in (tmp / "out").iterdir()} if code == 0 else {}
         assert code in (0, 1, 2)
+        if code == 2:  # a data error names the input file at fault
+            last = err.splitlines()[-1]
+            assert any(a in last for a in argv if a.endswith(".tsv")), last
+        for name, fields in outputs.items():  # a successful run writes no nan or infinity
+            assert not {"nan", "inf", "-inf"} & set(fields), name
+
+
+class TestNonFiniteRows:
+    """A nan, infinite or out-of-range per-node value fails at its file:line
+    before any output is written."""
+
+    @pytest.mark.parametrize("command, bad, token", [
+        ("train", "features.tsv", "nan"),
+        ("pipeline", "node_scores.tsv", "nan"),  # --victim-probs
+        ("pipeline", "node_scores.tsv", "inf"),
+        ("pipeline", "node_scores.tsv", "1.5"),
+        ("rank", "local_scores.tsv", "inf"),
+        ("evaluate", "node_scores.tsv", "nan"),
+    ])
+    def test_exit_2_at_the_row(self, mutation_inputs, tmp_path, command, bad, token):
+        argv = next(c for c in COMMANDS if c[0] == command)
+        lines = mutation_inputs[bad].splitlines()
+        lines[-1] = lines[-1].rsplit("\t", 1)[0] + "\t" + token
+        argv = _write_inputs(tmp_path, dict(mutation_inputs, **{bad: "\n".join(lines) + "\n"}), argv)
+        code, err = _dispatch_quietly(argv + ["--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{tmp_path / bad}:{len(lines)}: " in err.splitlines()[-1]
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_modularity_names_the_label_file(self, mutation_inputs, tmp_path):
+        labels = "".join(mutation_inputs["labels.tsv"].splitlines(keepends=True)[:-2])
+        argv = next(c for c in COMMANDS if c[0] == "modularity")
+        argv = _write_inputs(tmp_path, dict(mutation_inputs, **{"labels.tsv": labels}), argv)
+        code, err = _dispatch_quietly(argv + ["--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert f"{tmp_path / 'labels.tsv'}: 2 graph node(s) unlabeled" in err
 
 
 class TestConfigFile:

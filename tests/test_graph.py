@@ -31,8 +31,8 @@ class TestLoadEdgeList:
         dg = load_edge_list(path, directed=True)
         assert dg.node_count == 2
         assert dg.edge_count == 2
-        assert dg.out_neighbors(0).tolist() == [1]
-        assert dg.out_neighbors(1).tolist() == [0]
+        src, dst = arcs(dg)
+        assert list(zip(src.tolist(), dst.tolist())) == [(0, 1), (1, 0)]
 
     def test_undirected_dedup_and_self_loop(self, tmp_path):
         path = tmp_path / "g.tsv"

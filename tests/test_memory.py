@@ -52,7 +52,7 @@ def stage_peaks():
         lambda: simulate_edge_trust_scores(g, labels, NoiseConfig(0.3, 0.3, 1)))
     _, walk = _traced_peak(lambda: weighted_random_walk(g, node_scores, edge_scores))
     _, lbp = _traced_peak(lambda: weighted_lbp(g, node_scores, edge_scores))
-    _, triangles = _traced_peak(Graph(n, g.indptr, g.edge_u, g.edge_v).triangle_sums)
+    _, triangles = _traced_peak(Graph(n, g.edge_u, g.edge_v).triangle_sums)
     return g, {"build": build, "edge_scores": scores, "walk": walk, "lbp": lbp, "triangles": triangles,
                "loop_free_build": loop_free}
 

@@ -135,9 +135,9 @@ class TestRanking:
         scores = np.array([0.5, 0.7])
         labels = labels_of([1], [0], 2)
         report = build_ranking_report(scores, labels, threshold=0.5)
-        by_node = dict(zip(report.node_ids.tolist(), report.predicted.tolist()))
-        assert by_node[0] == -1  # exactly at threshold -> sybil
-        assert by_node[1] == 1
+        assert report.metrics["accuracy"] == 1.0  # node 0, exactly at threshold, counts as Sybil
+        report = build_ranking_report(scores, labels_of([0], [1], 2), threshold=0.5)
+        assert report.metrics["accuracy"] == 0.0
 
 
 class TestTopK:
