@@ -54,7 +54,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     seeded = _Parser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0, help="master RNG seed")
     threads = _Parser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1, help="worker threads for sweep trials")
+    threads.add_argument("--threads", type=_count, default=1, help="worker threads for sweep trials")
     scenario = _Parser(add_help=False)
     scenario.add_argument("--benign", type=int, default=1000)
     scenario.add_argument("--sybil", type=int, default=500)
@@ -70,7 +70,6 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     ranking = _Parser(add_help=False)
     ranking.add_argument("--scores", required=True)
     ranking.add_argument("--labels", required=True)
-    ranking.add_argument("--threshold", type=float, default=0.5)
     ranking.add_argument("--exclude", default=None, help="label-format file of nodes to drop")
     top_k = _Parser(add_help=False)
     top_k.add_argument("--top-k", type=_list_of(_count), default=[100, 200, 500])
@@ -119,12 +118,13 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub("rank", _cmd_rank, "write the ascending ranking file for final scores", ranking)
     p.add_argument("--graph", default=None, help="enables Sybil component classes")
-    sub("evaluate", _cmd_evaluate, "compute AUC / accuracy / top-K metrics", ranking, top_k)
+    p = sub("evaluate", _cmd_evaluate, "compute AUC / accuracy / top-K metrics", ranking, top_k)
+    p.add_argument("--threshold", type=float, default=0.5)
 
     p = sub("sweep", _cmd_sweep, "robustness sweep over synthetic scenarios", scenario, seeded, threads)
     p.add_argument("--variable", choices=harness.SWEEP_VARIABLES, default="fpr_fnr")
     p.add_argument("--values", type=_list_of(float), default=[0.0, 0.1, 0.2, 0.3, 0.4])
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_count, default=10)
     p.add_argument("--mode", choices=harness.SWEEP_MODES, default="node_scores")
     p.add_argument("--engines", type=_list_of(str), default=list(propagate.ENGINES))
     p.add_argument("--noise", type=float, default=0.3)
@@ -143,7 +143,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--restart", type=float, default=0.85, help="restart-walk baseline parameter")
     p.add_argument("--homophily", type=float, default=0.9, help="seed-only LBP baseline edge score")
     p.add_argument("--beta", type=float, default=2.0, help="victim-weight baseline parameter")
-    p.add_argument("--victim-probs", default=None)
+    p.add_argument("--victim-probs", default=None, help="victim-weight baseline input (needs --baselines)")
     p.add_argument("--remap-ids", action="store_true",
                    help="densify sparse node ids (writes id_map.tsv)")
 
@@ -227,9 +227,10 @@ def _cmd_mutualize(args, out: Path) -> int:
 
 def _cmd_features(args, out: Path) -> int:
     if args.undirected:
-        feats = features.feature_matrix(None, load_edge_list(args.graph, directed=False))
+        feats = features.feature_matrix(load_edge_list(args.graph, directed=False))
     else:
-        feats = features.feature_matrix(load_edge_list(args.graph, directed=True))
+        dg = load_edge_list(args.graph, directed=True)
+        feats = features.feature_matrix(mutualize(dg), dg)
     tsvio.write_features(out / "features.tsv", feats)
     return 0
 
@@ -271,9 +272,10 @@ def _cmd_propagate(args, out: Path) -> int:
     return 0
 
 
-def _ranking_report(args, graph_path: str | None = None) -> metrics.RankingReport:
+def _ranking_report(args, graph_path: str | None = None, threshold: float = 0.5) -> metrics.RankingReport:
     """The ranking report of `rank` and `evaluate` from their shared flags;
-    `rank` alone passes a graph, for the Sybil component classes."""
+    `rank` alone passes a graph, for the Sybil component classes, and
+    `evaluate` alone a threshold, for the accuracy it writes."""
     labels, scores = tsvio.read_by_node([(args.labels, "label"), (args.scores, "score")])
     # Every labeled node must have a score; unlabeled ones rank last.
     if np.any(np.isnan(scores) & (labels != UNKNOWN)):
@@ -282,7 +284,7 @@ def _ranking_report(args, graph_path: str | None = None) -> metrics.RankingRepor
     graph = load_edge_list(graph_path, directed=False) if graph_path else None
     exclude = (classifier.TrainingSet.from_labels(
         tsvio.read_by_node([(args.exclude, "label")], labels.shape[0])[0]).all_ids if args.exclude else None)
-    return metrics.build_ranking_report(scores, labels, threshold=args.threshold,
+    return metrics.build_ranking_report(scores, labels, threshold=threshold,
                                         exclude=exclude, graph=graph)
 
 
@@ -292,7 +294,7 @@ def _cmd_rank(args, out: Path) -> int:
 
 
 def _cmd_evaluate(args, out: Path) -> int:
-    report = _ranking_report(args)
+    report = _ranking_report(args, threshold=args.threshold)
     rows = [("auc", "final", report.metrics["auc"]),
             ("accuracy", f"threshold={args.threshold!r}", report.metrics["accuracy"])]
     for k in args.top_k:
@@ -323,6 +325,8 @@ def _cmd_sweep(args, out: Path) -> int:
 
 
 def _cmd_pipeline(args, out: Path) -> int:
+    if args.victim_probs is not None and not args.baselines:
+        raise UsageError("--victim-probs is read only with --baselines")
     cfg = harness.PipelineConfig(
         engine=args.engine, train_benign=args.train_benign, train_sybil=args.train_sybil,
         iterations=args.iterations, pin_seeds=args.pin_seeds,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import DirectedGraph, Graph, mutualize
+from .graph import DirectedGraph, Graph
 from .propagate import _scatter
 
 
@@ -33,21 +33,15 @@ def clustering_all(g: Graph) -> np.ndarray:
     return np.where(k >= 2, links / np.maximum(k * (k - 1), 1), 0.0)
 
 
-def feature_matrix(dg: DirectedGraph | None, g: Graph | None = None) -> np.ndarray:
-    """Per-node [req_in, req_out, cc] matrix.
+def feature_matrix(g: Graph, dg: DirectedGraph | None = None) -> np.ndarray:
+    """Per-node [req_in, req_out, cc] matrix of the undirected graph `g`.
 
-    With a directed graph, the request ratios come from it and the clustering
-    coefficient from its mutualization (or from `g` when already computed).
-    Undirected-only inputs treat every edge as reciprocal, so both request
-    ratios are 1 wherever the node has neighbors.
+    With a directed graph `dg`, whose mutualization `g` must be, the request
+    ratios come from `dg`. Undirected-only inputs treat every edge as
+    reciprocal, so both request ratios are 1 wherever the node has neighbors.
     """
     if dg is not None:
-        if g is None:
-            g = mutualize(dg)
         rin, rout = req_ratios(dg, g)
-    elif g is not None:
-        has_nbrs = (g.degrees > 0).astype(float)
-        rin = rout = has_nbrs
     else:
-        raise ValueError("feature_matrix needs a directed or undirected graph")
+        rin = rout = (g.degrees > 0).astype(float)
     return np.column_stack([rin, rout, clustering_all(g)])

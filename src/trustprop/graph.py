@@ -2,16 +2,16 @@
 
 Nodes have dense integer ids 0..n-1. An undirected graph stores its canonical
 edge list (u < v, ascending), so that per-edge quantities (trust scores,
-weights) are stored once per edge, and its degrees as a CSR row pointer that
-the constructor derives from the edges. Every library kernel, the triangle
-pass included, reads the edge list; the CSR adjacency (both directions of
-every edge) is built only for `neighbors` and the position helpers. A
-directed graph stores its out-adjacency in CSR form. All graph objects are
-immutable after construction; derived arrays (the adjacency, the reverse
-index, per-edge triangle counts) are computed once and cached.
+weights) are stored once per edge, and its degrees, which the constructor
+derives from the edges. Every library kernel, the triangle pass included,
+reads the edge list; the CSR adjacency members stay only because the
+benchmark tracer (`bench/spans.py`) names them. A directed graph stores its
+out-adjacency in CSR form. All graph objects are immutable after
+construction; derived arrays (per-edge triangle counts, the adjacency) are
+computed once and cached.
 
 Index arrays (node ids and edge ids) are stored as int32 while n < 2**31 and
-2m < 2**31, and as int64 past either limit (`index_dtype`); `indptr` is
+2m < 2**31, and as int64 past either limit (`index_dtype`); degrees are
 always int64. NumPy keeps `int32 * int` in int32, so every product of a
 stored index with n or m (the u * n + v edge keys) is formed in int64.
 """
@@ -93,14 +93,13 @@ class Graph:
         node_count: number of nodes n.
         edge_count: number of undirected edges m.
         edge_u / edge_v: canonical endpoints (edge_u < edge_v), length m, ascending.
-        indptr: CSR row offsets (row r spans degree(r) positions), length n + 1,
-            derived from the edges.
-        indices / edge_ids: CSR arrays over 2m directed positions, built on first
-            read: sorted, symmetric neighbor lists and each position's edge id.
-            Only `neighbors`, `position_rows` and `reverse_positions` read them.
+        degrees: int64 degree of every node, length n, derived from the edges.
 
-    indptr is int64; edge_u, edge_v, indices and edge_ids have the type
-    `index_dtype(n, m)`: int32 while n < 2**31 and 2m < 2**31, else int64.
+    edge_u and edge_v have the type `index_dtype(n, m)`: int32 while n < 2**31
+    and 2m < 2**31, else int64. The CSR members (`indices`, `edge_ids`,
+    `position_rows`, `reverse_positions`) are built on first read and stay
+    only because the benchmark tracer (`bench/spans.py`) names them; no
+    library path reads them.
     """
 
     def __init__(self, node_count, edge_u, edge_v):
@@ -108,8 +107,7 @@ class Graph:
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.edge_count = int(edge_u.shape[0])
-        degrees = np.bincount(edge_v, minlength=n) + np.bincount(edge_u, minlength=n)
-        self.indptr = np.concatenate(([0], np.cumsum(degrees)))
+        self.degrees = np.bincount(edge_v, minlength=n) + np.bincount(edge_u, minlength=n)
         self._rev = None
         self._tri = None
 
@@ -137,21 +135,15 @@ class Graph:
 
     @functools.cached_property
     def _adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indices, edge_ids), built on first read by one stable sort of both
-        directions of every edge by row: row r lists its neighbors below r
-        (the edges with edge_v == r, in id order), then those above r (edge_u
-        == r, in id order). Entry k of the two directions is edge k mod m."""
+        """(indices, edge_ids) over the 2m directed positions, built on first read
+        by one stable sort of both directions of every edge by row: row r lists
+        its neighbors below r (the edges with edge_v == r, in id order), then
+        those above r (edge_u == r, in id order), so each row is ascending.
+        Entry k of the two directions is edge k mod m."""
         order = np.argsort(np.concatenate([self.edge_v, self.edge_u]), kind="stable")
         indices = np.concatenate([self.edge_u, self.edge_v])[order]
         order %= self.edge_count
         return indices, order.astype(self.edge_u.dtype, copy=False)
-
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
     def position_rows(self) -> np.ndarray:
         """Row (target) node id of every CSR position."""

@@ -142,15 +142,12 @@ class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"{stage}: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 @contextmanager
 def _stage(name: str):
     try:
         yield
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError(name, exc) from exc
 
@@ -212,14 +209,18 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
     Stages: load -> mutualize (directed inputs) -> features -> classifier ->
     edge-scores -> propagate (chosen engine plus optional baselines) ->
     metrics. Any failure is re-raised as StageError tagged with the stage.
+    The victim-probability file is read only with baselines; passing it
+    without them is a ValueError, raised before `out_dir` is made.
     """
+    if victim_prob_path is not None and not cfg.baselines:
+        raise ValueError("a victim-probability file is read only with baselines")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     with _stage("load"):
         loaded, ids = tsvio.load_graph(graph_path, directed, remap=cfg.remap_ids)
         labels, = tsvio.read_by_node([(label_path, "label")], ids)
-        if cfg.baselines and victim_prob_path is not None:
+        if victim_prob_path is not None:
             unit = (lambda x: (x >= 0) & (x <= 1), "must lie in [0, 1]")
             victim_prob, = tsvio.read_by_node([(victim_prob_path, "score")], ids, unit)
             victim_prob = np.nan_to_num(victim_prob, nan=0.0)  # for the nodes the file leaves out
@@ -232,7 +233,7 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
             tsvio.write_edge_list(out / "mutual_graph.tsv", graph)
 
     with _stage("features"):
-        feats = features.feature_matrix(dg, graph)
+        feats = features.feature_matrix(graph, dg)
         tsvio.write_features(out / "features.tsv", feats)
 
     with _stage("classifier"):

@@ -91,7 +91,6 @@ class RankingReport:
     node_ids: np.ndarray          # ranked ascending by (score, id)
     scores: np.ndarray            # aligned with node_ids
     labels: np.ndarray            # aligned true labels
-    threshold: float
     component_class: np.ndarray   # aligned class names
     metrics: dict[str, float] = field(default_factory=dict)
 
@@ -110,7 +109,7 @@ def build_ranking_report(scores: np.ndarray, labels: np.ndarray, threshold: floa
     base = {"auc": auc(scores, labels, exclude=exclude),
             "accuracy": accuracy_at_threshold(scores, labels, threshold, exclude=exclude)}
     return RankingReport(node_ids=ranked, scores=scores[ranked], labels=labels[ranked],
-                         threshold=threshold, component_class=classes, metrics=base)
+                         component_class=classes, metrics=base)
 
 
 def _head(ranked: np.ndarray, k: int) -> np.ndarray:

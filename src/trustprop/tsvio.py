@@ -245,13 +245,9 @@ def load_edge_list(path, directed: bool = False):
     return load_graph(path, directed)[0]
 
 
-def write_edge_list(path, g) -> None:
-    """Write a Graph (canonical u < v lines) or DirectedGraph (all arcs)."""
-    if isinstance(g, Graph):
-        src, dst = g.edge_u, g.edge_v
-    else:
-        src, dst = np.repeat(np.arange(g.node_count), g.out_degrees), g.out_indices
-    write_rows(path, src, dst)
+def write_edge_list(path, g: Graph) -> None:
+    """Write a Graph as its canonical u < v lines."""
+    write_rows(path, g.edge_u, g.edge_v)
 
 
 def read_by_node(files, ids=None, score_domain=None) -> list[np.ndarray]:

@@ -24,9 +24,21 @@ def digraph_from_pairs(n, pairs) -> DirectedGraph:
 
 
 def has_edge(g: Graph, u: int, v: int) -> bool:
-    nb = g.neighbors(u)
-    i = np.searchsorted(nb, v)
-    return bool(i < nb.shape[0] and nb[i] == v)
+    """Whether {u, v} is an edge, by a scan of the canonical edge list."""
+    return bool(np.any((g.edge_u == min(u, v)) & (g.edge_v == max(u, v))))
+
+
+def adjacency_oracle(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, edge_ids) of g's symmetric CSR adjacency, rebuilt from
+    its edge list by the sort oracle; row v of indices lists v's neighbors ascending."""
+    indptr, indices, _, _, edge_ids = from_edges_sort_oracle(g.node_count, g.edge_u, g.edge_v)
+    return indptr, indices, edge_ids
+
+
+def neighbor_lists(g: Graph) -> list[np.ndarray]:
+    """Sorted neighbors of every node, from `adjacency_oracle`."""
+    indptr, indices, _ = adjacency_oracle(g)
+    return np.split(indices, indptr[1:-1])
 
 
 def arcs(dg: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
@@ -74,9 +86,10 @@ def req_out_oracle(dg: DirectedGraph, v: int) -> float:
     return np.intersect1d(in_neighbors(dg, v), outbound, assume_unique=True).shape[0] / outbound.shape[0]
 
 
-def clustering_coefficient_oracle(g: Graph, v: int) -> float:
+def clustering_coefficient_oracle(g: Graph, v: int, nbr_lists=None) -> float:
     """Fraction of ordered neighbor pairs of v that are themselves connected."""
-    nbrs = g.neighbors(v)
+    nbr_lists = neighbor_lists(g) if nbr_lists is None else nbr_lists
+    nbrs = nbr_lists[v]
     k = nbrs.shape[0]
     if k < 2:
         return 0.0
@@ -84,24 +97,27 @@ def clustering_coefficient_oracle(g: Graph, v: int) -> float:
     mark[nbrs] = True
     ordered_links = 0
     for u in nbrs.tolist():
-        ordered_links += int(mark[g.neighbors(u)].sum())
+        ordered_links += int(mark[nbr_lists[u]].sum())
     return ordered_links / (k * (k - 1))
 
 
 def clustering_loop_oracle(g: Graph) -> np.ndarray:
     """Clustering coefficient of every node, one neighborhood at a time."""
-    return np.array([clustering_coefficient_oracle(g, v) for v in range(g.node_count)], dtype=float)
+    nbr_lists = neighbor_lists(g)
+    return np.array([clustering_coefficient_oracle(g, v, nbr_lists) for v in range(g.node_count)],
+                    dtype=float)
 
 
 def edge_similarity_loop_oracle(g: Graph, metric: str) -> np.ndarray:
     """Per-edge neighbor-set similarity by intersecting the two neighbor lists,
     each without the other endpoint."""
-    degrees = g.degrees
+    nbr_lists = neighbor_lists(g)
+    degrees = np.array([a.shape[0] for a in nbr_lists])
     sims = np.zeros(g.edge_count)
     for e, (u, v) in enumerate(zip(g.edge_u.tolist(), g.edge_v.tolist())):
-        a = g.neighbors(u)
+        a = nbr_lists[u]
         a = a[a != v]
-        b = g.neighbors(v)
+        b = nbr_lists[v]
         b = b[b != u]
         common = np.intersect1d(a, b, assume_unique=True)
         if metric == "jaccard":
@@ -121,6 +137,7 @@ def bfs_components_oracle(g: Graph, restrict=None) -> list[frozenset]:
         active = set(range(g.node_count))
     else:
         active = set(int(x) for x in restrict)
+    nbr_lists = neighbor_lists(g)
     seen: set[int] = set()
     comps = []
     for start in sorted(active):
@@ -131,7 +148,7 @@ def bfs_components_oracle(g: Graph, restrict=None) -> list[frozenset]:
         comp = {start}
         while queue:
             v = queue.pop(0)
-            for u in g.neighbors(v).tolist():
+            for u in nbr_lists[v].tolist():
                 if u in active and u not in seen:
                     seen.add(u)
                     comp.add(u)
@@ -147,6 +164,7 @@ def dfs_components_oracle(g: Graph, restrict_to=None) -> list[np.ndarray]:
     active = np.zeros(n, dtype=bool)
     active[np.arange(n) if restrict_to is None else np.asarray(restrict_to, dtype=np.int64)] = True
     visited = np.zeros(n, dtype=bool)
+    nbr_lists = neighbor_lists(g)
     components: list[np.ndarray] = []
     for start in range(n):
         if not active[start] or visited[start]:
@@ -156,7 +174,7 @@ def dfs_components_oracle(g: Graph, restrict_to=None) -> list[np.ndarray]:
         members = [start]
         while stack:
             v = stack.pop()
-            nbrs = g.neighbors(v)
+            nbrs = nbr_lists[v]
             fresh = nbrs[active[nbrs] & ~visited[nbrs]]
             if fresh.size:
                 visited[fresh] = True
@@ -171,10 +189,10 @@ def modularity_pair_oracle(g: Graph, labels) -> float:
     """O(n^2) direct summation: (1/2m) sum_ij (A_ij - k_i k_j / 2m) delta(c_i, c_j)."""
     n = g.node_count
     m = g.edge_count
-    deg = g.degrees
     adj = np.zeros((n, n))
     for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()):
         adj[u, v] = adj[v, u] = 1.0
+    deg = adj.sum(axis=1)
     q = 0.0
     for i in range(n):
         for j in range(n):
@@ -207,14 +225,15 @@ def walk_matrix_oracle(g: Graph, edge_values, init, d, hold_isolated=False) -> n
 def walk_oracle(g: Graph, init, weights, iterations, restart=0.0, restart_dist=None, pin=None,
                 hold_isolated=False, per_weighted_degree=False) -> np.ndarray:
     """The walk engine as one whole-array bincount per round over the row id of
-    every CSR position, with the engine's arguments and operation order."""
+    every CSR position of `adjacency_oracle`, with the engine's arguments and
+    operation order."""
     n = g.node_count
-    rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    cols = g.indices
-    position_weights = np.asarray(weights, dtype=float)[g.edge_ids]
+    indptr, cols, edge_ids = adjacency_oracle(g)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    position_weights = np.asarray(weights, dtype=float)[edge_ids]
     wsum = np.bincount(rows, weights=position_weights, minlength=n)
     share = np.where(wsum[cols] > 0, position_weights / np.maximum(wsum[cols], 1e-300), 0.0)
-    isolated = g.degrees == 0
+    isolated = np.diff(indptr) == 0
     scores = init.astype(float, copy=True)
     for _ in range(iterations):
         scores = np.bincount(rows, weights=scores[cols] * share, minlength=n).astype(float, copy=False)
@@ -267,10 +286,11 @@ def from_edges_sort_oracle(n, u, v) -> tuple[np.ndarray, ...]:
 
 
 def reverse_positions_oracle(g: Graph) -> np.ndarray:
-    """Partner position of every CSR position by binary search over the row*n + col keys."""
+    """Partner position of every `adjacency_oracle` position by binary search over
+    the row*n + col keys."""
     n = g.node_count
-    rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    cols = g.indices.astype(np.int64)
+    indptr, cols, _ = adjacency_oracle(g)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     return np.searchsorted(rows * n + cols, cols * n + rows)
 
 
@@ -326,7 +346,8 @@ def compose_attack_scenario_oracle(cfg) -> tuple[Graph, np.ndarray]:
 
 
 def lbp_two_vector_oracle(g: Graph, node_scores, edge_values, iterations) -> np.ndarray:
-    """Sum-product LBP with one normalized (+1, -1) message pair per CSR position.
+    """Sum-product LBP with one normalized (+1, -1) message pair per
+    `adjacency_oracle` position.
 
     Position k = (v, u) holds the message from u into v; messages start
     uniform and are renormalized to sum 1 after every round. Node scores are
@@ -334,9 +355,9 @@ def lbp_two_vector_oracle(g: Graph, node_scores, edge_values, iterations) -> np.
     """
     n = g.node_count
     s = np.asarray(node_scores, dtype=float)
-    se = np.asarray(edge_values, dtype=float)[g.edge_ids]
-    rows = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    cols = g.indices
+    indptr, cols, edge_ids = adjacency_oracle(g)
+    se = np.asarray(edge_values, dtype=float)[edge_ids]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     rev = reverse_positions_oracle(g)
     messages = np.full((cols.shape[0], 2), 0.5)
     for _ in range(iterations):

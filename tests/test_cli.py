@@ -70,9 +70,11 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command, flag", [
         (["rank", "--scores", "labels.tsv", "--labels", "labels.tsv"], ["--seed", 1]),
         (["components", "--graph", "graph.tsv"], ["--threads", 2]),
+        (["rank", "--scores", "labels.tsv", "--labels", "labels.tsv"], ["--threshold", 0.3]),
     ])
     def test_unread_flags_rejected(self, scenario_dir, tmp_path, capsys, command, flag):
-        # only generate, train, sweep and pipeline take --seed; only sweep and pipeline --threads
+        # only generate, train, sweep and pipeline take --seed; only sweep and pipeline
+        # --threads; only evaluate and pipeline --threshold
         argv = [scenario_dir / a if a.endswith(".tsv") else a for a in command]
         assert run(*argv, *flag, "--out-dir", tmp_path / "out") == 1
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
@@ -103,12 +105,23 @@ class TestUsageErrors:
         assert "--labels is read only with --sybil-only" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_victim_probs_without_baselines_is_usage_error_before_any_read(self, scenario_dir,
+                                                                          tmp_path, capsys):
+        assert run("pipeline", "--graph", scenario_dir / "graph.tsv", "--labels", scenario_dir / "labels.tsv",
+                   "--victim-probs", tmp_path / "nonexistent.tsv", "--out-dir", tmp_path / "out") == 1
+        assert "--victim-probs is read only with --baselines" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [
         ["pipeline", "--graph", "graph.tsv", "--labels", "labels.tsv", "--top-k", "-3"],
         ["pipeline", "--graph", "graph.tsv", "--labels", "labels.tsv", "--iterations", "0"],
         ["propagate", "--graph", "graph.tsv", "--node-scores", "labels.tsv",
          "--edge-scores", "labels.tsv", "--iterations", "-1"],
         ["evaluate", "--scores", "labels.tsv", "--labels", "labels.tsv", "--top-k", "0,5"],
+        ["pipeline", "--graph", "graph.tsv", "--labels", "labels.tsv", "--threads", "0"],
+        ["pipeline", "--graph", "graph.tsv", "--labels", "labels.tsv", "--threads", "-3"],
+        ["sweep", "--trials", "0"],
+        ["sweep", "--threads", "0"],
     ])
     def test_counts_below_one_are_usage_errors_before_any_write(self, scenario_dir, tmp_path,
                                                                  capsys, argv):

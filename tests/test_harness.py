@@ -8,6 +8,8 @@ from trustprop.graph import BENIGN, SYBIL
 from trustprop.harness import (PipelineConfig, StageError, SweepSpec, derive_seed,
                                run_detection_pipeline, run_robustness_sweep)
 
+from conftest import arcs
+
 SMALL_BASE = synth.ScenarioConfig(benign_count=200, sybil_count=100, avg_degree=8,
                                   attack_edge_count=150, rng_seed=7)
 
@@ -139,7 +141,7 @@ class TestPipeline:
                                         cfg, out_dir=tmp_path / "out")
 
         g = load_edge_list(tmp_path / "graph.tsv")
-        feats = features.feature_matrix(None, g)
+        feats = features.feature_matrix(g)
         training = classifier.sample_training_set(labels, 20, 20, derive_seed(5, "train-sample"))
         model = classifier.train(feats, training)
         node_scores = classifier.predict_scores(model, feats)
@@ -184,7 +186,7 @@ class TestPipeline:
 
     def test_directed_input_runs_feature_stage(self, tmp_path, directed_social_scenario):
         dg, labels = directed_social_scenario
-        tsvio.write_edge_list(tmp_path / "digraph.tsv", dg)
+        tsvio.write_rows(tmp_path / "digraph.tsv", *arcs(dg))
         tsvio.write_labels(tmp_path / "labels.tsv", labels)
         cfg = PipelineConfig(train_benign=25, train_sybil=25, seed=11)
         result = run_detection_pipeline(tmp_path / "digraph.tsv", tmp_path / "labels.tsv",
@@ -195,9 +197,9 @@ class TestPipeline:
 
     def test_directed_run_mutualizes_once_and_scores_each_engine_once(
             self, tmp_path, directed_social_scenario, monkeypatch):
-        from trustprop import features, harness
+        from trustprop import harness
         dg, labels = directed_social_scenario
-        tsvio.write_edge_list(tmp_path / "digraph.tsv", dg)
+        tsvio.write_rows(tmp_path / "digraph.tsv", *arcs(dg))
         tsvio.write_labels(tmp_path / "labels.tsv", labels)
         calls = {"mutualize": 0, "auc": 0}
 
@@ -207,8 +209,7 @@ class TestPipeline:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for module in (harness, features):
-            monkeypatch.setattr(module, "mutualize", counted("mutualize", module.mutualize))
+        monkeypatch.setattr(harness, "mutualize", counted("mutualize", harness.mutualize))
         monkeypatch.setattr(metrics, "auc", counted("auc", metrics.auc))
         cfg = PipelineConfig(train_benign=25, train_sybil=25, seed=11, baselines=True)
         result = run_detection_pipeline(tmp_path / "digraph.tsv", tmp_path / "labels.tsv",
@@ -224,7 +225,7 @@ class TestPipeline:
             self, tmp_path, directed_social_scenario, monkeypatch):
         from trustprop import graph as graph_module
         dg, labels = directed_social_scenario
-        tsvio.write_edge_list(tmp_path / "digraph.tsv", dg)
+        tsvio.write_rows(tmp_path / "digraph.tsv", *arcs(dg))
         tsvio.write_labels(tmp_path / "labels.tsv", labels)
         unweighted = []
         real_pass = graph_module._triangle_pass
@@ -255,13 +256,19 @@ class TestPipeline:
         assert "sf_rw" in result.final_scores
         assert (tmp_path / "out" / "final_scores_integro.tsv").exists()
 
+    def test_victim_probs_without_baselines_rejected_before_any_write(self, tmp_path):
+        cfg = PipelineConfig(train_benign=10, train_sybil=10)
+        with pytest.raises(ValueError, match="read only with baselines"):
+            run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv", cfg,
+                                   out_dir=tmp_path / "out", victim_prob_path="/nonexistent.tsv")
+        assert not (tmp_path / "out").exists()
+
     def test_fixed_threshold_respected(self, tmp_path):
         _write_scenario(tmp_path)
         cfg = PipelineConfig(train_benign=10, train_sybil=10, threshold=0.42)
         result = run_detection_pipeline(tmp_path / "graph.tsv", tmp_path / "labels.tsv", cfg,
                                         out_dir=tmp_path / "out")
         assert result.threshold == 0.42
-        assert result.report.threshold == 0.42
 
     def test_remap_maps_victim_probs_through_the_id_map(self, tmp_path):
         # the x1000 ids of test_remap_sparse_ids, in the victim file too

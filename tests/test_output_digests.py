@@ -154,5 +154,5 @@ def test_output_bytes_unchanged(digests, name):
 def test_int64_storage_writes_the_same_bytes(tmp_path, monkeypatch):
     """Graphs past 2**31 nodes or positions store int64 ids; every file reads the same."""
     monkeypatch.setattr(graph, "index_dtype", lambda n, m: np.int64)
-    assert graph.Graph.from_edges(2, [0], [1]).indices.dtype == np.int64
+    assert graph.Graph.from_edges(2, [0], [1]).edge_u.dtype == np.int64
     assert output_digests(tmp_path) == GOLDEN

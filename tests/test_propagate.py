@@ -552,7 +552,7 @@ class TestIndexWidth:
         narrow, labels = compose_attack_scenario(cfg)
         monkeypatch.setattr(graph_module, "index_dtype", lambda n, m: np.int64)
         wide, _ = compose_attack_scenario(cfg)
-        assert narrow.indices.dtype == np.int32 and wide.indices.dtype == np.int64
+        assert narrow.edge_u.dtype == np.int32 and wide.edge_u.dtype == np.int64
         node_scores = simulate_trust_scores(labels, NoiseConfig(0.3, 0.3, 1))
         seeds = TrainingSet(benign=[0, 5, 9], sybil=[1600, 1700])
 
@@ -572,8 +572,8 @@ class TestIndexWidth:
 class TestLazyAdjacency:
     def test_engines_leave_the_adjacency_unbuilt(self):
         """Engines, baselines, simulated edge scores, features and all three
-        similarity metrics read only the edge list; neighbor lists build the
-        CSR adjacency, once."""
+        similarity metrics read only the edge list; the CSR members build the
+        adjacency, once."""
         cfg = ScenarioConfig(benign_count=300, sybil_count=150, attack_edge_count=100, rng_seed=3)
         g, labels = compose_attack_scenario(cfg)
         node_scores = simulate_trust_scores(labels, NoiseConfig(0.2, 0.2, 1))
@@ -585,14 +585,14 @@ class TestLazyAdjacency:
         baseline_cia(g, seeds.sybil)
         baseline_sybilbelief(g, seeds)
         baseline_integro(g, seeds.benign, node_scores)
-        feature_matrix(None, g)
+        feature_matrix(g)
         for metric in SIMILARITY_METRICS:
             edge_similarity(g, metric)
         assert "_adjacency" not in vars(g)
-        assert np.array_equal(g.neighbors(7), np.sort(np.concatenate(
+        assert np.array_equal(g.indices[g.position_rows() == 7], np.sort(np.concatenate(
             [g.edge_u[g.edge_v == 7], g.edge_v[g.edge_u == 7]])))
         adjacency = vars(g)["_adjacency"]
-        g.neighbors(8)
+        g.reverse_positions()
         assert vars(g)["_adjacency"] is adjacency
         assert g.indices is adjacency[0] and g.edge_ids is adjacency[1]
 

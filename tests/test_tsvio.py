@@ -9,7 +9,7 @@ from trustprop import tsvio
 from trustprop.graph import BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, Graph
 from trustprop.tsvio import load_edge_list, read_edge_pairs
 
-from conftest import graph_from_pairs, read_rows_oracle, write_rows_oracle
+from conftest import arcs, graph_from_pairs, read_rows_oracle, write_rows_oracle
 
 
 class TestLabels:
@@ -109,7 +109,7 @@ class TestEdgeListFile:
         from conftest import digraph_from_pairs, in_neighbors, out_neighbors
         dg = digraph_from_pairs(3, [(0, 1), (1, 0), (2, 1)])
         path = tmp_path / "digraph.tsv"
-        tsvio.write_edge_list(path, dg)
+        tsvio.write_rows(path, *arcs(dg))
         dg2 = load_edge_list(path, directed=True)
         assert dg2.edge_count == 3
         assert out_neighbors(dg2, 0).tolist() == [1]
@@ -457,7 +457,7 @@ class TestWriteReadIdentity:
         if dg.edge_count == 0:
             return
         path = tmp_path_factory.mktemp("el") / "arcs.tsv"
-        tsvio.write_edge_list(path, dg)
+        tsvio.write_rows(path, *arcs(dg))
         src, dst = read_edge_pairs(path)
         assert np.array_equal(src, np.repeat(np.arange(n), dg.out_degrees))
         assert np.array_equal(dst, dg.out_indices)
