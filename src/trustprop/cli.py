@@ -32,11 +32,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _count(text: str) -> int:
-    """Argparse type for a count of at least 1."""
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected a count of at least 1, got {text!r}")
-    return int(text)
+def _checked(kind, inside, expected: str):
+    """Argparse type for a `kind` value that passes `inside`; any other fails, naming `expected`."""
+    def number(text: str):  # argparse names the type "number" when `kind` fails
+        if not inside(value := kind(text)):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return number
+
+
+# The library's own ranges, checked before a subcommand writes anything.
+_count = _checked(int, lambda x: x >= 1, "a count of at least 1")
+_rate = _checked(float, lambda x: 0 <= x <= 1, "a value in [0, 1]")
+_open_unit = _checked(float, lambda x: 0 < x < 1, "a value in (0, 1)")
+_edge_score = _checked(float, lambda x: 0.1 <= x <= 0.9, "a value in [0.1, 0.9]")
 
 
 def _list_of(item):
@@ -61,8 +70,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     scenario.add_argument("--avg-degree", type=int, default=10)
     scenario.add_argument("--attack-edges", type=int, default=1000)
     training = _Parser(add_help=False)
-    training.add_argument("--train-benign", type=int, default=50)
-    training.add_argument("--train-sybil", type=int, default=50)
+    training.add_argument("--train-benign", type=_count, default=50)
+    training.add_argument("--train-sybil", type=_count, default=50)
     engine = _Parser(add_help=False)
     engine.add_argument("--engine", choices=tuple(propagate.ENGINES), default="lbp")
     engine.add_argument("--iterations", type=_count, default=None)
@@ -85,8 +94,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub("generate", _cmd_generate, "synthesize a benign/Sybil attack scenario", scenario, seeded)
     p.add_argument("--degree-biased-attacks", action="store_true")
-    p.add_argument("--fpr", type=float, default=None, help="also emit simulated node scores")
-    p.add_argument("--fnr", type=float, default=None)
+    p.add_argument("--fpr", type=_rate, default=None, help="also emit simulated node scores")
+    p.add_argument("--fnr", type=_rate, default=None)
 
     p = sub("mutualize", _cmd_mutualize, "directed edge list -> undirected mutual-edge graph")
     p.add_argument("--input", required=True)
@@ -105,7 +114,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 
     p = sub("score-edges", _cmd_score_edges, "emit per-edge trust scores")
     p.add_argument("--graph", required=True)
-    p.add_argument("--value", type=float, default=None, help="constant edge score (default 0.9)")
+    p.add_argument("--value", type=_edge_score, default=None, help="constant edge score (default 0.9)")
     p.add_argument("--metric", choices=classifier.SIMILARITY_METRICS, default=None)
 
     p = sub("propagate", _cmd_propagate, "run a propagation engine over score files", engine)
@@ -119,7 +128,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub("rank", _cmd_rank, "write the ascending ranking file for final scores", ranking)
     p.add_argument("--graph", default=None, help="enables Sybil component classes")
     p = sub("evaluate", _cmd_evaluate, "compute AUC / accuracy / top-K metrics", ranking, top_k)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=_open_unit, default=0.5)
 
     p = sub("sweep", _cmd_sweep, "robustness sweep over synthetic scenarios", scenario, seeded, threads)
     p.add_argument("--variable", choices=harness.SWEEP_VARIABLES, default="fpr_fnr")
@@ -127,22 +136,24 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--trials", type=_count, default=10)
     p.add_argument("--mode", choices=harness.SWEEP_MODES, default="node_scores")
     p.add_argument("--engines", type=_list_of(str), default=list(propagate.ENGINES))
-    p.add_argument("--noise", type=float, default=0.3)
+    p.add_argument("--noise", type=_rate, default=0.3)
 
     p = sub("pipeline", _cmd_pipeline, "end-to-end detection on an edge-list dataset",
             training, engine, top_k, seeded, threads)
     p.add_argument("--graph", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--directed", action="store_true")
-    p.add_argument("--edge-value", type=float, default=0.9)
+    p.add_argument("--edge-value", type=_edge_score, default=0.9)
     p.add_argument("--edge-metric", choices=classifier.SIMILARITY_METRICS, default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_open_unit, default=None)
     p.add_argument("--raw-walk-scores", action="store_true",
                    help="rank walk scores without degree normalization")
     p.add_argument("--baselines", action="store_true")
-    p.add_argument("--restart", type=float, default=0.85, help="restart-walk baseline parameter")
-    p.add_argument("--homophily", type=float, default=0.9, help="seed-only LBP baseline edge score")
-    p.add_argument("--beta", type=float, default=2.0, help="victim-weight baseline parameter")
+    p.add_argument("--restart", type=_checked(float, lambda x: 0 < x <= 1, "a value in (0, 1]"), default=0.85,
+                   help="restart-walk baseline parameter")
+    p.add_argument("--homophily", type=_open_unit, default=0.9, help="seed-only LBP baseline edge score")
+    p.add_argument("--beta", type=_checked(float, lambda x: x > 0, "a positive number"), default=2.0,
+                   help="victim-weight baseline parameter")
     p.add_argument("--victim-probs", default=None, help="victim-weight baseline input (needs --baselines)")
     p.add_argument("--remap-ids", action="store_true",
                    help="densify sparse node ids (writes id_map.tsv)")
@@ -247,8 +258,6 @@ def _cmd_train(args, out: Path) -> int:
 
 
 def _cmd_score_edges(args, out: Path) -> int:
-    if args.metric is not None and args.value is not None:
-        raise UsageError("--value and --metric are mutually exclusive")
     graph = load_edge_list(args.graph, directed=False)
     values = classifier.edge_scores(graph, args.metric, 0.9 if args.value is None else args.value)
     tsvio.write_edge_scores(out / "edge_scores.tsv", graph, values)
@@ -308,9 +317,6 @@ def _cmd_evaluate(args, out: Path) -> int:
 
 def _cmd_sweep(args, out: Path) -> int:
     counts = args.variable != "fpr_fnr"
-    for v in args.values:
-        if counts and not v.is_integer():
-            raise UsageError(f"--values: {args.variable} takes whole numbers, got {v!r}")
     spec = harness.SweepSpec(
         base=_scenario_config(args),
         variable=args.variable,
@@ -325,8 +331,6 @@ def _cmd_sweep(args, out: Path) -> int:
 
 
 def _cmd_pipeline(args, out: Path) -> int:
-    if args.victim_probs is not None and not args.baselines:
-        raise UsageError("--victim-probs is read only with --baselines")
     cfg = harness.PipelineConfig(
         engine=args.engine, train_benign=args.train_benign, train_sybil=args.train_sybil,
         iterations=args.iterations, pin_seeds=args.pin_seeds,
@@ -343,8 +347,6 @@ def _cmd_pipeline(args, out: Path) -> int:
 
 
 def _cmd_components(args, out: Path) -> int:
-    if bool(args.labels) != args.sybil_only:
-        raise UsageError("--sybil-only requires --labels, and --labels is read only with --sybil-only")
     graph = load_edge_list(args.graph, directed=False)
     keep = None
     if args.sybil_only:
@@ -368,13 +370,27 @@ def _cmd_modularity(args, out: Path) -> int:
     return 0
 
 
+def _check_flags(args) -> None:
+    """Reject the flag combinations a subcommand cannot run with."""
+    if args.command == "score-edges" and args.metric is not None and args.value is not None:
+        raise UsageError("--value and --metric are mutually exclusive")
+    if args.command == "sweep" and args.variable != "fpr_fnr" and not all(v.is_integer() for v in args.values):
+        raise UsageError(f"--values: {args.variable} takes whole numbers, got {args.values}")
+    if args.command == "pipeline" and args.victim_probs is not None and not args.baselines:
+        raise UsageError("--victim-probs is read only with --baselines")
+    if args.command == "components" and bool(args.labels) != args.sybil_only:
+        raise UsageError("--sybil-only requires --labels, and --labels is read only with --sybil-only")
+
+
 def dispatch(argv) -> int:
-    """Parse argv, run the subcommand; returns the process exit code."""
+    """Parse argv, run the subcommand; returns the process exit code. Every
+    usage error is found before the subcommand reads or writes anything."""
     parser, registry = build_parser()
     try:
         args = parser.parse_args(argv)
         if _apply_config_file(args, registry) is not None:
             args = parser.parse_args(argv)
+        _check_flags(args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -382,17 +398,8 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         out = Path(args.out_dir)
-        made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
         out.mkdir(parents=True, exist_ok=True)
         return args.handler(args, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for d in made:  # a usage error leaves no empty directory behind that this run made
-            try:
-                d.rmdir()
-            except OSError:  # not empty
-                break
-        return 1
     except (EdgeListParseError, ValueError, OSError, harness.StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -2,27 +2,23 @@
 
 Three features per node: incoming-requests-accepted ratio, outgoing-requests-
 accepted ratio (both from the directed graph), and the local clustering
-coefficient (from the triangle counts of the mutualized graph's edges). All
-are ratios in [0, 1]; zero-denominator cases are 0 by convention.
+coefficient (the triangle counts of the mutualized graph's edges, summed into
+nodes by graph's `_scatter`). All are ratios in [0, 1]; zero-denominator cases
+are 0 by convention.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import DirectedGraph, Graph
-from .propagate import _scatter
+from .graph import DirectedGraph, Graph, _scatter
 
 
 def req_ratios(dg: DirectedGraph, mutual: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized (req_in, req_out) for all nodes of `dg`, whose mutualization
     is `mutual`: |In(v) ∩ Out(v)| is v's degree there."""
     recip = mutual.degrees
-    indeg = dg.in_degrees
-    outdeg = dg.out_degrees
-    rin = np.where(indeg > 0, recip / np.maximum(indeg, 1), 0.0)
-    rout = np.where(outdeg > 0, recip / np.maximum(outdeg, 1), 0.0)
-    return rin, rout
+    return tuple(np.where(d > 0, recip / np.maximum(d, 1), 0.0) for d in (dg.in_degrees, dg.out_degrees))
 
 
 def clustering_all(g: Graph) -> np.ndarray:

@@ -6,9 +6,10 @@ weights) are stored once per edge, and its degrees, which the constructor
 derives from the edges. Every library kernel, the triangle pass included,
 reads the edge list; the CSR adjacency members stay only because the
 benchmark tracer (`bench/spans.py`) names them. A directed graph stores its
-out-adjacency in CSR form. All graph objects are immutable after
-construction; derived arrays (per-edge triangle counts, the adjacency) are
-computed once and cached.
+out-degrees and its arc targets, source by source. Every sum of per-edge
+terms into nodes, the degrees and the engines' rounds included, goes through
+one blocked kernel, `_scatter`. All graph objects are immutable after
+construction; derived arrays (triangle counts, the adjacency) are cached.
 
 Index arrays (node ids and edge ids) are stored as int32 while n < 2**31 and
 2m < 2**31, and as int64 past either limit (`index_dtype`); degrees are
@@ -49,10 +50,10 @@ class EdgeListParseError(ValueError):
     """Raised for malformed data files (the message names the file and line)."""
 
 
-def _unique_keys(n: int, a, b, undirected: bool) -> tuple[np.ndarray, int]:
+def _unique_keys(n: int, a, b, undirected: bool) -> np.ndarray:
     """The ascending distinct keys a * n + b (min * n + max if `undirected`) of
-    the pairs within the n nodes, and how many repeats were dropped. Self-loops
-    are dropped and counted in the log: their keys become -1, which sorts first."""
+    the pairs within the n nodes. Self-loops and repeats are dropped and
+    counted in the log; a self-loop's key becomes -1, which sorts first."""
     if n < 0:
         raise ValueError("node_count must be non-negative")
     if n > _MAX_NODES:
@@ -67,15 +68,18 @@ def _unique_keys(n: int, a, b, undirected: bool) -> tuple[np.ndarray, int]:
     keys = np.minimum(a, b) if undirected else a.copy()
     keys *= n
     keys += np.maximum(a, b) if undirected else b
+    what = "undirected graph" if undirected else "directed graph"
     dropped = int(np.count_nonzero(loops))
     if dropped:
-        what = "undirected graph" if undirected else "directed graph"
         logger.warning("dropped %d self-loop%s while building %s", dropped, "s" if dropped != 1 else "", what)
         keys[loops] = -1
     del a, b, loops  # only the keys go on to the sort
     raw = keys.shape[0] - dropped
     keys = _sorted_unique(keys)[1 if dropped else 0:]
-    return keys, raw - keys.shape[0]
+    if dup := raw - keys.shape[0]:
+        logger.warning("dropped %d duplicate %s%s while building %s", dup, "edge" if undirected else "arc",
+                       "s" if dup != 1 else "", what)
+    return keys
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -84,6 +88,28 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     keys.sort()
     new = keys[1:] != keys[:-1]
     return keys if new.all() else keys[np.concatenate(([True], new))]
+
+
+# Edges per block of `_scatter` and of a walk or LBP round: a block's float64
+# temporaries (256 KiB each) stay in a core's L2 cache.
+_EDGE_CHUNK = 1 << 15
+
+
+def _scatter(acc: np.ndarray, *sources) -> np.ndarray:
+    """For each (ends, values) source in turn, add values(e) to acc at ends[e] over
+    the blocks e of _EDGE_CHUNK edges; return acc. Each node's sum runs in source
+    and edge order, as a whole-array bincount's does, but no m-sized temporary is
+    made: bincount would first copy all int32 ids to intp (8 bytes per edge)."""
+    for ends, values in sources:
+        for lo in range(0, ends.shape[0], _EDGE_CHUNK):
+            e = slice(lo, lo + _EDGE_CHUNK)
+            np.add.at(acc, ends[e], values(e))
+    return acc
+
+
+def _counts(n: int, *ends) -> np.ndarray:
+    """The int64 number of times each of the n nodes occurs in the `ends` arrays."""
+    return _scatter(np.zeros(n, dtype=np.int64), *((a, lambda e: 1) for a in ends))
 
 
 class Graph:
@@ -107,21 +133,15 @@ class Graph:
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.edge_count = int(edge_u.shape[0])
-        self.degrees = np.bincount(edge_v, minlength=n) + np.bincount(edge_u, minlength=n)
+        self.degrees = _counts(n, edge_v, edge_u)
         self._rev = None
         self._tri = None
 
     @classmethod
     def from_edges(cls, node_count: int, u, v) -> "Graph":
-        """Build a graph from endpoint arrays; self-loops and duplicates are dropped.
-
-        One sort of the keys min*n + max gives the canonical edges.
-        """
+        """Build a graph from endpoint arrays; self-loops and duplicates are dropped."""
         n = int(node_count)
-        keys, dup = _unique_keys(n, u, v, undirected=True)
-        if dup:
-            logger.warning("dropped %d duplicate edge%s while building undirected graph", dup, "s" if dup != 1 else "")
-        return cls._from_keys(n, keys)
+        return cls._from_keys(n, _unique_keys(n, u, v, undirected=True))
 
     @classmethod
     def _from_keys(cls, n: int, keys: np.ndarray) -> "Graph":
@@ -193,7 +213,7 @@ def _triangle_pass(g: Graph, weights: np.ndarray | None) -> np.ndarray:
     src, dst = np.where(flip, g.edge_v, g.edge_u), np.where(flip, g.edge_u, g.edge_v)
     eid = np.argsort(np.multiply(src, np.int64(n)) + dst)  # the keys are distinct, so the order is unique
     src, dst = src[eid], dst[eid]
-    later = np.cumsum(np.bincount(src, minlength=n))[src] - np.arange(1, m + 1)
+    later = np.cumsum(_counts(n, src))[src] - np.arange(1, m + 1)
     ends = np.cumsum(later)  # wedges pair out-position p with the `later` ones of its row
     starts = np.subtract(ends, later, out=later)
     keys = np.multiply(g.edge_u, np.int64(n)) + g.edge_v
@@ -214,34 +234,25 @@ def _triangle_pass(g: Graph, weights: np.ndarray | None) -> np.ndarray:
 
 
 class DirectedGraph:
-    """Immutable directed simple graph; only its out-adjacency is stored, in CSR
-    form: int64 out_indptr, and out_indices of type `index_dtype(n, m)`."""
+    """Immutable directed simple graph; only its out-adjacency is stored: int64
+    out_degrees, and each node's arc targets ascending, node by node, in
+    out_indices of type `index_dtype(n, m)`."""
 
-    def __init__(self, node_count, out_indptr, out_indices):
+    def __init__(self, node_count, out_degrees, out_indices):
         self.node_count = int(node_count)
-        self.out_indptr = out_indptr
+        self.out_degrees = out_degrees
         self.out_indices = out_indices
         self.edge_count = int(out_indices.shape[0])
 
     @classmethod
     def from_edges(cls, node_count: int, src, dst) -> "DirectedGraph":
         n = int(node_count)
-        keys, dup = _unique_keys(n, src, dst, undirected=False)
-        if dup:
-            logger.warning("dropped %d duplicate arc(s) while building directed graph", dup)
+        keys = _unique_keys(n, src, dst, undirected=False)
         out_indices = np.empty(keys.shape[0], dtype=index_dtype(n, keys.shape[0]))
         srcs, _ = np.divmod(keys, n, out=(keys, out_indices))
-        out_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(srcs, minlength=n), out=out_indptr[1:])
-        return cls(n, out_indptr, out_indices)
+        return cls(n, np.bincount(srcs, minlength=n), out_indices)
 
-    @property
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self.out_indptr)
-
-    @property
-    def in_degrees(self) -> np.ndarray:
-        return np.bincount(self.out_indices, minlength=self.node_count)
+    in_degrees = property(lambda self: _counts(self.node_count, self.out_indices))
 
 
 def mutualize(dg: DirectedGraph) -> Graph:

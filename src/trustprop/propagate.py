@@ -11,10 +11,10 @@ Two engines spread local trust scores through the graph:
   rounds by default.
 
 Both engines run over the canonical edge list, never the CSR adjacency, in
-blocks of edges whose temporaries fit in the L2 cache, so neither keeps a
-per-round temporary as long as the graph. An LBP round (`update_messages`)
-overwrites the one message array it reads; a walk round adds up each node's
-CSR row in row order. Both give results identical to whole-array rounds.
+blocks of graph._EDGE_CHUNK edges that fit in the L2 cache, and sum into nodes
+with graph's `_scatter`, so no per-round temporary is as long as the graph.
+An LBP round (`update_messages`) overwrites the messages it reads; a walk round
+sums each node's CSR row in row order. Both match whole-array rounds exactly.
 
 Baselines (seed-only random walk with final degree normalization, a
 walk that restarts at the Sybil seeds, seed-only belief propagation, and the
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifier import TrainingSet, _sigmoid
-from .graph import Graph
+from . import graph
+from .graph import Graph, _scatter
 
 SEED_BENIGN_SCORE = 0.9
 SEED_SYBIL_SCORE = 0.1
@@ -134,8 +135,8 @@ def _walk(g: Graph, init: np.ndarray, weights: np.ndarray, iterations: int,
     # weight / sum at the sending end. The weight is one term of that sum, so a
     # sum of 0 has only 0 weights, whose share 0 / 1e-300 is 0.
     share_b, share_a = np.empty(g.edge_count), np.empty(g.edge_count)  # sent by edge_u, by edge_v
-    for lo in range(0, g.edge_count, _EDGE_CHUNK):
-        e = slice(lo, lo + _EDGE_CHUNK)
+    for lo in range(0, g.edge_count, graph._EDGE_CHUNK):
+        e = slice(lo, lo + graph._EDGE_CHUNK)
         share_b[e] = weights[e] / np.maximum(np.take(wsum, edge_u[e], mode="clip"), 1e-300)
         share_a[e] = weights[e] / np.maximum(np.take(wsum, edge_v[e], mode="clip"), 1e-300)
     isolated = g.degrees == 0
@@ -190,11 +191,6 @@ def weighted_lbp(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
     return _sigmoid(prior + _incoming(g, messages))
 
 
-# Edges per block of a walk or LBP round: a block's float64 temporaries
-# (256 KiB each) stay in a core's L2 cache.
-_EDGE_CHUNK = 1 << 15
-
-
 def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
                     messages: np.ndarray) -> np.ndarray:
     """One synchronous round of log-odds messages over the canonical edges,
@@ -206,7 +202,7 @@ def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
     sends log((S_e e^x + 1 - S_e) / ((1 - S_e) e^x + S_e)).
 
     The cavities are summed over all nodes once; the messages are then sent
-    _EDGE_CHUNK edges at a time, so _send's temporaries stay in L2 instead of
+    graph._EDGE_CHUNK edges at a time, so _send's temporaries stay in L2 instead of
     streaming m-element arrays through memory. Each message goes through the
     same elementwise operations, so the result is bit-identical to an
     unblocked round. A block reads no message of another, so each block's
@@ -214,8 +210,8 @@ def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
     """
     fwd, bwd = messages
     cavity = prior + _incoming(g, messages)
-    for lo in range(0, g.edge_count, _EDGE_CHUNK):
-        e = slice(lo, lo + _EDGE_CHUNK)
+    for lo in range(0, g.edge_count, graph._EDGE_CHUNK):
+        e = slice(lo, lo + graph._EDGE_CHUNK)
         forward = _send(np.take(cavity, g.edge_u[e], mode="clip") - bwd[e], coupling[e])
         bwd[e] = _send(np.take(cavity, g.edge_v[e], mode="clip") - fwd[e], coupling[e])
         fwd[e] = forward
@@ -227,18 +223,6 @@ def _incoming(g: Graph, messages: np.ndarray) -> np.ndarray:
     into_v = _scatter(np.zeros(g.node_count), (g.edge_v, lambda e: messages[0, e]))
     into_v += _scatter(np.zeros(g.node_count), (g.edge_u, lambda e: messages[1, e]))
     return into_v
-
-
-def _scatter(acc: np.ndarray, *sources) -> np.ndarray:
-    """For each (ends, values) source in turn, add values(e) to acc at ends[e] over
-    the blocks e of _EDGE_CHUNK edges; return acc. Each node's sum runs in source
-    and edge order, as a whole-array bincount's does, but no m-sized temporary is
-    made: bincount would first copy all int32 ids to intp (8 bytes per edge)."""
-    for ends, values in sources:
-        for lo in range(0, ends.shape[0], _EDGE_CHUNK):
-            e = slice(lo, lo + _EDGE_CHUNK)
-            np.add.at(acc, ends[e], values(e))
-    return acc
 
 
 def _send(x: np.ndarray, c: np.ndarray) -> np.ndarray:

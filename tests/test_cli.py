@@ -138,6 +138,42 @@ class TestUsageErrors:
         assert "run.cfg:1: bad value for 'iterations'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    PIPELINE = ["pipeline", "--graph", "graph.tsv", "--labels", "labels.tsv"]
+
+    @pytest.mark.parametrize("argv, flag, bad, expected", [
+        (PIPELINE, "--edge-value", "1.5", "[0.1, 0.9]"),
+        (PIPELINE, "--edge-value", "0.05", "[0.1, 0.9]"),
+        ([*PIPELINE, "--baselines"], "--restart", "0", "(0, 1]"),
+        ([*PIPELINE, "--baselines"], "--homophily", "1.5", "(0, 1)"),
+        ([*PIPELINE, "--baselines"], "--beta", "0", "a positive number"),
+        ([*PIPELINE, "--baselines"], "--beta", "nan", "a positive number"),
+        (PIPELINE, "--threshold", "1.5", "(0, 1)"),
+        (PIPELINE, "--train-benign", "0", "a count of at least 1"),
+        (PIPELINE, "--train-sybil", "-2", "a count of at least 1"),
+        (["evaluate", "--scores", "labels.tsv", "--labels", "labels.tsv"], "--threshold", "1", "(0, 1)"),
+        (["score-edges", "--graph", "graph.tsv"], "--value", "0.95", "[0.1, 0.9]"),
+        (["generate"], "--fpr", "1.5", "[0, 1]"),
+        (["generate"], "--fnr", "-0.1", "[0, 1]"),
+        (["sweep"], "--noise", "1.5", "[0, 1]"),
+        (["train", "--features", "labels.tsv", "--labels", "labels.tsv"], "--train-benign", "0",
+         "a count of at least 1"),
+    ])
+    def test_value_out_of_range_is_usage_error_before_any_write(self, scenario_dir, tmp_path, capsys,
+                                                               argv, flag, bad, expected):
+        argv = [scenario_dir / a if a.endswith(".tsv") else a for a in argv]
+        assert run(*argv, flag, bad, "--out-dir", tmp_path / "out") == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected " in err and f"{expected}, got '{bad}'" in err
+        assert not (tmp_path / "out").exists()
+        (tmp_path / "run.cfg").write_text(f"{flag[2:]} = {bad}\n")
+        assert run(*argv, "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 1
+        assert f"run.cfg:1: bad value for '{flag[2:].replace('-', '_')}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_training_sample_above_the_labeled_count_is_data_error(self, scenario_dir, tmp_path):
+        assert run(*[scenario_dir / a if a.endswith(".tsv") else a for a in self.PIPELINE],
+                   "--train-benign", 10_000, "--out-dir", tmp_path / "out") == 2
+
 
 class TestBadInputFiles:
     """Malformed data files exit 2 with a message naming the file and line."""

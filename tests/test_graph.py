@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustprop import graph as graph_module
 from trustprop.graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError,
                              Graph, component_census, component_labels, index_dtype, modularity,
                              mutualize)
@@ -82,7 +85,7 @@ class TestLoadEdgeList:
         path.write_text("10\t500\n500\t900\n")
         dg, original = load_graph(path, directed=True, remap=True)
         assert original.tolist() == [10, 500, 900]
-        assert dg.out_indptr.tolist() == [0, 1, 2, 2]
+        assert dg.out_degrees.tolist() == [1, 1, 0]
         assert dg.out_indices.tolist() == [1, 2]
 
 
@@ -137,10 +140,15 @@ class TestGraphStructure:
     def test_build_warns_with_counts(self, caplog):
         with caplog.at_level("WARNING", logger="trustprop.graph"):
             g = Graph.from_edges(4, [0, 1, 2, 1, 3, 0], [1, 0, 2, 1, 0, 1])
-        assert g.edge_count == 2
+            dg = DirectedGraph.from_edges(4, [0, 1, 2, 1, 3, 0, 0], [1, 0, 2, 1, 0, 1, 1])
+            DirectedGraph.from_edges(4, [0, 0], [1, 1])
+        assert g.edge_count == 2 and dg.edge_count == 3
         assert caplog.messages == [
             "dropped 2 self-loops while building undirected graph",
             "dropped 2 duplicate edges while building undirected graph",
+            "dropped 2 self-loops while building directed graph",
+            "dropped 2 duplicate arcs while building directed graph",
+            "dropped 1 duplicate arc while building directed graph",
         ]
 
     def test_reverse_positions_match_search_oracle(self):
@@ -218,9 +226,26 @@ class TestIndexWidth:
     def test_stored_widths(self):
         dg = digraph_from_pairs(4, [(0, 1), (1, 0), (2, 3)])
         g = mutualize(dg)
-        assert dg.out_indptr.dtype == g.degrees.dtype == np.int64
+        assert dg.out_degrees.dtype == dg.in_degrees.dtype == g.degrees.dtype == np.int64
         assert dg.out_indices.dtype == np.int32
         assert all(a.dtype == np.int32 for a in (g.indices, g.edge_u, g.edge_v, g.edge_ids))
+
+
+class TestBlockedCounts:
+    @pytest.mark.parametrize("n, arc_prob", [(0, 0.0), (4, 0.0), (7, 0.5), (12, 0.35), (25, 0.2)])
+    def test_counts_match_oracles_in_blocks_of_three(self, n, arc_prob, monkeypatch):
+        """Degrees, in-degrees and triangle counts, summed 3 edges at a time,
+        equal counts taken off plain Python sets of the pairs."""
+        monkeypatch.setattr(graph_module, "_EDGE_CHUNK", 3)
+        rng = np.random.default_rng(n)
+        arc_set = {(a, b) for a, b in itertools.permutations(range(n), 2) if rng.random() < arc_prob}
+        dg = digraph_from_pairs(n, sorted(arc_set))
+        g = graph_from_pairs(n, sorted(arc_set))
+        nbrs = [{b for a, b in arc_set if a == v} | {a for a, b in arc_set if b == v} for v in range(n)]
+        assert dg.in_degrees.tolist() == [sum(b == v for _, b in arc_set) for v in range(n)]
+        assert dg.out_degrees.tolist() == [sum(a == v for a, _ in arc_set) for v in range(n)]
+        assert g.degrees.tolist() == [len(s) for s in nbrs]
+        assert g.triangle_sums().tolist() == [len(nbrs[a] & nbrs[b]) for a, b in zip(g.edge_u, g.edge_v)]
 
 
 # n * n > 2**31: an edge key u * n + v, or a stable-order key edge_v * m + id,

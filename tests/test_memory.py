@@ -2,14 +2,16 @@
 
 A stage's peak counts what it allocates beyond its inputs, its output included.
 On a 200k-edge random graph with 7 self-loops, stored with int32 ids, the
-stages peak at about 26 (build), 19 (simulated edge scores), 21 (walk), 35
-(LBP) and 64 (the triangle pass) bytes per edge. One more whole-array
+stages peak at about 18 (build), 19 (simulated edge scores), 21 (walk), 35
+(LBP) and 64 (the triangle pass) bytes per edge, and the degree counts of
+`Graph(n, edge_u, edge_v)` and `DirectedGraph.in_degrees` at about 1 byte per
+edge or arc: their n int64 counts and one block's ids. One more whole-array
 temporary of m int64 or float64 values adds 8 bytes per edge, of 2m values
 16, so the budgets below leave room for block-sized temporaries but not for a
 second copy of a graph array. Self-loops cost the build no copy of its inputs.
 
 The graph itself stores its canonical edge list (8 bytes per edge at int32)
-and the n + 1 int64 row pointer; none of these stages builds the CSR
+and its n int64 degrees; none of these stages builds the CSR
 adjacency, which would add 16 bytes per edge. The triangle pass runs on a
 second graph object over the same arrays, so its cached counts stay out of
 that sum.
@@ -20,11 +22,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from trustprop.graph import Graph
+from trustprop.graph import DirectedGraph, Graph
 from trustprop.propagate import weighted_lbp, weighted_random_walk
 from trustprop.synth import NoiseConfig, simulate_edge_trust_scores
 
-BUDGET_BYTES_PER_EDGE = {"build": 32, "edge_scores": 25, "walk": 27, "lbp": 41, "triangles": 70}
+BUDGET_BYTES_PER_EDGE = {"build": 20, "edge_scores": 25, "walk": 27, "lbp": 41, "triangles": 70,
+                         "degrees": 2, "in_degrees": 2}
 
 
 def _traced_peak(call) -> tuple:
@@ -53,8 +56,12 @@ def stage_peaks():
     _, walk = _traced_peak(lambda: weighted_random_walk(g, node_scores, edge_scores))
     _, lbp = _traced_peak(lambda: weighted_lbp(g, node_scores, edge_scores))
     _, triangles = _traced_peak(Graph(n, g.edge_u, g.edge_v).triangle_sums)
+    _, degrees = _traced_peak(lambda: Graph(n, g.edge_u, g.edge_v))
+    dg = DirectedGraph.from_edges(n, u, v)
+    assert dg.edge_count > 199_000
+    _, in_degrees = _traced_peak(lambda: dg.in_degrees)
     return g, {"build": build, "edge_scores": scores, "walk": walk, "lbp": lbp, "triangles": triangles,
-               "loop_free_build": loop_free}
+               "degrees": degrees, "in_degrees": in_degrees, "loop_free_build": loop_free}
 
 
 @pytest.mark.parametrize("stage", sorted(BUDGET_BYTES_PER_EDGE))

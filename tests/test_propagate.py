@@ -171,10 +171,14 @@ class TestBlockedWalk:
                 "hold_isolated": True, "per_weighted_degree": True},
     }
 
+    def test_blocks_read_the_one_chunk_constant(self):
+        # A copy bound in propagate would leave the patches below blocking only _scatter.
+        assert "_EDGE_CHUNK" not in vars(propagate)
+
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     @pytest.mark.parametrize("setup", sorted(SETUPS))
     def test_matches_whole_array_walk(self, chunk, setup, monkeypatch):
-        monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunk)
+        monkeypatch.setattr(graph_module, "_EDGE_CHUNK", chunk)
         g, weights, init = _hub_graph()
         assert g.degrees.max() > 64 and np.any(g.degrees == 0)
         total = np.bincount(g.edge_u, weights, g.node_count) + np.bincount(g.edge_v, weights, g.node_count)
@@ -187,7 +191,7 @@ class TestBlockedWalk:
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     @pytest.mark.parametrize("n", [0, 1, 4])
     def test_edgeless_graph(self, chunk, n, monkeypatch):
-        monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunk)
+        monkeypatch.setattr(graph_module, "_EDGE_CHUNK", chunk)
         g = graph_from_pairs(n, [])
         init = np.linspace(0.1, 0.9, n)
         for kwargs in ({}, {"hold_isolated": True}, {"per_weighted_degree": True}):
@@ -197,7 +201,7 @@ class TestBlockedWalk:
 
     @pytest.mark.parametrize("chunk", [1, 3, 64])
     def test_engines_match_whole_array_walk(self, chunk, monkeypatch):
-        monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunk)
+        monkeypatch.setattr(graph_module, "_EDGE_CHUNK", chunk)
         g, weights, init = _hub_graph()
         d = default_walk_iterations(g.node_count)
         assert weighted_random_walk(g, init, weights).tobytes() == \
@@ -293,11 +297,11 @@ class TestWeightedLbp:
         want = lbp_two_vector_oracle(g, seeded, edge_scores, 8)
         assert np.max(np.abs(got - want)) < 1e-12
 
-    @pytest.mark.parametrize("chunk", [propagate._EDGE_CHUNK, 3], ids=["default", "3"])
+    @pytest.mark.parametrize("chunk", [graph_module._EDGE_CHUNK, 3], ids=["default", "3"])
     def test_messages_stay_finite_and_bounded(self, chunk, monkeypatch):
         # A log-odds message can never exceed the log-odds of its edge
         # potential in magnitude: |m_e| <= |logit(S_e)|.
-        monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunk)
+        monkeypatch.setattr(graph_module, "_EDGE_CHUNK", chunk)
         rng = np.random.default_rng(27)
         g = random_graph(15, 0.3, rng)
         node_scores = 0.1 + 0.8 * rng.random(15)
@@ -319,7 +323,7 @@ class TestWeightedLbp:
         None,  # random graph of a few hundred edges
     ])
     def test_blocked_round_matches_whole_array_round(self, pairs, monkeypatch):
-        monkeypatch.setattr(propagate, "_EDGE_CHUNK", 3)
+        monkeypatch.setattr(graph_module, "_EDGE_CHUNK", 3)
         rng = np.random.default_rng(41)
         g = random_graph(40, 0.4, rng) if pairs is None else graph_from_pairs(6, pairs)
         prior = np.log(rng.random(g.node_count) / rng.random(g.node_count))
@@ -332,7 +336,7 @@ class TestWeightedLbp:
             assert np.array_equal(got, want)
 
     def test_round_overwrites_its_input(self, monkeypatch):
-        monkeypatch.setattr(propagate, "_EDGE_CHUNK", 3)
+        monkeypatch.setattr(graph_module, "_EDGE_CHUNK", 3)
         rng = np.random.default_rng(43)
         g = random_graph(20, 0.4, rng)
         prior = rng.standard_normal(g.node_count)
@@ -547,7 +551,7 @@ class TestIndexWidth:
         """Engines, baselines, simulated edge scores and triangle sums read the
         same from int64 ids, which graphs past 2**31 nodes or positions store."""
         if chunk:
-            monkeypatch.setattr(propagate, "_EDGE_CHUNK", chunk)
+            monkeypatch.setattr(graph_module, "_EDGE_CHUNK", chunk)
         cfg = ScenarioConfig(benign_count=1500, sybil_count=700, attack_edge_count=900, rng_seed=9)
         narrow, labels = compose_attack_scenario(cfg)
         monkeypatch.setattr(graph_module, "index_dtype", lambda n, m: np.int64)
