@@ -49,9 +49,11 @@ _edge_score = _checked(float, lambda x: 0.1 <= x <= 0.9, "a value in [0.1, 0.9]"
 
 
 def _list_of(item):
-    """Argparse type for a comma-separated list of `item` values."""
+    """Argparse type for a comma-separated list of at least one `item` value."""
     def parse(text: str) -> list:
-        return [item(p) for p in text.split(",") if p]
+        if not (values := [item(p) for p in text.split(",") if p]):
+            raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+        return values
     return parse
 
 
@@ -315,15 +317,20 @@ def _cmd_evaluate(args, out: Path) -> int:
     return 0
 
 
-def _cmd_sweep(args, out: Path) -> int:
+def _sweep_spec(args) -> harness.SweepSpec:
+    """The sweep of the `sweep` flags; a whole value of a count variable is an int,
+    so it prints as `10`, and any other value stays as given for `validate`."""
     counts = args.variable != "fpr_fnr"
-    spec = harness.SweepSpec(
+    return harness.SweepSpec(
         base=_scenario_config(args),
         variable=args.variable,
-        values=tuple(int(v) if counts else v for v in args.values),
+        values=tuple(int(v) if counts and v.is_integer() else v for v in args.values),
         trials=args.trials, engines=tuple(args.engines), mode=args.mode,
         noise=args.noise, threads=args.threads)
-    rows = harness.run_robustness_sweep(spec)
+
+
+def _cmd_sweep(args, out: Path) -> int:
+    rows = harness.run_robustness_sweep(_sweep_spec(args))
     tsvio.write_sweep_table(out / "sweep.tsv", rows)
     for row in rows:
         print("\t".join(str(x) for x in row))
@@ -374,8 +381,11 @@ def _check_flags(args) -> None:
     """Reject the flag combinations a subcommand cannot run with."""
     if args.command == "score-edges" and args.metric is not None and args.value is not None:
         raise UsageError("--value and --metric are mutually exclusive")
-    if args.command == "sweep" and args.variable != "fpr_fnr" and not all(v.is_integer() for v in args.values):
-        raise UsageError(f"--values: {args.variable} takes whole numbers, got {args.values}")
+    if args.command == "sweep":
+        try:
+            _sweep_spec(args).validate()
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if args.command == "pipeline" and args.victim_probs is not None and not args.baselines:
         raise UsageError("--victim-probs is read only with --baselines")
     if args.command == "components" and bool(args.labels) != args.sybil_only:

@@ -58,6 +58,8 @@ class SweepSpec:
             raise ValueError("threads must be at least 1")
         if not self.values:
             raise ValueError("empty value grid")
+        if not self.engines:
+            raise ValueError("no engine to run")
         for engine in self.engines:
             propagate.get_engine(engine)
         for value in self.values:

@@ -4,20 +4,20 @@ This is the only module that knows the row format. `read_rows` parses every
 TSV data file: blank lines and lines whose first non-blank character is `#`
 are skipped, every other line holds one whitespace-separated value per
 column, and a bad line, one that is not UTF-8 included, is reported as
-`file:line`. numpy's C reader parses a file from its path in one pass; a
-binary scan for `#` sends a file with a comment after a value to the error
-path, which alone reads the file line by line. Labels, node scores and
-features are all read by `read_by_node`. `write_rows` writes every TSV file
-as one tab-separated value per column, column by column, each distinct value
-formatted once per chunk as its str(), which is repr() for floats, so values
-round-trip exactly and repeated runs produce byte-identical files.
+`file:line`. The line reader `_data_lines` alone defines a data line. numpy's
+C reader parses a file from its path in one pass from the first data line on,
+with no comment mark; a `#` further on fails that pass, and the file is then
+parsed line by line. Labels, node scores and features are all read by
+`read_by_node`. `write_rows` writes every TSV file as one tab-separated value
+per column, column by column, each distinct value formatted once per chunk as
+its str(), which is repr() for floats, so values round-trip exactly and
+repeated runs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import warnings
 
 import numpy as np
 
@@ -26,12 +26,8 @@ from .graph import (BENIGN, SYBIL, UNKNOWN, DirectedGraph, EdgeListParseError, G
 
 FORMAT_VERSION = 1
 _WRITE_CHUNK = 2**12  # rows per write_rows batch
-_SCAN_BLOCK = 2**20  # bytes per block of the trailing-comment scan
-_PARSE_BLOCK = 2**14  # data lines parsed at a time while the error path looks for a bad one
+_PARSE_BLOCK = 2**14  # data lines parsed at a time by the line path
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
-# Bytes that cannot be part of a value: the ASCII whitespace of str.strip(), and
-# every byte of a non-ASCII character, as numpy parses only ASCII numbers.
-_NOT_VALUE = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f" + bytes(range(0x80, 0x100))
 # Node arrays must stay within a constant factor of what the rows already cost,
 # so ids used as given may reach _IDS_PER_ROW per row read plus _ID_FLOOR.
 _IDS_PER_ROW = 16
@@ -54,32 +50,6 @@ def _data_lines(path):
             text = line.strip()
             if text and text[0] != "#":
                 yield lineno, text
-
-
-def _value_before_comment(path) -> bool:
-    """Whether some line holds a `#` after a value (a trailing comment).
-
-    The file is read in binary blocks of _SCAN_BLOCK bytes and only a block that
-    holds b"#" is searched further. A line is flagged when a byte outside
-    _NOT_VALUE comes before its first `#`. `head` carries the first such byte of
-    the unfinished last line of a block into the next one.
-    """
-    head = b""
-    with open(path, "rb") as fh:
-        while block := fh.read(_SCAN_BLOCK):
-            text = head + block
-            start, after = -1, 0  # line start of the last '#' looked at, and the byte after it
-            at = text.find(b"#")
-            while at >= 0:
-                brk = max(text.rfind(b"\n", after, at), text.rfind(b"\r", after, at))
-                if brk >= 0 or start < 0:  # the first '#' of its line
-                    start = brk + 1
-                    if text[start:at].translate(None, _NOT_VALUE):
-                        return True
-                after = at + 1
-                at = text.find(b"#", after)
-            head = text[max(text.rfind(b"\n"), text.rfind(b"\r")) + 1:].translate(None, _NOT_VALUE)[:1]
-    return False
 
 
 def _fail(path, row: int, problem: str):
@@ -106,48 +76,50 @@ def _repeats(keys: np.ndarray) -> np.ndarray:
 def read_rows(path, fields) -> np.ndarray:
     """Parse the data lines of a file into a structured array of `fields`.
 
-    numpy's C reader parses the whole file in one pass, given its path, with
-    `#` as the comment mark. A `#` after a value is an error, as any extra field
-    is, so a binary pre-scan (`_value_before_comment`) sends such a file to the
-    error path. Only when the fast path fails are the data lines parsed again,
-    _PARSE_BLOCK at a time; the first block that fails is bisected to name its
+    numpy's C reader parses the whole file in one pass, given its path, from the
+    first data line that `_data_lines` finds and with no comment mark, so a `#`
+    on a later line, in a comment line or after a value, fails it. The data
+    lines are then parsed again, _PARSE_BLOCK at a time, and their rows returned
+    when every block parses; the first block that fails is bisected to name its
     first bad line as `file:line`.
     """
     dtype = np.dtype(fields)
+    first = next(_data_lines(path), None)
+    if first is None:
+        return np.empty(0, dtype)
     # numpy opens a path itself: it would decompress a file with one of these
     # suffixes, which therefore goes in as an open file, and would fetch a URL.
     plain = not str(path).endswith(_COMPRESSED)
     try:
-        if _value_before_comment(path):
-            raise ValueError("comment after a value")
-        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            return np.loadtxt(os.path.abspath(path) if plain else fh, dtype=dtype, comments="#",
-                              ndmin=1, encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            return np.loadtxt(os.path.abspath(path) if plain else fh, dtype=dtype, comments=None,
+                              skiprows=first[0] - 1, ndmin=1, encoding="utf-8")
     except ValueError:
-        layout = " ".join(f"{name}:{dtype[name].base}"
-                          + (f"*{dtype[name].shape[0]}" if dtype[name].shape else "")
-                          for name in dtype.names)
-        lines = (text for _, text in _data_lines(path))
-        row = 0  # data rows before the block
-        while block := list(itertools.islice(lines, _PARSE_BLOCK)):
-            if not _parses(block, dtype):
-                lo, hi = 0, len(block)  # the block's first bad line is in [lo, hi)
-                while hi - lo > 1:
-                    mid = (lo + hi) // 2
-                    lo, hi = (mid, hi) if _parses(block[lo:mid], dtype) else (lo, mid)
-                _fail(path, row + lo, f"expected '{layout}'")
-            row += len(block)
-        raise
+        pass
+    layout = " ".join(f"{name}:{dtype[name].base}"
+                      + (f"*{dtype[name].shape[0]}" if dtype[name].shape else "")
+                      for name in dtype.names)
+    lines = (text for _, text in _data_lines(path))
+    parts = []
+    row = 0  # data rows before the block
+    while block := list(itertools.islice(lines, _PARSE_BLOCK)):
+        if (part := _parse(block, dtype)) is None:
+            lo, hi = 0, len(block)  # the block's first bad line is in [lo, hi)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if _parse(block[lo:mid], dtype) is not None else (lo, mid)
+            _fail(path, row + lo, f"expected '{layout}'")
+        parts.append(part)
+        row += len(block)
+    return np.concatenate(parts)
 
 
-def _parses(lines: list[str], dtype: np.dtype) -> bool:
-    """Whether numpy parses every one of these data lines into `dtype`."""
+def _parse(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """The rows of these data lines, or None when numpy fails on one of them."""
     try:
-        np.loadtxt(lines, dtype=dtype, comments=None)
+        return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def _table_top(col, rows: int) -> int:

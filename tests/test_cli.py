@@ -170,6 +170,38 @@ class TestUsageErrors:
         assert f"run.cfg:1: bad value for '{flag[2:].replace('-', '_')}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--engines", "bogus"], "unknown engine 'bogus'"),
+        (["--values", "1.5"], "fpr and fnr must lie in [0, 1]"),
+        (["--variable", "sybil_count", "--values", "0"], "region sizes must be positive"),
+        (["--variable", "attack_edges", "--values", "10.7"], "attack_edges takes whole numbers, got 10.7"),
+    ])
+    def test_sweep_values_the_library_rejects_are_usage_errors_before_any_write(self, tmp_path, capsys,
+                                                                               flags, message):
+        assert run("sweep", *flags, "--trials", 1, "--out-dir", tmp_path / "out") == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        (tmp_path / "run.cfg").write_text("".join(f"{k[2:]} = {v}\n" for k, v in zip(flags[::2], flags[1::2])))
+        assert run("sweep", "--trials", 1, "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["evaluate", "--scores", "labels.tsv", "--labels", "labels.tsv"], "--top-k"),
+        (PIPELINE, "--top-k"),
+        (["sweep"], "--values"),
+        (["sweep"], "--engines"),
+    ])
+    def test_empty_list_is_usage_error_before_any_write(self, scenario_dir, tmp_path, capsys, argv, flag):
+        argv = [scenario_dir / a if a.endswith(".tsv") else a for a in argv]
+        assert run(*argv, flag, ",", "--out-dir", tmp_path / "out") == 1
+        assert f"argument {flag}: expected at least one value, got ','" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        (tmp_path / "run.cfg").write_text(f"{flag[2:]} = ,\n")
+        assert run(*argv, "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 1
+        assert f"run.cfg:1: bad value for '{flag[2:].replace('-', '_')}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_training_sample_above_the_labeled_count_is_data_error(self, scenario_dir, tmp_path):
         assert run(*[scenario_dir / a if a.endswith(".tsv") else a for a in self.PIPELINE],
                    "--train-benign", 10_000, "--out-dir", tmp_path / "out") == 2
@@ -531,6 +563,13 @@ class TestStageCommands:
                    "--attack-edges", 40, "--seed", 5, "--out-dir", tmp_path) == 0
         lines = (tmp_path / "sweep.tsv").read_text().splitlines()
         assert len(lines) == 6  # 2 points x (rw auc, lbp acc, lbp auc)
+
+    def test_sweep_prints_counts_as_whole_numbers(self, tmp_path):
+        assert run("sweep", "--variable", "sybil_count", "--values", "20,40.0", "--trials", 1,
+                   "--benign", 60, "--sybil", 30, "--avg-degree", 4, "--attack-edges", 20,
+                   "--out-dir", tmp_path) == 0
+        lines = (tmp_path / "sweep.tsv").read_text().splitlines()
+        assert [line.split("\t")[0] for line in lines] == ["20"] * 3 + ["40"] * 3
 
     def test_pipeline_end_to_end(self, scenario_dir, tmp_path):
         assert run("pipeline", "--graph", scenario_dir / "graph.tsv",

@@ -62,6 +62,10 @@ class TestSweep:
         with pytest.raises(ValueError, match="10.7"):
             SweepSpec(base=SMALL_BASE, variable=variable, values=(10.7,), trials=1).validate()
 
+    def test_no_engine_rejected(self):
+        with pytest.raises(ValueError, match="no engine"):
+            SweepSpec(base=SMALL_BASE, engines=()).validate()
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_fewer_than_one_thread_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):
