@@ -118,6 +118,8 @@ def train(features: np.ndarray, training: TrainingSet, config: TrainConfig = Tra
     Deterministic: zero initialization, fixed epoch count, full-batch updates.
     """
     training.validate()
+    if not (config.epochs >= 0 and 0 < config.learning_rate < np.inf and 0 <= config.l2 < np.inf):
+        raise ValueError("need epochs >= 0, a finite learning_rate > 0 and a finite l2 >= 0")
     features = np.asarray(features, dtype=float)
     ids = training.all_ids
     x_raw = features[ids]
@@ -208,19 +210,12 @@ def select_threshold(scores: np.ndarray, training: TrainingSet, folds: int = 5) 
     if folds > min(training.benign.shape[0], training.sybil.shape[0]):
         raise ValueError("degenerate folds: fewer nodes than folds in a class")
     scores = np.asarray(scores, dtype=float)
-
-    fold_ids = []
-    fold_labels = []
-    for f in range(folds):
-        b = np.sort(training.benign)[f::folds]
-        s = np.sort(training.sybil)[f::folds]
-        fold_ids.append(np.concatenate([b, s]))
-        fold_labels.append(np.concatenate([np.ones(b.shape[0]), np.zeros(s.shape[0])]))
-
-    mean_acc = np.empty(THRESHOLD_GRID.shape[0])
-    for i, t in enumerate(THRESHOLD_GRID):
-        accs = [np.mean((scores[ids] > t) == (lab == 1)) for ids, lab in zip(fold_ids, fold_labels)]
-        mean_acc[i] = np.mean(accs)
+    benign, sybil = np.sort(training.benign), np.sort(training.sybil)
+    # Fold x threshold accuracy; a Sybil is right unless it scores above the
+    # threshold, so a nan score counts as a right Sybil and a wrong benign node.
+    mean_acc = np.mean([np.concatenate([scores[benign[f::folds], None] > THRESHOLD_GRID,
+                                        ~(scores[sybil[f::folds], None] > THRESHOLD_GRID)]).mean(axis=0)
+                        for f in range(folds)], axis=0)
     best = mean_acc.max()
     candidates = THRESHOLD_GRID[mean_acc >= best - 1e-12]
     order = np.lexsort((candidates, np.abs(candidates - 0.5)))

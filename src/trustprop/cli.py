@@ -49,10 +49,12 @@ _edge_score = _checked(float, lambda x: 0.1 <= x <= 0.9, "a value in [0.1, 0.9]"
 
 
 def _list_of(item):
-    """Argparse type for a comma-separated list of at least one `item` value."""
+    """Argparse type for a comma-separated list of at least one `item` value, none repeated."""
     def parse(text: str) -> list:
         if not (values := [item(p) for p in text.split(",") if p]):
             raise argparse.ArgumentTypeError(f"expected at least one value, got {text!r}")
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"expected distinct values, got {text!r}")
         return values
     return parse
 
@@ -109,10 +111,12 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p = sub("train", _cmd_train, "fit the local classifier and emit node trust scores", training, seeded)
     p.add_argument("--features", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--learning-rate", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--folds", type=int, default=5)
+    p.add_argument("--learning-rate", type=_checked(float, lambda x: 0 < x < np.inf, "a finite positive number"),
+                   default=0.1)
+    p.add_argument("--l2", type=_checked(float, lambda x: 0 <= x < np.inf, "a finite non-negative number"),
+                   default=1e-3)
+    p.add_argument("--epochs", type=_checked(int, lambda x: x >= 0, "a count of at least 0"), default=500)
+    p.add_argument("--folds", type=_checked(int, lambda x: x >= 2, "a count of at least 2"), default=5)
 
     p = sub("score-edges", _cmd_score_edges, "emit per-edge trust scores")
     p.add_argument("--graph", required=True)
@@ -217,7 +221,7 @@ def _scenario_config(args, **extra) -> synth.ScenarioConfig:
                                 rng_seed=args.seed, **extra)
 
 
-def _cmd_generate(args, out: Path) -> int:
+def _cmd_generate(args, out: Path) -> None:
     cfg = _scenario_config(args, degree_biased_attacks=args.degree_biased_attacks)
     graph, labels = synth.compose_attack_scenario(cfg)
     tsvio.write_edge_list(out / "graph.tsv", graph)
@@ -227,28 +231,25 @@ def _cmd_generate(args, out: Path) -> int:
                                   rng_seed=harness.derive_seed(args.seed, "node-noise"))
         tsvio.write_node_scores(out / "node_scores.tsv", synth.simulate_trust_scores(labels, noise))
     print(f"generated {graph.node_count} nodes, {graph.edge_count} edges -> {out}")
-    return 0
 
 
-def _cmd_mutualize(args, out: Path) -> int:
+def _cmd_mutualize(args, out: Path) -> None:
     dg = load_edge_list(args.input, directed=True)
     graph = mutualize(dg)
     tsvio.write_edge_list(out / "mutual_graph.tsv", graph)
     print(f"retained {graph.edge_count} mutual edges of {dg.edge_count} arcs")
-    return 0
 
 
-def _cmd_features(args, out: Path) -> int:
+def _cmd_features(args, out: Path) -> None:
     if args.undirected:
         feats = features.feature_matrix(load_edge_list(args.graph, directed=False))
     else:
         dg = load_edge_list(args.graph, directed=True)
         feats = features.feature_matrix(mutualize(dg), dg)
     tsvio.write_features(out / "features.tsv", feats)
-    return 0
 
 
-def _cmd_train(args, out: Path) -> int:
+def _cmd_train(args, out: Path) -> None:
     feats, labels = tsvio.read_by_node([(args.features, "features"), (args.labels, "label")])
     _, _, threshold = harness.classifier_stage(
         feats, labels, out, train_benign=args.train_benign, train_sybil=args.train_sybil,
@@ -256,17 +257,15 @@ def _cmd_train(args, out: Path) -> int:
             learning_rate=args.learning_rate, l2=args.l2, epochs=args.epochs))
     (out / "threshold.txt").write_text(f"{threshold!r}\n", encoding="utf-8")
     print(f"trained on {args.train_benign}+{args.train_sybil} seeds, threshold {threshold}")
-    return 0
 
 
-def _cmd_score_edges(args, out: Path) -> int:
+def _cmd_score_edges(args, out: Path) -> None:
     graph = load_edge_list(args.graph, directed=False)
     values = classifier.edge_scores(graph, args.metric, 0.9 if args.value is None else args.value)
     tsvio.write_edge_scores(out / "edge_scores.tsv", graph, values)
-    return 0
 
 
-def _cmd_propagate(args, out: Path) -> int:
+def _cmd_propagate(args, out: Path) -> None:
     graph = load_edge_list(args.graph, directed=False)
     domain = propagate.SCORE_DOMAINS[args.engine]
     node_scores, = tsvio.read_by_node([(args.node_scores, "score")], graph.node_count, domain)
@@ -280,7 +279,6 @@ def _cmd_propagate(args, out: Path) -> int:
                                       degree_normalize=args.degree_normalize)
     engine = propagate.get_engine(args.engine)[1]
     tsvio.write_node_scores(out / "final_scores.tsv", engine(graph, node_scores, edge_scores, cfg))
-    return 0
 
 
 def _ranking_report(args, graph_path: str | None = None, threshold: float = 0.5) -> metrics.RankingReport:
@@ -291,7 +289,6 @@ def _ranking_report(args, graph_path: str | None = None, threshold: float = 0.5)
     # Every labeled node must have a score; unlabeled ones rank last.
     if np.any(np.isnan(scores) & (labels != UNKNOWN)):
         raise ValueError(f"{args.scores}: labeled node is missing a score")
-    scores = np.nan_to_num(scores, nan=np.inf)
     graph = load_edge_list(graph_path, directed=False) if graph_path else None
     exclude = (classifier.TrainingSet.from_labels(
         tsvio.read_by_node([(args.exclude, "label")], labels.shape[0])[0]).all_ids if args.exclude else None)
@@ -299,12 +296,11 @@ def _ranking_report(args, graph_path: str | None = None, threshold: float = 0.5)
                                         exclude=exclude, graph=graph)
 
 
-def _cmd_rank(args, out: Path) -> int:
+def _cmd_rank(args, out: Path) -> None:
     metrics.write_ranking(out / "ranking.tsv", _ranking_report(args, args.graph))
-    return 0
 
 
-def _cmd_evaluate(args, out: Path) -> int:
+def _cmd_evaluate(args, out: Path) -> None:
     report = _ranking_report(args, threshold=args.threshold)
     rows = [("auc", "final", report.metrics["auc"]),
             ("accuracy", f"threshold={args.threshold!r}", report.metrics["accuracy"])]
@@ -314,7 +310,6 @@ def _cmd_evaluate(args, out: Path) -> int:
     tsvio.write_metrics_report(out / "metrics.tsv", rows)
     for metric, param, value in rows:
         print(f"{metric}\t{param}\t{value}")
-    return 0
 
 
 def _sweep_spec(args) -> harness.SweepSpec:
@@ -329,15 +324,14 @@ def _sweep_spec(args) -> harness.SweepSpec:
         noise=args.noise, threads=args.threads)
 
 
-def _cmd_sweep(args, out: Path) -> int:
+def _cmd_sweep(args, out: Path) -> None:
     rows = harness.run_robustness_sweep(_sweep_spec(args))
     tsvio.write_sweep_table(out / "sweep.tsv", rows)
     for row in rows:
         print("\t".join(str(x) for x in row))
-    return 0
 
 
-def _cmd_pipeline(args, out: Path) -> int:
+def _cmd_pipeline(args, out: Path) -> None:
     cfg = harness.PipelineConfig(
         engine=args.engine, train_benign=args.train_benign, train_sybil=args.train_sybil,
         iterations=args.iterations, pin_seeds=args.pin_seeds,
@@ -350,10 +344,9 @@ def _cmd_pipeline(args, out: Path) -> int:
                                             victim_prob_path=args.victim_probs)
     print(f"auc {result.report.metrics['auc']}  accuracy {result.report.metrics['accuracy']}  "
           f"threshold {result.threshold}")
-    return 0
 
 
-def _cmd_components(args, out: Path) -> int:
+def _cmd_components(args, out: Path) -> None:
     graph = load_edge_list(args.graph, directed=False)
     keep = None
     if args.sybil_only:
@@ -365,27 +358,27 @@ def _cmd_components(args, out: Path) -> int:
     if args.sybil_only:
         census = component_census(sizes)
         print(f"isolated {census['isolated']}  lcc {census['lcc']}  others {census['others']}")
-    return 0
 
 
-def _cmd_modularity(args, out: Path) -> int:
+def _cmd_modularity(args, out: Path) -> None:
     graph = load_edge_list(args.graph, directed=False)
     labels, = tsvio.read_by_node([(args.labels, "label")], graph.node_count)
     if unlabeled := int(np.count_nonzero(labels == UNKNOWN)):
         raise ValueError(f"{args.labels}: {unlabeled} graph node(s) unlabeled; modularity needs every label")
     print(repr(modularity(graph, labels)))
-    return 0
 
 
 def _check_flags(args) -> None:
     """Reject the flag combinations a subcommand cannot run with."""
     if args.command == "score-edges" and args.metric is not None and args.value is not None:
         raise UsageError("--value and --metric are mutually exclusive")
-    if args.command == "sweep":
-        try:
+    try:
+        if args.command == "generate":
+            _scenario_config(args).validate()
+        if args.command == "sweep":
             _sweep_spec(args).validate()
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.command == "pipeline" and args.victim_probs is not None and not args.baselines:
         raise UsageError("--victim-probs is read only with --baselines")
     if args.command == "components" and bool(args.labels) != args.sybil_only:
@@ -409,10 +402,11 @@ def dispatch(argv) -> int:
     try:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        return args.handler(args, out)
+        args.handler(args, out)
     except (EdgeListParseError, ValueError, OSError, harness.StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 def main() -> None:

@@ -60,6 +60,8 @@ class SweepSpec:
             raise ValueError("empty value grid")
         if not self.engines:
             raise ValueError("no engine to run")
+        if len(set(self.values)) < len(self.values) or len(set(self.engines)) < len(self.engines):
+            raise ValueError("repeated value or engine in the sweep")
         for engine in self.engines:
             propagate.get_engine(engine)
         for value in self.values:
@@ -128,13 +130,10 @@ def run_robustness_sweep(spec: SweepSpec) -> list[tuple]:
     rows: list[tuple] = []
     for value, point in zip(spec.values, futures):
         trials = [fut.result() for fut in point]
-        for engine in spec.engines:
-            for metric_name in ("accuracy", "auc"):
-                if (engine, metric_name) not in trials[0]:
-                    continue
-                arr = np.asarray([t[(engine, metric_name)] for t in trials])
-                std = float(arr.std(ddof=1)) if arr.shape[0] > 1 else 0.0
-                rows.append((value, engine, metric_name, float(arr.mean()), std, spec.trials))
+        for engine, metric_name in trials[0]:  # in engine order, LBP's accuracy before its AUC
+            arr = np.asarray([t[(engine, metric_name)] for t in trials])
+            std = float(arr.std(ddof=1)) if arr.shape[0] > 1 else 0.0
+            rows.append((value, engine, metric_name, float(arr.mean()), std, spec.trials))
     return rows
 
 

@@ -34,6 +34,8 @@ class ScenarioConfig:
             raise ValueError("region sizes must be positive")
         if self.avg_degree <= 0:
             raise ValueError("avg_degree must be positive")
+        if min(self.benign_count, self.sybil_count) <= self.edges_per_node:
+            raise ValueError(f"each region needs more than edges_per_node = {self.edges_per_node} nodes")
         if self.attack_edge_count < 0:
             raise ValueError("attack_edge_count must be non-negative")
         if self.attack_edge_count > self.benign_count * self.sybil_count:
@@ -98,19 +100,6 @@ def _lemire_matches_numpy() -> bool:
     return all(draw(high) == int(rng.integers(high)) for high in _CHECK_HIGHS * 64)
 
 
-def _bounded_draws(rng: np.random.Generator, private: bool = True):
-    """`draw(high)` for 1 <= high <= 2**32, the same stream as `int(rng.integers(high))`.
-
-    `rng` comes from `np.random.default_rng`. The draws come from bulk raw
-    words when the emulation matches the installed numpy (checked once, on
-    first use) and nothing else draws from `rng` (`private`: the bulk path
-    reads ahead); otherwise from `rng.integers`.
-    """
-    if private and _lemire_matches_numpy():
-        return _lemire_draws(rng)
-    return lambda high: int(rng.integers(high))
-
-
 def _attachment_edges(n: int, edges_per_node: int, seed) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint arrays of `preferential_attachment(n, edges_per_node, seed)`."""
     if edges_per_node < 1:
@@ -118,8 +107,10 @@ def _attachment_edges(n: int, edges_per_node: int, seed) -> tuple[np.ndarray, np
     if n <= edges_per_node:
         raise ValueError(f"need n > edges_per_node, got n={n}, edges_per_node={edges_per_node}")
     rng = np.random.default_rng(seed)
-    # A caller's generator must end in the state that per-draw calls leave.
-    draw = _bounded_draws(rng, private=not isinstance(seed, (np.random.Generator, np.random.BitGenerator)))
+    # Bulk raw words read ahead, so a caller's generator (which must end in the state
+    # per-draw calls leave) draws per call, as does a failed self-check.
+    private = not isinstance(seed, (np.random.Generator, np.random.BitGenerator))
+    draw = _lemire_draws(rng) if private and _lemire_matches_numpy() else lambda high: int(rng.integers(high))
     m0 = edges_per_node + 1
     clique_u, clique_v = np.triu_indices(m0, 1)
     # Each clique node appears once per incident edge: degree m0 - 1 each.
@@ -176,9 +167,12 @@ def compose_attack_scenario(cfg: ScenarioConfig) -> tuple[Graph, np.ndarray]:
             chosen.add((int(cdf.searchsorted(rng.random(), side="right")),
                         cfg.benign_count + int(rng.integers(cfg.sybil_count))))
     else:
-        draw = _bounded_draws(rng)
-        while len(chosen) < cfg.attack_edge_count:
-            chosen.add((draw(cfg.benign_count), cfg.benign_count + draw(cfg.sybil_count)))
+        # One call draws what per-pair calls would, in the same order: the set
+        # can fill only on a batch's last pair, since each pair adds at most one.
+        while need := cfg.attack_edge_count - len(chosen):
+            pairs = rng.integers(np.tile([cfg.benign_count, cfg.sybil_count], need)).reshape(need, 2)
+            pairs[:, 1] += cfg.benign_count
+            chosen.update(map(tuple, pairs.tolist()))
     if chosen:
         attack = np.array(sorted(chosen), dtype=np.int64)
         us.append(attack[:, 0])

@@ -51,6 +51,21 @@ class TestTrain:
         diffs = np.diff(model.loss_history)
         assert np.all(diffs <= 1e-12)
 
+    @pytest.mark.parametrize("config", [
+        TrainConfig(epochs=-1), TrainConfig(learning_rate=0.0), TrainConfig(learning_rate=-0.1),
+        TrainConfig(learning_rate=float("nan")), TrainConfig(learning_rate=float("inf")),
+        TrainConfig(l2=-5.0), TrainConfig(l2=float("nan")), TrainConfig(l2=float("inf")),
+    ])
+    def test_out_of_range_config_error(self, config):
+        features, training = toy_training()
+        with pytest.raises(ValueError, match="epochs >= 0"):
+            train(features, training, config)
+
+    def test_zero_epochs_and_l2_allowed(self):
+        features, training = toy_training()
+        model = train(features, training, TrainConfig(l2=0.0, epochs=0))
+        assert np.array_equal(model.weights, np.zeros(2)) and model.loss_history.shape == (1,)
+
     def test_single_class_error(self):
         features, _ = toy_training()
         with pytest.raises(ValueError):
@@ -238,23 +253,31 @@ class TestSelectThreshold:
 
     def test_against_grid_oracle(self):
         rng = np.random.default_rng(13)
-        scores = rng.random(20)
-        training = TrainingSet(benign=np.arange(10), sybil=np.arange(10, 20))
-        folds = 5
-        got = select_threshold(scores, training, folds)
-        # brute force: same stratified folds, exhaustive grid evaluation
-        accs = []
-        for t in THRESHOLD_GRID:
-            fold_accs = []
-            for f in range(folds):
-                ids = np.concatenate([np.arange(10)[f::folds], np.arange(10, 20)[f::folds]])
-                lab = ids < 10
-                fold_accs.append(np.mean((scores[ids] > t) == lab))
-            accs.append(np.mean(fold_accs))
-        best = max(accs)
-        candidates = [t for t, a in zip(THRESHOLD_GRID, accs) if a >= best - 1e-12]
-        want = min(candidates, key=lambda t: (abs(t - 0.5), t))
-        assert got == pytest.approx(want)
+        on_grid = rng.choice(THRESHOLD_GRID, 20)
+        with_nan = rng.random(20)
+        with_nan[[1, 4, 12, 17]] = np.nan
+        ids = rng.permutation(40)
+        cases = [
+            (rng.random(20), np.arange(10), np.arange(10, 20), 5),
+            (on_grid, np.arange(10), np.arange(10, 20), 5),  # scores at grid thresholds
+            (with_nan, np.arange(10), np.arange(10, 20), 4),
+            (rng.random(40), ids[:23], ids[23:], 3),  # unequal folds, unsorted and interleaved ids
+        ]
+        for scores, benign, sybil, folds in cases:
+            got = select_threshold(scores, TrainingSet(benign=benign, sybil=sybil), folds)
+            # brute force: same stratified folds, exhaustive grid evaluation
+            accs = []
+            for t in THRESHOLD_GRID:
+                fold_accs = []
+                for f in range(folds):
+                    b, s = np.sort(benign)[f::folds], np.sort(sybil)[f::folds]
+                    right = [scores[i] > t for i in b] + [not scores[i] > t for i in s]
+                    fold_accs.append(sum(right) / len(right))
+                accs.append(np.mean(fold_accs))
+            best = max(accs)
+            candidates = [t for t, a in zip(THRESHOLD_GRID, accs) if a >= best - 1e-12]
+            want = min(candidates, key=lambda t: (abs(t - 0.5), t))
+            assert got == pytest.approx(want)
 
     def test_degenerate_folds_error(self):
         scores = np.linspace(0.1, 0.9, 6)

@@ -46,9 +46,28 @@ class TestGenerate:
             "--seed", 9, "--out-dir", tmp_path / "b")
         assert (tmp_path / "a" / "graph.tsv").read_bytes() == (tmp_path / "b" / "graph.tsv").read_bytes()
 
-    def test_capacity_error_is_data_error(self, tmp_path):
-        assert run("generate", "--benign", 5, "--sybil", 2, "--attack-edges", 100,
-                   "--out-dir", tmp_path) == 2
+    def test_capacity_error_is_usage_error_before_any_write(self, tmp_path, capsys):
+        assert run("generate", "--benign", 10, "--sybil", 8, "--attack-edges", 100,
+                   "--out-dir", tmp_path / "out") == 1
+        assert "attack_edge_count exceeds number of distinct cross pairs" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, bad, message", [
+        ("--benign", "0", "region sizes must be positive"),
+        ("--benign", "3", "each region needs more than edges_per_node = 5 nodes"),
+        ("--sybil", "5", "each region needs more than edges_per_node = 5 nodes"),
+        ("--avg-degree", "0", "avg_degree must be positive"),
+        ("--attack-edges", "-1", "attack_edge_count must be non-negative"),
+    ])
+    def test_sizes_the_generator_cannot_grow_are_usage_errors_before_any_write(self, tmp_path, capsys,
+                                                                               flag, bad, message):
+        assert run("generate", flag, bad, "--out-dir", tmp_path / "out") == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        (tmp_path / "run.cfg").write_text(f"{flag[2:]} = {bad}\n")
+        assert run("generate", "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsageErrors:
@@ -139,6 +158,7 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
     PIPELINE = ["pipeline", "--graph", "graph.tsv", "--labels", "labels.tsv"]
+    TRAIN = ["train", "--features", "labels.tsv", "--labels", "labels.tsv"]
 
     @pytest.mark.parametrize("argv, flag, bad, expected", [
         (PIPELINE, "--edge-value", "1.5", "[0.1, 0.9]"),
@@ -155,8 +175,15 @@ class TestUsageErrors:
         (["generate"], "--fpr", "1.5", "[0, 1]"),
         (["generate"], "--fnr", "-0.1", "[0, 1]"),
         (["sweep"], "--noise", "1.5", "[0, 1]"),
-        (["train", "--features", "labels.tsv", "--labels", "labels.tsv"], "--train-benign", "0",
-         "a count of at least 1"),
+        (TRAIN, "--train-benign", "0", "a count of at least 1"),
+        (TRAIN, "--epochs", "-1", "a count of at least 0"),
+        (TRAIN, "--folds", "1", "a count of at least 2"),
+        (TRAIN, "--learning-rate", "0", "a finite positive number"),
+        (TRAIN, "--learning-rate", "nan", "a finite positive number"),
+        (TRAIN, "--learning-rate", "inf", "a finite positive number"),
+        (TRAIN, "--l2", "-5", "a finite non-negative number"),
+        (TRAIN, "--l2", "nan", "a finite non-negative number"),
+        (TRAIN, "--l2", "inf", "a finite non-negative number"),
     ])
     def test_value_out_of_range_is_usage_error_before_any_write(self, scenario_dir, tmp_path, capsys,
                                                                argv, flag, bad, expected):
@@ -174,6 +201,7 @@ class TestUsageErrors:
         (["--engines", "bogus"], "unknown engine 'bogus'"),
         (["--values", "1.5"], "fpr and fnr must lie in [0, 1]"),
         (["--variable", "sybil_count", "--values", "0"], "region sizes must be positive"),
+        (["--variable", "sybil_count", "--values", "3"], "each region needs more than edges_per_node = 5 nodes"),
         (["--variable", "attack_edges", "--values", "10.7"], "attack_edges takes whole numbers, got 10.7"),
     ])
     def test_sweep_values_the_library_rejects_are_usage_errors_before_any_write(self, tmp_path, capsys,
@@ -198,6 +226,23 @@ class TestUsageErrors:
         assert f"argument {flag}: expected at least one value, got ','" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         (tmp_path / "run.cfg").write_text(f"{flag[2:]} = ,\n")
+        assert run(*argv, "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 1
+        assert f"run.cfg:1: bad value for '{flag[2:].replace('-', '_')}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv, flag, repeated", [
+        (["evaluate", "--scores", "labels.tsv", "--labels", "labels.tsv"], "--top-k", "5,5"),
+        (PIPELINE, "--top-k", "100,200,100"),
+        (["sweep"], "--values", "0.1,0.10"),
+        (["sweep"], "--engines", "lbp,lbp"),
+    ])
+    def test_repeated_list_value_is_usage_error_before_any_write(self, scenario_dir, tmp_path, capsys,
+                                                               argv, flag, repeated):
+        argv = [scenario_dir / a if a.endswith(".tsv") else a for a in argv]
+        assert run(*argv, flag, repeated, "--out-dir", tmp_path / "out") == 1
+        assert f"argument {flag}: expected distinct values, got '{repeated}'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        (tmp_path / "run.cfg").write_text(f"{flag[2:]} = {repeated}\n")
         assert run(*argv, "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 1
         assert f"run.cfg:1: bad value for '{flag[2:].replace('-', '_')}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -518,6 +563,24 @@ class TestStageCommands:
         assert run("propagate", "--engine", engine, "--graph", out / "graph.tsv",
                    "--node-scores", out / "scores.tsv", "--edge-scores", out / "edge_scores.tsv",
                    "--out-dir", out) == 2
+
+    def test_propagate_rejects_a_node_left_out_of_the_score_file(self, scenario_dir, capsys):
+        out = scenario_dir
+        assert run("score-edges", "--graph", out / "graph.tsv", "--out-dir", out) == 0
+        g = load_edge_list(out / "graph.tsv")
+        tsvio.write_node_scores(out / "scores.tsv", np.full(g.node_count, 0.5))
+        lines = (out / "scores.tsv").read_text().splitlines(keepends=True)
+        (out / "scores.tsv").write_text("".join(lines[:7] + lines[8:]))
+        assert run("propagate", "--graph", out / "graph.tsv", "--node-scores", out / "scores.tsv",
+                   "--edge-scores", out / "edge_scores.tsv", "--out-dir", out / "prop") == 2
+        assert f"{out / 'scores.tsv'}: missing score for some nodes" in capsys.readouterr().err
+        assert not (out / "prop" / "final_scores.tsv").exists()
+
+    def test_similarity_scores_of_a_graph_of_self_loops_only(self, tmp_path):
+        (tmp_path / "loops.tsv").write_text("0\t0\n2\t2\n")
+        assert run("score-edges", "--graph", tmp_path / "loops.tsv", "--metric", "jaccard",
+                   "--out-dir", tmp_path) == 0
+        assert (tmp_path / "edge_scores.tsv").read_bytes() == b""
 
     def test_score_edges_metric_and_value_conflict(self, scenario_dir):
         assert run("score-edges", "--graph", scenario_dir / "graph.tsv",

@@ -66,6 +66,20 @@ class TestSweep:
         with pytest.raises(ValueError, match="no engine"):
             SweepSpec(base=SMALL_BASE, engines=()).validate()
 
+    @pytest.mark.parametrize("repeated", [{"values": (0.1, 0.2, 0.1)}, {"engines": ("lbp", "lbp")},
+                                          {"variable": "attack_edges", "values": (10, 10.0)}])
+    def test_repeated_value_or_engine_rejected(self, repeated):
+        with pytest.raises(ValueError, match="repeated value or engine"):
+            SweepSpec(base=SMALL_BASE, trials=1, **repeated).validate()
+
+    def test_rows_in_engine_order_with_accuracy_before_auc(self):
+        rows = run_robustness_sweep(SweepSpec(base=SMALL_BASE, values=(0.2,), trials=1,
+                                              engines=("lbp", "random_walk")))
+        assert [r[1:3] for r in rows] == [("lbp", "accuracy"), ("lbp", "auc"), ("random_walk", "auc")]
+        rows = run_robustness_sweep(SweepSpec(base=SMALL_BASE, values=(0.2,), trials=1,
+                                              engines=("random_walk", "lbp")))
+        assert [r[1:3] for r in rows] == [("random_walk", "auc"), ("lbp", "accuracy"), ("lbp", "auc")]
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_fewer_than_one_thread_rejected(self, threads):
         with pytest.raises(ValueError, match="threads"):

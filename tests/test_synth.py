@@ -62,12 +62,15 @@ class TestBoundedDraws:
             for high in highs:
                 assert emulated(high) == int(reference.integers(high)), high
 
-    def test_fallback_on_failed_self_check(self, monkeypatch):
-        monkeypatch.setattr(synth, "_lemire_matches_numpy", lambda: False)
-        stream = synth._bounded_draws(np.random.default_rng(3))
-        reference = np.random.default_rng(3)
-        assert [stream(h) for h in (5, 2**31 + 1, 1, 7)] == \
-            [int(reference.integers(h)) for h in (5, 2**31 + 1, 1, 7)]
+    @pytest.mark.parametrize("bounds", [(1, 1), (7, 2**32), (2**31 + 1, 2**32), (1000, 1), (2**32, 2**32)])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_array_of_bounds_draws_as_scalar_draws(self, bounds, seed):
+        # The premise of the batched attack edges: one call over k tiled bound
+        # pairs gives the k alternating scalar draws and leaves the same state.
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = batched.integers(np.tile(bounds, 300)).tolist()
+        assert got == [int(scalar.integers(high)) for _ in range(300) for high in bounds]
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 def digest_cases():
@@ -135,6 +138,11 @@ class TestBitIdentity:
                        degree_biased_attacks=True),
         ScenarioConfig(benign_count=2, sybil_count=2, avg_degree=1, attack_edge_count=4, rng_seed=3,
                        degree_biased_attacks=True),
+        # Every cross pair: the last batches redraw pairs the set already holds.
+        ScenarioConfig(benign_count=3, sybil_count=4, avg_degree=2, attack_edge_count=12, rng_seed=8),
+        ScenarioConfig(benign_count=3, sybil_count=4, avg_degree=2, attack_edge_count=12, rng_seed=8,
+                       degree_biased_attacks=True),
+        ScenarioConfig(benign_count=3, sybil_count=4, avg_degree=2, attack_edge_count=0, rng_seed=8),
     ])
     def test_compose_attack_scenario_matches_oracle(self, cfg):
         g, labels = compose_attack_scenario(cfg)
@@ -221,6 +229,15 @@ class TestComposeAttackScenario:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ScenarioConfig(benign_count=10, sybil_count=5, attack_edge_count=51).validate()
+
+    @pytest.mark.parametrize("benign, sybil", [(5, 50), (50, 5), (3, 3)])
+    def test_region_of_at_most_edges_per_node_rejected(self, benign, sybil):
+        cfg = ScenarioConfig(benign_count=benign, sybil_count=sybil, attack_edge_count=1)
+        with pytest.raises(ValueError, match="more than edges_per_node = 5 nodes"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="more than edges_per_node = 5 nodes"):
+            compose_attack_scenario(cfg)
+        ScenarioConfig(benign_count=6, sybil_count=6, attack_edge_count=1).validate()
 
     def test_degree_biased_attack_flag(self):
         cfg = ScenarioConfig(benign_count=150, sybil_count=70, attack_edge_count=120,
