@@ -158,8 +158,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--restart", type=_checked(float, lambda x: 0 < x <= 1, "a value in (0, 1]"), default=0.85,
                    help="restart-walk baseline parameter")
     p.add_argument("--homophily", type=_open_unit, default=0.9, help="seed-only LBP baseline edge score")
-    p.add_argument("--beta", type=_checked(float, lambda x: x > 0, "a positive number"), default=2.0,
-                   help="victim-weight baseline parameter")
+    p.add_argument("--beta", type=_checked(float, lambda x: 0 < x < np.inf, "a finite positive number"),
+                   default=2.0, help="victim-weight baseline parameter")
     p.add_argument("--victim-probs", default=None, help="victim-weight baseline input (needs --baselines)")
     p.add_argument("--remap-ids", action="store_true",
                    help="densify sparse node ids (writes id_map.tsv)")

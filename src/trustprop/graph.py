@@ -7,8 +7,9 @@ derives from the edges. Every library kernel, the triangle pass included,
 reads the edge list; the CSR adjacency members stay only because the
 benchmark tracer (`bench/spans.py`) names them. A directed graph stores its
 out-degrees and its arc targets, source by source. Every sum of per-edge
-terms into nodes, the degrees and the engines' rounds included, goes through
-one blocked kernel, `_scatter`. All graph objects are immutable after
+terms into nodes, the degrees and the walk's rounds included, goes through
+one blocked kernel, `_scatter`; an LBP round adds each block's messages into
+its sums as it sends them. All graph objects are immutable after
 construction; derived arrays (triangle counts, the adjacency) are cached.
 
 Index arrays (node ids and edge ids) are stored as int32 while n < 2**31 and

@@ -11,10 +11,13 @@ Two engines spread local trust scores through the graph:
   rounds by default.
 
 Both engines run over the canonical edge list, never the CSR adjacency, in
-blocks of graph._EDGE_CHUNK edges that fit in the L2 cache, and sum into nodes
-with graph's `_scatter`, so no per-round temporary is as long as the graph.
-An LBP round (`update_messages`) overwrites the messages it reads; a walk round
-sums each node's CSR row in row order. Both match whole-array rounds exactly.
+blocks of graph._EDGE_CHUNK edges that fit in the L2 cache, so no per-round
+temporary is as long as the graph. A walk round sums into nodes with graph's
+`_scatter`, each node's CSR row in row order. An LBP round (`update_messages`)
+overwrites the two message arrays it reads, one per edge direction, sends each
+message with one exp and one log, and adds each block's messages into the next
+round's incoming sums as soon as they are sent. Both match whole-array rounds
+exactly.
 
 Baselines (seed-only random walk with final degree normalization, a
 walk that restarts at the Sybil seeds, seed-only belief propagation, and the
@@ -39,6 +42,7 @@ SEED_BENIGN_SCORE = 0.9
 SEED_SYBIL_SCORE = 0.1
 
 DEFAULT_LBP_ITERATIONS = 8
+_SIGN_BIT = np.uint64(1 << 63)
 
 # Engine name -> (label of its pipeline scores, engine function name); callers
 # fetch the function from this module at call time, so wrappers on it apply.
@@ -184,57 +188,77 @@ def weighted_lbp(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
     d, s, edge_scores = _engine_inputs(g, node_scores, edge_scores, cfg,
                                        DEFAULT_LBP_ITERATIONS, "lbp")
     prior = _logit(s)
-    coupling = _logit(edge_scores)
-    messages = np.zeros((2, g.edge_count))
+    fwd, bwd = np.zeros(g.edge_count), np.zeros(g.edge_count)
+    scratch = np.empty((4, min(graph._EDGE_CHUNK, g.edge_count)))
+    into = np.zeros((2, g.node_count))
     for _ in range(d):
-        update_messages(g, prior, coupling, messages)
-    return _sigmoid(prior + _incoming(g, messages))
+        into = update_messages(g, prior, edge_scores, fwd, bwd, into, scratch)
+    # Freed before the beliefs' node-sized temporaries, which would otherwise
+    # be stacked on the messages and set the call's memory peak.
+    del fwd, bwd, scratch
+    return _sigmoid(prior + (into[0] + into[1]))
 
 
-def update_messages(g: Graph, prior: np.ndarray, coupling: np.ndarray,
-                    messages: np.ndarray) -> np.ndarray:
-    """One synchronous round of log-odds messages over the canonical edges,
-    written over `messages`, which is returned.
+def update_messages(g: Graph, prior: np.ndarray, edge_scores: np.ndarray, fwd: np.ndarray,
+                    bwd: np.ndarray, into: np.ndarray, scratch: np.ndarray | None = None) -> np.ndarray:
+    """One synchronous round of log-odds messages over the canonical edges.
 
-    messages[0] holds edge_u -> edge_v and messages[1] edge_v -> edge_u;
-    prior and coupling hold logit(S_v) and logit(S_e). A sender whose cavity
+    fwd holds the messages edge_u -> edge_v and bwd edge_v -> edge_u; prior
+    holds logit(S_v); into[0] and into[1] hold the sums of fwd into edge_v
+    and of bwd into edge_u. The round overwrites fwd and bwd with the next
+    messages and into with their sums, and returns into. A sender whose cavity
     log-odds is x (its prior plus all it received except from the receiver)
-    sends log((S_e e^x + 1 - S_e) / ((1 - S_e) e^x + S_e)).
+    sends log((k e^x + 1) / (e^x + k)) with k = S_e / (1 - S_e), computed as
+    sign(x) log((k + a) / (1 + k a)) with a = e^-|x|: one exp and one log.
 
-    The cavities are summed over all nodes once; the messages are then sent
-    graph._EDGE_CHUNK edges at a time, so _send's temporaries stay in L2 instead of
-    streaming m-element arrays through memory. Each message goes through the
-    same elementwise operations, so the result is bit-identical to an
-    unblocked round. A block reads no message of another, so each block's
-    messages are overwritten as soon as both directions are sent.
+    The messages are sent graph._EDGE_CHUNK edges at a time through the
+    (4, block) `scratch` rows (allocated when None), so no temporary streams
+    an edge-sized array through memory, and each block's messages are added
+    into the next sums as soon as they are sent. Each message goes through
+    the same elementwise operations and each sum runs in edge order, so the
+    result is bit-identical to an unblocked round. A block reads no message
+    of another, so its messages are overwritten once both directions are sent.
     """
-    fwd, bwd = messages
-    cavity = prior + _incoming(g, messages)
+    if scratch is None:
+        scratch = np.empty((4, min(graph._EDGE_CHUNK, g.edge_count)))
+    cavity = into[0] + into[1]
+    cavity += prior
+    into.fill(0.0)
     for lo in range(0, g.edge_count, graph._EDGE_CHUNK):
-        e = slice(lo, lo + graph._EDGE_CHUNK)
-        forward = _send(np.take(cavity, g.edge_u[e], mode="clip") - bwd[e], coupling[e])
-        bwd[e] = _send(np.take(cavity, g.edge_v[e], mode="clip") - fwd[e], coupling[e])
-        fwd[e] = forward
-    return messages
+        hi = min(lo + graph._EDGE_CHUNK, g.edge_count)
+        e = slice(lo, hi)
+        k, xb, a, t = scratch[:, :hi - lo]
+        np.subtract(1.0, edge_scores[e], out=k)
+        np.divide(edge_scores[e], k, out=k)
+        np.take(cavity, g.edge_v[e], out=xb, mode="clip")
+        xb -= fwd[e]
+        np.take(cavity, g.edge_u[e], out=a, mode="clip")
+        np.subtract(a, bwd[e], out=fwd[e])
+        _message(fwd[e], k, a, t, fwd[e])
+        _message(xb, k, a, t, bwd[e])
+        np.add.at(into[0], g.edge_v[e], fwd[e])
+        np.add.at(into[1], g.edge_u[e], bwd[e])
+    return into
 
 
-def _incoming(g: Graph, messages: np.ndarray) -> np.ndarray:
-    """Sum of the log-odds messages into every node: each direction summed on its own."""
-    into_v = _scatter(np.zeros(g.node_count), (g.edge_v, lambda e: messages[0, e]))
-    into_v += _scatter(np.zeros(g.node_count), (g.edge_u, lambda e: messages[1, e]))
-    return into_v
+def _message(x: np.ndarray, k: np.ndarray, a: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Messages for cavity log-odds x over edges with k = S_e / (1 - S_e), into
+    `out`; x, a and t are overwritten.
 
-
-def _send(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Message for cavity log-odds x over edges with c = logit(S_e): the log-ratio
-    logaddexp(log S_e + x, log(1 - S_e)) - logaddexp(log(1 - S_e) + x, log S_e),
-    as softplus(x + c) - softplus(x - c) - c on numpy's vectorized exp and log1p."""
-    return _softplus(x + c) - _softplus(x - c) - c
-
-
-def _softplus(t: np.ndarray) -> np.ndarray:
-    """log(1 + e^t) without overflow."""
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    The sign bit does both sign steps in one integer pass each: setting it
+    gives -|x|, and XOR-ing x's sign bit onto the log multiplies it by
+    sign(x), so m(-x) = -m(x) exactly. The ratio of two sums of positive terms
+    never cancels, and a = e^-|x| never overflows."""
+    bits = x.view(np.uint64)
+    np.bitwise_or(bits, _SIGN_BIT, out=a.view(np.uint64))
+    np.exp(a, out=a)
+    np.add(k, a, out=t)
+    a *= k
+    a += 1.0
+    t /= a
+    np.log(t, out=t)
+    np.bitwise_and(bits, _SIGN_BIT, out=bits)
+    np.bitwise_xor(t.view(np.uint64), bits, out=out.view(np.uint64))
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -293,8 +317,8 @@ def baseline_sybilbelief(g: Graph, seeds: TrainingSet | None, homophily: float =
 
 def integro_edge_weights(g: Graph, victim_prob: np.ndarray, beta: float) -> np.ndarray:
     """Victim-probability edge weights: min{1, beta * (1 - max(p_u, p_v))}."""
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not 0 < beta < np.inf:
+        raise ValueError("beta must be finite and positive")
     victim_prob = np.asarray(victim_prob, dtype=float)
     if victim_prob.shape[0] != g.node_count:
         raise ValueError("victim probability array must cover every node")

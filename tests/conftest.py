@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trustprop.graph import BENIGN, SYBIL, DirectedGraph, EdgeListParseError, Graph
-from trustprop.propagate import SEED_BENIGN_SCORE, SEED_SYBIL_SCORE, _send
+from trustprop.propagate import SEED_BENIGN_SCORE, SEED_SYBIL_SCORE
 
 
 def graph_from_pairs(n, pairs) -> Graph:
@@ -381,12 +381,45 @@ def lbp_two_vector_oracle(g: Graph, node_scores, edge_values, iterations) -> np.
     return bel_pos / (bel_pos + np.exp(log_neg - shift))
 
 
-def lbp_round_oracle(g: Graph, prior, coupling, messages) -> np.ndarray:
-    """One synchronous log-odds message round over whole edge arrays, unblocked."""
-    fwd, bwd = messages
+def _softplus(t: np.ndarray) -> np.ndarray:
+    """log(1 + e^t) without overflow."""
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
+def _send(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Message for cavity log-odds x over edges with c = logit(S_e): the log-ratio
+    logaddexp(log S_e + x, log(1 - S_e)) - logaddexp(log(1 - S_e) + x, log S_e),
+    as softplus(x + c) - softplus(x - c) - c."""
+    return _softplus(x + c) - _softplus(x - c) - c
+
+
+def message_sums(g: Graph, fwd, bwd) -> np.ndarray:
+    """(sum of fwd into edge_v, sum of bwd into edge_u) of every node, by bincount."""
     n = g.node_count
-    cavity = prior + (np.bincount(g.edge_v, weights=fwd, minlength=n)
-                      + np.bincount(g.edge_u, weights=bwd, minlength=n))
+    return np.stack([np.bincount(g.edge_v, weights=fwd, minlength=n),
+                     np.bincount(g.edge_u, weights=bwd, minlength=n)])
+
+
+def ratio_message(x, k) -> np.ndarray:
+    """sign(x) log((k + a) / (1 + k a)) with a = e^-|x|, k = S_e / (1 - S_e), over whole arrays."""
+    a = np.exp(-np.abs(x))
+    return np.sign(x) * np.log((k + a) / (a * k + 1.0))
+
+
+def lbp_round_oracle(g: Graph, prior, edge_scores, fwd, bwd) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One synchronous log-odds message round over whole edge arrays, unblocked:
+    the next (fwd, bwd) and their `message_sums`."""
+    into = message_sums(g, fwd, bwd)
+    cavity = prior + (into[0] + into[1])
+    k = edge_scores / (1.0 - edge_scores)
+    fwd, bwd = ratio_message(cavity[g.edge_u] - bwd, k), ratio_message(cavity[g.edge_v] - fwd, k)
+    return fwd, bwd, message_sums(g, fwd, bwd)
+
+
+def send_round_oracle(g: Graph, prior, coupling, fwd, bwd) -> np.ndarray:
+    """The next (fwd, bwd) as `_send` computes them, stacked, over whole edge arrays."""
+    into = message_sums(g, fwd, bwd)
+    cavity = prior + (into[0] + into[1])
     return np.stack([_send(cavity[g.edge_u] - bwd, coupling), _send(cavity[g.edge_v] - fwd, coupling)])
 
 

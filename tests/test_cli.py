@@ -165,8 +165,8 @@ class TestUsageErrors:
         (PIPELINE, "--edge-value", "0.05", "[0.1, 0.9]"),
         ([*PIPELINE, "--baselines"], "--restart", "0", "(0, 1]"),
         ([*PIPELINE, "--baselines"], "--homophily", "1.5", "(0, 1)"),
-        ([*PIPELINE, "--baselines"], "--beta", "0", "a positive number"),
-        ([*PIPELINE, "--baselines"], "--beta", "nan", "a positive number"),
+        ([*PIPELINE, "--baselines"], "--beta", "0", "a finite positive number"),
+        ([*PIPELINE, "--baselines"], "--beta", "nan", "a finite positive number"),
         (PIPELINE, "--threshold", "1.5", "(0, 1)"),
         (PIPELINE, "--train-benign", "0", "a count of at least 1"),
         (PIPELINE, "--train-sybil", "-2", "a count of at least 1"),
@@ -184,6 +184,7 @@ class TestUsageErrors:
         (TRAIN, "--l2", "-5", "a finite non-negative number"),
         (TRAIN, "--l2", "nan", "a finite non-negative number"),
         (TRAIN, "--l2", "inf", "a finite non-negative number"),
+        ([*PIPELINE, "--baselines"], "--beta", "inf", "a finite positive number"),
     ])
     def test_value_out_of_range_is_usage_error_before_any_write(self, scenario_dir, tmp_path, capsys,
                                                                argv, flag, bad, expected):

@@ -99,38 +99,38 @@ GOLDEN = {
     "pipeline_directed/edge_scores.tsv": "e025413db292ef63fd26a6c73d1b26a247a9f7503cad2572c17e010f34111b6d",
     "pipeline_directed/features.tsv": "44e342f1a27f764877b12964f236c0fe66a51061ad0bd2f835b2b02dcb552289",
     "pipeline_directed/final_scores_cia.tsv": "c3f6edadd332962f934e0c391d774a466ec9dfe71c552325a6c547906067603b",
-    "pipeline_directed/final_scores_sf_lbp.tsv": "7b5b63a739e8aa5db838cc3f2813d6484949a95eaa2702a8252c9be8ad9ca966",
-    "pipeline_directed/final_scores_sybilbelief.tsv": "ac04e2beb059a2126c5455b1d8fad6569943497d8126b842a06f006d9d4a0254",
+    "pipeline_directed/final_scores_sf_lbp.tsv": "7fe780675eea952697f4ca4e9f6b30efeb0e8a929d51c3d5b37b8b02c720fe84",
+    "pipeline_directed/final_scores_sybilbelief.tsv": "7a82b7724f0bf20ef076dbe7d2b703b7d47c46f2f0a71866c1efae7eef2ebae5",
     "pipeline_directed/final_scores_sybilrank.tsv": "975e160484957848af284e50878fe46ec5c5b9e629bf3153e21102dd1f4129c6",
     "pipeline_directed/local_scores.tsv": "a004bd6870e0bb7d9d46d49bcd9e664b213c32df65816b412b6663afdedefbac",
     "pipeline_directed/metrics.tsv": "f37b3182e5d212fa85884892f63240ee11c321456a7c1cb0ae194a432be843ad",
     "pipeline_directed/model.txt": "3af37b3d8c126c03d26ed9006e23acb020faa45732980e3c5fb06f3a1a69cba8",
     "pipeline_directed/mutual_graph.tsv": "102b87e0bf46970f4ee195e295eaafb8ce62583bf441d8ddfbfdea7f6514cdc1",
-    "pipeline_directed/ranking.tsv": "8c0cb72d2a8e816362f822058dea01acff62ac84e33ea671c63535b011fecf09",
+    "pipeline_directed/ranking.tsv": "3eb174a9df2dc1ab514f5fe44833b04f9dc10b9764c0965d35b2ffac03afe105",
     "pipeline_directed/train_seeds.tsv": "c5f3a6f56b3fe5729d53caf8f43a9918fbeaf69bf68cf7b64911e37147bac6ba",
     "pipeline_remap/edge_scores.tsv": "f9caba85aeb28dd0a161293c63ab5bdd4c95f65f0bd256e539431d40f617db25",
     "pipeline_remap/features.tsv": "351786f15293b9e0c1154379fa9b122b6625a2e4d3092fef41be9338b93d6747",
     "pipeline_remap/final_scores_cia.tsv": "8df82b3e48029755b1c18186a37f1ea8ed058b569ed41e8bea3b815740e55259",
     "pipeline_remap/final_scores_integro.tsv": "0f264d28b712a2f2c376c936d0e5944075c53120fbb69e81f47c987404ce0fbe",
-    "pipeline_remap/final_scores_sf_lbp.tsv": "409b004d9e4d75832d27fa2bb9cecf000266052e5a6a64581ecbc413f9bae716",
-    "pipeline_remap/final_scores_sybilbelief.tsv": "c6359b7dd70ef461d5e4653ab3f7c9ffb7566ec700c96f7c4f563d1f9b308d00",
+    "pipeline_remap/final_scores_sf_lbp.tsv": "625c04214ed26010348895d2004f4fbd792ea2323cf9eea04c5bdda15c10c55c",
+    "pipeline_remap/final_scores_sybilbelief.tsv": "7447fbd433abcb7a1d54b3e5f6565697c6369ef00405ff7ef3672e2b0bdba0e8",
     "pipeline_remap/final_scores_sybilrank.tsv": "a2c661d78fbc011e72995aced4d23b8b5f2c2bb686886f79f7a346cc3a960cb8",
     "pipeline_remap/id_map.tsv": "aba1bfb35097f705aa1d3c5c596f7241a2548b744b49005a737e99e290c17d7d",
     "pipeline_remap/local_scores.tsv": "c76cd604ff57fcaa8ce4d09f2f32df05f1e8e432ae68fa1648d896aa952edcc9",
     "pipeline_remap/metrics.tsv": "e2e48fe617f544f44e98a4c9fa0b12425be72c97359d3b66176d45228a23f722",
     "pipeline_remap/model.txt": "974ce93cba3359f516f4b3f518c84ca7c878a2ae908abb0a00e7b47a54508571",
-    "pipeline_remap/ranking.tsv": "4fbb05ffd5061570b9827937bd9e5b7436e342e10de790fa2772ccc9ec12c2dd",
+    "pipeline_remap/ranking.tsv": "9ebdd1c53024224c5e0fddf0ee16c17a60d7be1a145efa6fb30f31b03ce7a06b",
     "pipeline_remap/train_seeds.tsv": "2c1adc9320abb4c3150756869a1f83124e4a2b898ed12fabc5c454de4fd1538b",
     "score_edges_adamic_adar/edge_scores.tsv": "9a06bbf38df7815a124682b2cc9a8729684bad3343d1df94e8f1ef40e6652316",
     "score_edges_cosine/edge_scores.tsv": "0b4e34409a8dd9bce9e606c8a427231ec111a1cbac3da2a3b7b0ead5441ef1c9",
     "stages/edge_scores.tsv": "692adb91c5a9dd4a53ab1171b27dd7fb7bd8c1c9c66689ed9996d0141ee6b5d2",
     "stages/features.tsv": "44e342f1a27f764877b12964f236c0fe66a51061ad0bd2f835b2b02dcb552289",
-    "stages/final_scores.tsv": "d37c7036e02d272dae97e9de8ebfdb3aee256f45f1eba69c510413b72e6de855",
+    "stages/final_scores.tsv": "c48e1be08331f51413fe07a28c65f8b9cb7b7c9957175e1c43f5a16eca914499",
     "stages/local_scores.tsv": "a004bd6870e0bb7d9d46d49bcd9e664b213c32df65816b412b6663afdedefbac",
     "stages/metrics.tsv": "54a97c135837f469edb5336ea1c2cae4567f011b1152a698450036631f281995",
     "stages/model.txt": "3af37b3d8c126c03d26ed9006e23acb020faa45732980e3c5fb06f3a1a69cba8",
     "stages/mutual_graph.tsv": "102b87e0bf46970f4ee195e295eaafb8ce62583bf441d8ddfbfdea7f6514cdc1",
-    "stages/ranking.tsv": "ec6a241d4fe7daaba27d4e618f7a3ee1289bf169754347c48aeadee4544b7092",
+    "stages/ranking.tsv": "9a6a1e06f16fd9788fdf827859ec361e37424fe44a573fd729c60086fac2b551",
     "stages/threshold.txt": "8d5c1b5a87c51f970807fc0c2057b3ab3aaf11638ab667dc5956edc8f5bcf138",
     "stages/train_seeds.tsv": "c5f3a6f56b3fe5729d53caf8f43a9918fbeaf69bf68cf7b64911e37147bac6ba",
     "sweep/sweep.tsv": "b56d90e43ef7c0897a7597479411f3a89ab1fa70040eb9332671678bbeaad5ca",

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from trustprop import graph as graph_module
 from trustprop import propagate
-from trustprop.classifier import SIMILARITY_METRICS, TrainingSet, edge_similarity
+from trustprop.classifier import SIMILARITY_METRICS, TrainingSet, _sigmoid, edge_similarity
 from trustprop.cli import dispatch
 from trustprop.features import feature_matrix
 from trustprop.propagate import (PropagationConfig, baseline_cia, baseline_integro,
@@ -17,8 +17,8 @@ from trustprop.synth import (NoiseConfig, ScenarioConfig, compose_attack_scenari
 from trustprop.tsvio import write_labels, write_rows
 
 from conftest import (graph_from_pairs, lbp_enumeration_oracle, lbp_round_oracle,
-                      lbp_two_vector_oracle, random_graph, random_tree, walk_matrix_oracle,
-                      walk_oracle)
+                      lbp_two_vector_oracle, message_sums, random_graph, random_tree,
+                      send_round_oracle, walk_matrix_oracle, walk_oracle)
 
 
 class TestWeightedRandomWalk:
@@ -308,12 +308,19 @@ class TestWeightedLbp:
         edge_scores = 0.02 + 0.96 * rng.random(g.edge_count)
         prior = np.log(node_scores / (1.0 - node_scores))
         coupling = np.log(edge_scores / (1.0 - edge_scores))
-        msgs = np.zeros((2, g.edge_count))
+        fwd, bwd, into = np.zeros(g.edge_count), np.zeros(g.edge_count), np.zeros((2, 15))
         for it in range(10):
-            msgs = update_messages(g, prior, coupling, msgs)
-            assert msgs.shape == (2, g.edge_count)
-            assert np.all(np.isfinite(msgs))
-            assert np.all(np.abs(msgs) <= np.abs(coupling) * (1 + 1e-12))
+            into = update_messages(g, prior, edge_scores, fwd, bwd, into)
+            for msgs in (fwd, bwd):
+                assert msgs.shape == (g.edge_count,)
+                assert np.all(np.isfinite(msgs))
+                assert np.all(np.abs(msgs) <= np.abs(coupling) * (1 + 1e-12))
+
+    @staticmethod
+    def _round_inputs(rng, g):
+        prior = np.log(rng.random(g.node_count) / rng.random(g.node_count))
+        edge_scores = 1.0 / (1.0 + np.exp(-4.0 * rng.standard_normal(g.edge_count)))
+        return prior, edge_scores
 
     @pytest.mark.parametrize("pairs", [
         [],
@@ -326,25 +333,80 @@ class TestWeightedLbp:
         monkeypatch.setattr(graph_module, "_EDGE_CHUNK", 3)
         rng = np.random.default_rng(41)
         g = random_graph(40, 0.4, rng) if pairs is None else graph_from_pairs(6, pairs)
-        prior = np.log(rng.random(g.node_count) / rng.random(g.node_count))
-        coupling = 4.0 * rng.standard_normal(g.edge_count)
-        got, want = np.zeros((2, g.edge_count)), np.zeros((2, g.edge_count))
+        prior, edge_scores = self._round_inputs(rng, g)
+        fwd, bwd, into = np.zeros(g.edge_count), np.zeros(g.edge_count), np.zeros((2, g.node_count))
+        want_fwd, want_bwd = fwd.copy(), bwd.copy()
         for _ in range(10):
-            got = update_messages(g, prior, coupling, got)
-            want = lbp_round_oracle(g, prior, coupling, want)
-            assert got.shape == (2, g.edge_count)
-            assert np.array_equal(got, want)
+            into = update_messages(g, prior, edge_scores, fwd, bwd, into)
+            want_fwd, want_bwd, want_into = lbp_round_oracle(g, prior, edge_scores, want_fwd, want_bwd)
+            assert fwd.shape == bwd.shape == (g.edge_count,) and into.shape == (2, g.node_count)
+            assert np.array_equal(fwd, want_fwd) and np.array_equal(bwd, want_bwd)
+            assert np.array_equal(into, want_into)
 
     def test_round_overwrites_its_input(self, monkeypatch):
         monkeypatch.setattr(graph_module, "_EDGE_CHUNK", 3)
         rng = np.random.default_rng(43)
         g = random_graph(20, 0.4, rng)
-        prior = rng.standard_normal(g.node_count)
-        coupling = 4.0 * rng.standard_normal(g.edge_count)
-        messages = rng.standard_normal((2, g.edge_count))
-        before = messages.copy()
-        assert update_messages(g, prior, coupling, messages) is messages
-        assert np.array_equal(messages, lbp_round_oracle(g, prior, coupling, before))
+        prior, edge_scores = self._round_inputs(rng, g)
+        fwd, bwd = rng.standard_normal(g.edge_count), rng.standard_normal(g.edge_count)
+        into = message_sums(g, fwd, bwd)
+        want = lbp_round_oracle(g, prior, edge_scores, fwd.copy(), bwd.copy())
+        assert update_messages(g, prior, edge_scores, fwd, bwd, into) is into
+        for got, expected in zip((fwd, bwd, into), want):
+            assert np.array_equal(got, expected)
+
+    def test_round_matches_the_softplus_round(self):
+        # The one-exp, one-log message against softplus(x + c) - softplus(x - c) - c.
+        rng = np.random.default_rng(44)
+        g = random_graph(40, 0.3, rng)
+        prior, edge_scores = self._round_inputs(rng, g)
+        coupling = np.log(edge_scores / (1.0 - edge_scores))
+        fwd, bwd = rng.standard_normal(g.edge_count), rng.standard_normal(g.edge_count)
+        want = send_round_oracle(g, prior, coupling, fwd, bwd)
+        update_messages(g, prior, edge_scores, fwd, bwd, message_sums(g, fwd, bwd))
+        assert np.max(np.abs(np.stack([fwd, bwd]) - want)) <= 1e-12
+
+    def test_message_at_extreme_scores_and_cavities(self):
+        # One edge (2i, 2i + 1) per (S, x) case: the first round sends m(x) from
+        # 2i, whose prior is x, against a long-double evaluation of
+        # log((k e^x + 1) / (e^x + k)), and m(-x) = -m(x) bit for bit.
+        if np.finfo(np.longdouble).maxexp < 16384:
+            pytest.skip("long double is no wider than double here")
+        xs = np.array([0.0, 1e-300, 1.0, 40.0, 745.0, 1e4])
+        xs = np.concatenate([xs, -xs])
+        cases = [(s, x) for s in (1e-300, 1e-16, 0.5, 1.0 - 2.0 ** -53) for x in xs]
+        score, x = np.array(cases).T
+        g = graph_from_pairs(2 * len(cases), [(2 * i, 2 * i + 1) for i in range(len(cases))])
+        prior = np.zeros(g.node_count)
+        prior[0::2] = x
+        fwd, bwd = np.zeros(g.edge_count), np.zeros(g.edge_count)
+        update_messages(g, prior, score, fwd, bwd, np.zeros((2, g.node_count)))
+        s, ex = score.astype(np.longdouble), np.exp(x.astype(np.longdouble))
+        k = s / (1 - s)
+        want = np.log((k * ex + 1) / (ex + k))
+        assert np.all(np.isfinite(fwd))
+        assert np.max(np.abs(fwd - want)) <= 1e-13
+        half = len(xs) // 2
+        by_case = fwd.reshape(4, 2, half)
+        assert np.array_equal(by_case[:, 1], -by_case[:, 0])
+
+    def test_even_edges_leave_the_local_log_odds(self):
+        # At S_e = 0.5 every message is 0: the beliefs are the local scores
+        # through logit and sigmoid, and no sum holds a -0.0.
+        rng = np.random.default_rng(45)
+        g = random_graph(30, 0.3, rng)
+        node_scores = 0.1 + 0.8 * rng.random(30)
+        node_scores[:3] = 0.5
+        edge_scores = np.full(g.edge_count, 0.5)
+        out = weighted_lbp(g, node_scores, edge_scores)
+        assert np.array_equal(out, _sigmoid(propagate._logit(node_scores)))
+        assert not np.any(np.signbit(out))
+        prior = propagate._logit(node_scores)
+        fwd, bwd, into = np.zeros(g.edge_count), np.zeros(g.edge_count), np.zeros((2, 30))
+        for _ in range(3):
+            into = update_messages(g, prior, edge_scores, fwd, bwd, into)
+            assert np.all(fwd == 0.0) and np.all(bwd == 0.0)
+            assert not np.any(np.signbit(into))
 
     def test_potential_outside_unit_interval_error(self):
         g = graph_from_pairs(2, [(0, 1)])
@@ -511,6 +573,16 @@ class TestIntegro:
             integro_edge_weights(g, np.zeros(2), beta=0.0)
         with pytest.raises(ValueError):
             integro_edge_weights(g, np.array([0.5, 1.2]), beta=1.0)
+
+    @pytest.mark.parametrize("beta", [np.inf, np.nan, -np.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        # beta = inf would make a weight inf * (1 - 1.0) = nan wherever p = 1.
+        g = graph_from_pairs(3, [(0, 1), (1, 2)])
+        p = np.array([1.0, 0.2, 0.1])
+        with pytest.raises(ValueError, match="finite and positive"):
+            integro_edge_weights(g, p, beta)
+        with pytest.raises(ValueError, match="finite and positive"):
+            baseline_integro(g, np.array([1]), p, beta=beta)
 
     def test_nan_victim_probability_rejected(self):
         g = graph_from_pairs(3, [(0, 1), (1, 2)])
