@@ -176,42 +176,69 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, subs.choices
 
 
-def _apply_config_file(args, registry) -> dict | None:
-    """Validate config-file keys and return set_defaults overrides, or None."""
+def _read_config(args, sub) -> dict[str, tuple[str, object]]:
+    """key -> (file:line, value) of each setting in the --config file, in file
+    order; empty without one. Each key is the dest of one of `sub`'s flags."""
+    settings = {}
     if not args.config:
-        return None
-    sub = registry[args.command]
+        return settings
     actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
-    overrides = {}
-    with open(args.config, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            text = line.strip()
-            if not text or text.startswith("#"):
+    try:
+        lines = list(tsvio._data_lines(args.config))
+    except EdgeListParseError as exc:  # a line that is not UTF-8
+        raise UsageError(str(exc)) from None
+    for lineno, text in lines:
+        where = f"{args.config}:{lineno}"
+        if "=" not in text:
+            raise UsageError(f"{where}: expected 'key = value'")
+        key, _, value = text.partition("=")
+        key = key.strip().replace("-", "_")
+        value = value.strip()
+        if key not in actions:
+            raise UsageError(f"{where}: unknown key {key!r} for '{args.command}'")
+        if key in settings:
+            raise UsageError(f"{where}: key {key!r} already set at {settings[key][0]}")
+        action = actions[key]
+        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+            if value.lower() not in ("true", "false", "0", "1", "yes", "no"):
+                raise UsageError(f"{where}: boolean expected for {key!r}")
+            parsed = value.lower() in ("true", "1", "yes")
+        elif action.type is not None:
+            try:
+                parsed = action.type(value)
+            except (ValueError, argparse.ArgumentTypeError):
+                raise UsageError(f"{where}: bad value for {key!r}") from None
+        else:
+            parsed = value
+        if action.choices is not None and parsed not in action.choices:
+            raise UsageError(f"{where}: invalid choice {value!r} for {key!r} "
+                             f"(choose from {', '.join(action.choices)})")
+        settings[key] = (where, parsed)
+    return settings
+
+
+def _parse(parser, registry, argv):
+    """argv parsed with its --config settings as defaults, then checked by
+    _check_flags. A failed check names the setting after the longest prefix of
+    the settings, in file order, that does not fail it with the same message."""
+    args = parser.parse_args(argv)
+    sub = registry[args.command]
+    settings = list(_read_config(args, sub).items())
+    defaults = {key: sub.get_default(key) for key, _ in settings}
+    failure, at = None, 0
+    for k in range(len(settings), -1, -1):
+        sub.set_defaults(**(defaults | {key: value for key, (_, value) in settings[:k]}))
+        args = parser.parse_args(argv)
+        try:
+            _check_flags(args)
+        except UsageError as exc:
+            if failure in (None, str(exc)):
+                failure, at = str(exc), k
                 continue
-            if "=" not in text:
-                raise UsageError(f"{args.config}:{lineno}: expected 'key = value'")
-            key, _, value = text.partition("=")
-            key = key.strip().replace("-", "_")
-            value = value.strip()
-            if key not in actions:
-                raise UsageError(f"{args.config}:{lineno}: unknown key {key!r} for '{args.command}'")
-            action = actions[key]
-            if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-                if value.lower() not in ("true", "false", "0", "1", "yes", "no"):
-                    raise UsageError(f"{args.config}:{lineno}: boolean expected for {key!r}")
-                overrides[key] = value.lower() in ("true", "1", "yes")
-            elif action.type is not None:
-                try:
-                    overrides[key] = action.type(value)
-                except (ValueError, argparse.ArgumentTypeError):
-                    raise UsageError(f"{args.config}:{lineno}: bad value for {key!r}") from None
-            else:
-                overrides[key] = value
-            if action.choices is not None and overrides[key] not in action.choices:
-                raise UsageError(f"{args.config}:{lineno}: invalid choice {value!r} for {key!r} "
-                                 f"(choose from {', '.join(action.choices)})")
-    sub.set_defaults(**overrides)
-    return overrides
+        break
+    if failure is None:
+        return args
+    raise UsageError(f"{settings[at - 1][1][0]}: {failure}" if at else failure)
 
 
 def _scenario_config(args, **extra) -> synth.ScenarioConfig:
@@ -278,7 +305,11 @@ def _cmd_propagate(args, out: Path) -> None:
                                       pin_seeds=args.pin_seeds,
                                       degree_normalize=args.degree_normalize)
     engine = propagate.get_engine(args.engine)[1]
-    tsvio.write_node_scores(out / "final_scores.tsv", engine(graph, node_scores, edge_scores, cfg))
+    try:
+        final = engine(graph, node_scores, edge_scores, cfg)
+    except ValueError as exc:  # the walk's overflow: node scores too large for their weights
+        raise ValueError(f"{args.node_scores}: {exc}") from None
+    tsvio.write_node_scores(out / "final_scores.tsv", final)
 
 
 def _ranking_report(args, graph_path: str | None = None, threshold: float = 0.5) -> metrics.RankingReport:
@@ -381,6 +412,10 @@ def _check_flags(args) -> None:
         raise UsageError(str(exc)) from None
     if args.command == "pipeline" and args.victim_probs is not None and not args.baselines:
         raise UsageError("--victim-probs is read only with --baselines")
+    if getattr(args, "engine", None) == "lbp":
+        for flag in ("--pin-seeds", "--degree-normalize", "--raw-walk-scores"):
+            if getattr(args, flag[2:].replace("-", "_"), False):
+                raise UsageError(f"{flag} is read only with --engine random_walk")
     if args.command == "components" and bool(args.labels) != args.sybil_only:
         raise UsageError("--sybil-only requires --labels, and --labels is read only with --sybil-only")
 
@@ -390,10 +425,7 @@ def dispatch(argv) -> int:
     usage error is found before the subcommand reads or writes anything."""
     parser, registry = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if _apply_config_file(args, registry) is not None:
-            args = parser.parse_args(argv)
-        _check_flags(args)
+        args = _parse(parser, registry, argv)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

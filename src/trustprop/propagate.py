@@ -11,13 +11,13 @@ Two engines spread local trust scores through the graph:
   rounds by default.
 
 Both engines run over the canonical edge list, never the CSR adjacency, in
-blocks of graph._EDGE_CHUNK edges that fit in the L2 cache, so no per-round
-temporary is as long as the graph. A walk round sums into nodes with graph's
-`_scatter`, each node's CSR row in row order. An LBP round (`update_messages`)
-overwrites the two message arrays it reads, one per edge direction, sends each
-message with one exp and one log, and adds each block's messages into the next
-round's incoming sums as soon as they are sent. Both match whole-array rounds
-exactly.
+blocks of graph._EDGE_CHUNK edges that fit in the L2 cache, so no temporary
+is as long as the graph. A walk round divides each node's score by its
+weighted degree once and sums into nodes with graph's `_scatter`, each CSR
+row in row order. An LBP round (`update_messages`) overwrites the two message
+arrays it reads, one per edge direction, sends each message with one exp and
+one log, and adds each block's messages into the next round's incoming sums
+as soon as they are sent. Both match whole-array rounds exactly.
 
 Baselines (seed-only random walk with final degree normalization, a
 walk that restarts at the Sybil seeds, seed-only belief propagation, and the
@@ -124,11 +124,13 @@ def _walk(g: Graph, init: np.ndarray, weights: np.ndarray, iterations: int,
           per_weighted_degree: bool = False) -> np.ndarray:
     """Shared power-iteration core: scores <- column-normalized-weight update.
 
-    `weights` holds one weight per canonical edge. Nodes with zero incident
-    weight distribute nothing (their column is zero). A restart returns the
+    `weights` holds one weight per canonical edge. A round divides each node's
+    score by its total incident weight once and sends that times each edge's
+    weight; nodes with no incident weight send nothing. A restart returns the
     fraction `restart` of the mass to `init` every round. With
     per_weighted_degree, the final scores are divided by each node's total
-    incident weight; nodes with none keep theirs.
+    incident weight; nodes with none keep theirs. A non-finite result, from a
+    score too large for its node's weight sum, raises ValueError.
 
     Each node sums its CSR row from 0.0: the edges it ends (edge_v), then those
     it starts (edge_u), each in edge order, as one bincount over all CSR
@@ -136,25 +138,22 @@ def _walk(g: Graph, init: np.ndarray, weights: np.ndarray, iterations: int,
     """
     n, edge_u, edge_v = g.node_count, g.edge_u, g.edge_v
     wsum = _scatter(np.zeros(n), (edge_v, weights.__getitem__), (edge_u, weights.__getitem__))
-    # weight / sum at the sending end. The weight is one term of that sum, so a
-    # sum of 0 has only 0 weights, whose share 0 / 1e-300 is 0.
-    share_b, share_a = np.empty(g.edge_count), np.empty(g.edge_count)  # sent by edge_u, by edge_v
-    for lo in range(0, g.edge_count, graph._EDGE_CHUNK):
-        e = slice(lo, lo + graph._EDGE_CHUNK)
-        share_b[e] = weights[e] / np.maximum(np.take(wsum, edge_u[e], mode="clip"), 1e-300)
-        share_a[e] = weights[e] / np.maximum(np.take(wsum, edge_v[e], mode="clip"), 1e-300)
+    sends, floor = wsum > 0, np.maximum(wsum, 1e-300)
     isolated = g.degrees == 0
     scores = init.astype(float, copy=True)
     for _ in range(iterations):
-        scores = _scatter(np.zeros(n), (edge_v, lambda e: np.take(scores, edge_u[e], mode="clip") * share_b[e]),
-                          (edge_u, lambda e: np.take(scores, edge_v[e], mode="clip") * share_a[e]))
+        per_weight = np.divide(scores, floor, out=np.zeros(n), where=sends)
+        scores = _scatter(np.zeros(n), (edge_v, lambda e: np.take(per_weight, edge_u[e], mode="clip") * weights[e]),
+                          (edge_u, lambda e: np.take(per_weight, edge_v[e], mode="clip") * weights[e]))
         if restart:
             scores = (1.0 - restart) * scores + restart * init
         if hold_isolated:
             scores[isolated] = init[isolated]
         scores = _apply_seeds(scores, pin)
     if per_weighted_degree:
-        scores = np.where(wsum > 0, scores / np.maximum(wsum, 1e-300), scores)
+        scores = np.where(sends, scores / floor, scores)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("walk scores overflow: node scores too large for their incident weights")
     return scores
 
 

@@ -38,6 +38,8 @@ class ScenarioConfig:
             raise ValueError(f"each region needs more than edges_per_node = {self.edges_per_node} nodes")
         if self.attack_edge_count < 0:
             raise ValueError("attack_edge_count must be non-negative")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be non-negative")
         if self.attack_edge_count > self.benign_count * self.sybil_count:
             raise ValueError("attack_edge_count exceeds number of distinct cross pairs")
 

@@ -232,11 +232,12 @@ def walk_oracle(g: Graph, init, weights, iterations, restart=0.0, restart_dist=N
     rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     position_weights = np.asarray(weights, dtype=float)[edge_ids]
     wsum = np.bincount(rows, weights=position_weights, minlength=n)
-    share = np.where(wsum[cols] > 0, position_weights / np.maximum(wsum[cols], 1e-300), 0.0)
     isolated = np.diff(indptr) == 0
     scores = init.astype(float, copy=True)
     for _ in range(iterations):
-        scores = np.bincount(rows, weights=scores[cols] * share, minlength=n).astype(float, copy=False)
+        per_weight = np.where(wsum > 0, scores / np.maximum(wsum, 1e-300), 0.0)
+        scores = np.bincount(rows, weights=per_weight[cols] * position_weights,
+                             minlength=n).astype(float, copy=False)
         if restart:
             scores = (1.0 - restart) * scores + restart * restart_dist
         if hold_isolated:

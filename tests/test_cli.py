@@ -1,5 +1,6 @@
 import contextlib
 import io
+import re
 import tempfile
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustprop import tsvio
-from trustprop.cli import VERSION_LINE, dispatch
+from trustprop.cli import VERSION_LINE, build_parser, dispatch
 from trustprop.tsvio import load_edge_list
 
 
@@ -58,6 +59,7 @@ class TestGenerate:
         ("--sybil", "5", "each region needs more than edges_per_node = 5 nodes"),
         ("--avg-degree", "0", "avg_degree must be positive"),
         ("--attack-edges", "-1", "attack_edge_count must be non-negative"),
+        ("--seed", "-1", "rng_seed must be non-negative"),
     ])
     def test_sizes_the_generator_cannot_grow_are_usage_errors_before_any_write(self, tmp_path, capsys,
                                                                                flag, bad, message):
@@ -247,6 +249,28 @@ class TestUsageErrors:
         assert run(*argv, "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 1
         assert f"run.cfg:1: bad value for '{flag[2:].replace('-', '_')}'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    PROPAGATE = ["propagate", "--graph", "graph.tsv", "--node-scores", "labels.tsv",
+                 "--edge-scores", "edge_scores.tsv"]
+
+    @pytest.mark.parametrize("argv, flag", [(PROPAGATE, "--pin-seeds"), (PROPAGATE, "--degree-normalize"),
+                                            (PIPELINE, "--pin-seeds"), (PIPELINE, "--raw-walk-scores")])
+    def test_walk_only_flags_under_lbp_are_usage_errors_before_any_write(self, scenario_dir, tmp_path,
+                                                                         capsys, argv, flag):
+        assert run("score-edges", "--graph", scenario_dir / "graph.tsv", "--out-dir", scenario_dir) == 0
+        argv = [scenario_dir / a if a.endswith(".tsv") else a for a in argv]
+        if argv[0] == "pipeline":
+            argv += ["--train-benign", 15, "--train-sybil", 15]
+        message = f"{flag} is read only with --engine random_walk"
+        assert run(*argv, flag, "--out-dir", tmp_path / "out") == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # the command line's engine overrides line 1, so line 2 is at fault
+        (tmp_path / "run.cfg").write_text(f"engine = random_walk\n{flag[2:]} = true\n")
+        assert run(*argv, "--engine", "lbp", "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 1
+        assert f"run.cfg:2: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert run(*argv, "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 0
 
     def test_training_sample_above_the_labeled_count_is_data_error(self, scenario_dir, tmp_path):
         assert run(*[scenario_dir / a if a.endswith(".tsv") else a for a in self.PIPELINE],
@@ -443,6 +467,49 @@ class TestMutatedInputs:
             assert not {"nan", "inf", "-inf"} & set(fields), name
 
 
+# Config values: TOKENS without the three largest counts, as a round, epoch or fold
+# count that large runs for hours; and words of the boolean and engine keys.
+CONFIG_TOKENS = TOKENS[:-3] + ["true", "no", "lbp", "random_walk"]
+
+
+@st.composite
+def config_files(draw, keys):
+    """`key = value` lines of `keys` and CONFIG_TOKENS, some repeated or dropped,
+    and at most one byte that is not UTF-8."""
+    lines = [f"{draw(st.sampled_from(keys))} = {draw(st.sampled_from(CONFIG_TOKENS))}"
+             for _ in range(draw(st.integers(1, 4)))]
+    for _ in range(draw(st.integers(0, 2)) if len(lines) > 1 else 0):
+        i = draw(st.integers(0, len(lines) - 1))
+        if draw(st.booleans()):
+            lines.insert(i, lines[i])
+        else:
+            del lines[i]
+    text = "".join(line + "\n" for line in lines).encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + b"\xff" + text[at:]
+    return text
+
+
+class TestMutatedConfigs:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_not_traceback(self, mutation_inputs, data):
+        argv = list(data.draw(st.sampled_from(COMMANDS)))
+        sub = build_parser()[1][argv[0]]
+        keys = sorted(a.dest for a in sub._actions if a.dest not in ("help", "config"))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            argv = _write_inputs(tmp, mutation_inputs, argv)
+            (tmp / "run.cfg").write_bytes(data.draw(config_files(keys)))
+            code, err = _dispatch_quietly(argv + ["--config", str(tmp / "run.cfg"),
+                                                  "--out-dir", str(tmp / "out")])
+        assert code in (0, 1, 2)
+        if code == 1:  # the command line alone is valid, so the config is at fault
+            last = err.splitlines()[-1]
+            assert re.search(re.escape(str(tmp / "run.cfg")) + r":\d+: ", last), last
+
+
 class TestNonFiniteRows:
     """A nan, infinite or out-of-range per-node value fails at its file:line
     before any output is written."""
@@ -498,6 +565,17 @@ class TestConfigFile:
         cfg.write_text("degree-biased-attacks = true\n")
         assert run("generate", "--benign", 40, "--sybil", 20, "--attack-edges", 15,
                    "--config", cfg, "--out-dir", tmp_path) == 0
+
+    @pytest.mark.parametrize("text, message", [
+        (b"seed = 7\nbenign = 3\xff0\n", ":2: not UTF-8 text"),
+        (b"seed = 7\n\nseed = 8\n", ":3: key 'seed' already set at "),
+    ])
+    def test_undecodable_or_repeated_line_is_usage_error_before_any_write(self, tmp_path, capsys,
+                                                                          text, message):
+        (tmp_path / "run.cfg").write_bytes(text)
+        assert run("generate", "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 1
+        assert f"run.cfg{message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, key", [("pipeline", "engine"), ("sweep", "variable")])
     def test_value_outside_choices_rejected(self, scenario_dir, tmp_path, capsys, command, key):
@@ -576,6 +654,28 @@ class TestStageCommands:
                    "--edge-scores", out / "edge_scores.tsv", "--out-dir", out / "prop") == 2
         assert f"{out / 'scores.tsv'}: missing score for some nodes" in capsys.readouterr().err
         assert not (out / "prop" / "final_scores.tsv").exists()
+
+    def test_walk_overflow_names_the_node_score_file(self, tmp_path, capsys):
+        (tmp_path / "g.tsv").write_text("0\t1\n0\t2\n")
+        (tmp_path / "s.tsv").write_text("0\t0\n1\t1e308\n2\t1e308\n")
+        (tmp_path / "e.tsv").write_text("0\t1\t1\n0\t2\t1\n")
+        assert run("propagate", "--engine", "random_walk", "--iterations", 1, "--graph", tmp_path / "g.tsv",
+                   "--node-scores", tmp_path / "s.tsv", "--edge-scores", tmp_path / "e.tsv",
+                   "--out-dir", tmp_path / "out") == 2
+        assert f"{tmp_path / 's.tsv'}: walk scores overflow" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "final_scores.tsv").exists()
+
+    def test_commands_that_hash_the_seed_take_a_negative_one(self, scenario_dir, tmp_path):
+        training = ["--labels", scenario_dir / "labels.tsv", "--train-benign", 15, "--train-sybil", 15,
+                    "--seed", -1]
+        assert run("features", "--graph", scenario_dir / "graph.tsv", "--undirected",
+                   "--out-dir", scenario_dir) == 0
+        assert run("train", "--features", scenario_dir / "features.tsv", *training,
+                   "--out-dir", tmp_path / "train") == 0
+        assert run("pipeline", "--graph", scenario_dir / "graph.tsv", *training,
+                   "--out-dir", tmp_path / "pipeline") == 0
+        assert run("sweep", "--benign", 40, "--sybil", 20, "--attack-edges", 10, "--values", 0.1,
+                   "--trials", 1, "--seed", -1, "--out-dir", tmp_path / "sweep") == 0
 
     def test_similarity_scores_of_a_graph_of_self_loops_only(self, tmp_path):
         (tmp_path / "loops.tsv").write_text("0\t0\n2\t2\n")

@@ -2,7 +2,7 @@
 
 A stage's peak counts what it allocates beyond its inputs, its output included.
 On a 200k-edge random graph with 7 self-loops, stored with int32 ids, the
-stages peak at about 18 (build), 19 (simulated edge scores), 21 (walk), 28
+stages peak at about 18 (build), 19 (simulated edge scores), 7 (walk), 28
 (LBP) and 64 (the triangle pass) bytes per edge, and the degree counts of
 `Graph(n, edge_u, edge_v)` and `DirectedGraph.in_degrees` at about 1 byte per
 edge or arc: their n int64 counts and one block's ids. One more whole-array
@@ -26,7 +26,7 @@ from trustprop.graph import DirectedGraph, Graph
 from trustprop.propagate import weighted_lbp, weighted_random_walk
 from trustprop.synth import NoiseConfig, simulate_edge_trust_scores
 
-BUDGET_BYTES_PER_EDGE = {"build": 20, "edge_scores": 25, "walk": 27, "lbp": 30, "triangles": 70,
+BUDGET_BYTES_PER_EDGE = {"build": 20, "edge_scores": 25, "walk": 10, "lbp": 30, "triangles": 70,
                          "degrees": 2, "in_degrees": 2}
 
 

@@ -98,10 +98,10 @@ GOLDEN = {
     "generate/node_scores.tsv": "11395e060962793789875b33b0c5b9ba938c282bef3a4b3a709b7e9f0927033a",
     "pipeline_directed/edge_scores.tsv": "e025413db292ef63fd26a6c73d1b26a247a9f7503cad2572c17e010f34111b6d",
     "pipeline_directed/features.tsv": "44e342f1a27f764877b12964f236c0fe66a51061ad0bd2f835b2b02dcb552289",
-    "pipeline_directed/final_scores_cia.tsv": "c3f6edadd332962f934e0c391d774a466ec9dfe71c552325a6c547906067603b",
+    "pipeline_directed/final_scores_cia.tsv": "0f369cddfa9d996caf926b513f82c849a101a7108ee0cecf3f47c4239dc11c42",
     "pipeline_directed/final_scores_sf_lbp.tsv": "7fe780675eea952697f4ca4e9f6b30efeb0e8a929d51c3d5b37b8b02c720fe84",
     "pipeline_directed/final_scores_sybilbelief.tsv": "7a82b7724f0bf20ef076dbe7d2b703b7d47c46f2f0a71866c1efae7eef2ebae5",
-    "pipeline_directed/final_scores_sybilrank.tsv": "975e160484957848af284e50878fe46ec5c5b9e629bf3153e21102dd1f4129c6",
+    "pipeline_directed/final_scores_sybilrank.tsv": "64e9be38ad3d7fcd40aeecd82f05b8597a6807297164fb14d6460e1d527e3c33",
     "pipeline_directed/local_scores.tsv": "a004bd6870e0bb7d9d46d49bcd9e664b213c32df65816b412b6663afdedefbac",
     "pipeline_directed/metrics.tsv": "f37b3182e5d212fa85884892f63240ee11c321456a7c1cb0ae194a432be843ad",
     "pipeline_directed/model.txt": "3af37b3d8c126c03d26ed9006e23acb020faa45732980e3c5fb06f3a1a69cba8",
@@ -110,11 +110,11 @@ GOLDEN = {
     "pipeline_directed/train_seeds.tsv": "c5f3a6f56b3fe5729d53caf8f43a9918fbeaf69bf68cf7b64911e37147bac6ba",
     "pipeline_remap/edge_scores.tsv": "f9caba85aeb28dd0a161293c63ab5bdd4c95f65f0bd256e539431d40f617db25",
     "pipeline_remap/features.tsv": "351786f15293b9e0c1154379fa9b122b6625a2e4d3092fef41be9338b93d6747",
-    "pipeline_remap/final_scores_cia.tsv": "8df82b3e48029755b1c18186a37f1ea8ed058b569ed41e8bea3b815740e55259",
-    "pipeline_remap/final_scores_integro.tsv": "0f264d28b712a2f2c376c936d0e5944075c53120fbb69e81f47c987404ce0fbe",
+    "pipeline_remap/final_scores_cia.tsv": "24442d7c80f0015a70985186bb482b37d4d04814ca0a5044bff380bb8d690f74",
+    "pipeline_remap/final_scores_integro.tsv": "098bebb35bb494a8c1e5e98a56548fe27d0d1d94753d4d2dc8cc2fa8cc98515e",
     "pipeline_remap/final_scores_sf_lbp.tsv": "625c04214ed26010348895d2004f4fbd792ea2323cf9eea04c5bdda15c10c55c",
     "pipeline_remap/final_scores_sybilbelief.tsv": "7447fbd433abcb7a1d54b3e5f6565697c6369ef00405ff7ef3672e2b0bdba0e8",
-    "pipeline_remap/final_scores_sybilrank.tsv": "a2c661d78fbc011e72995aced4d23b8b5f2c2bb686886f79f7a346cc3a960cb8",
+    "pipeline_remap/final_scores_sybilrank.tsv": "c3f8d486f63a4fd143d7630be25288892b6bbf829f98823d4db7eeb851cbde6e",
     "pipeline_remap/id_map.tsv": "aba1bfb35097f705aa1d3c5c596f7241a2548b744b49005a737e99e290c17d7d",
     "pipeline_remap/local_scores.tsv": "c76cd604ff57fcaa8ce4d09f2f32df05f1e8e432ae68fa1648d896aa952edcc9",
     "pipeline_remap/metrics.tsv": "e2e48fe617f544f44e98a4c9fa0b12425be72c97359d3b66176d45228a23f722",

@@ -129,6 +129,22 @@ class TestWeightedRandomWalk:
             with pytest.raises(ValueError):
                 weighted_random_walk(g, np.array(bad), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("pairs, node_scores, edge_scores", [
+        ([(0, 1), (0, 2)], [0.0, 1e308, 1e308], [1.0, 1.0]),  # the hub's sum overflows
+        ([(0, 1)], [1e21, 0.0], [1e-290]),  # 1e21 / 1e-290 overflows, though 1e21 * 1 would not
+    ])
+    def test_overflow_raises(self, pairs, node_scores, edge_scores):
+        g = graph_from_pairs(len(node_scores), pairs)
+        with pytest.raises(ValueError, match="walk scores overflow"):
+            weighted_random_walk(g, np.array(node_scores), np.array(edge_scores),
+                                 PropagationConfig(iterations=1))
+
+    def test_node_without_weight_sends_nothing_whatever_its_score(self):
+        g = graph_from_pairs(3, [(0, 1), (1, 2)])
+        out = weighted_random_walk(g, np.array([1e300, 0.5, 0.5]), np.array([0.0, 1.0]),
+                                   PropagationConfig(iterations=1))
+        assert out.tolist() == [0.0, 0.5, 0.5]
+
     def test_default_iterations_log2(self):
         assert default_walk_iterations(1024) == 10
         assert default_walk_iterations(1500) == 11
