@@ -20,6 +20,8 @@ MODEL_FORMAT_VERSION = 1
 _MODEL_ARRAYS = ("mean", "scale", "weights")  # the model file's array rows, in order
 
 THRESHOLD_GRID = np.round(np.arange(1, 20) * 0.05, 2)
+# Folds of the threshold's cross-validation unless a caller picks its own.
+CV_FOLDS = 5
 
 SIMILARITY_METRICS = ("jaccard", "cosine", "adamic-adar")
 
@@ -198,7 +200,7 @@ def edge_similarity(g: Graph, metric: str = "jaccard") -> np.ndarray:
     return np.divide(common, denom, out=np.zeros(g.edge_count), where=denom > 0)
 
 
-def select_threshold(scores: np.ndarray, training: TrainingSet, folds: int = 5) -> float:
+def select_threshold(scores: np.ndarray, training: TrainingSet, folds: int = CV_FOLDS) -> float:
     """Cross-validated decision threshold over the grid {0.05, 0.10, ..., 0.95}.
 
     Maximizes mean held-out accuracy over stratified folds; ties break toward

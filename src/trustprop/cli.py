@@ -46,6 +46,8 @@ _count = _checked(int, lambda x: x >= 1, "a count of at least 1")
 _rate = _checked(float, lambda x: 0 <= x <= 1, "a value in [0, 1]")
 _open_unit = _checked(float, lambda x: 0 < x < 1, "a value in (0, 1)")
 _edge_score = _checked(float, lambda x: 0.1 <= x <= 0.9, "a value in [0.1, 0.9]")
+# Upper bounds of the run-length flags, past which a run takes hours (README "Command line").
+_MAX_COUNTS = {"iterations": 1000, "epochs": 100_000, "trials": 1000, "threads": 64}
 
 
 def _list_of(item):
@@ -116,7 +118,8 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--l2", type=_checked(float, lambda x: 0 <= x < np.inf, "a finite non-negative number"),
                    default=1e-3)
     p.add_argument("--epochs", type=_checked(int, lambda x: x >= 0, "a count of at least 0"), default=500)
-    p.add_argument("--folds", type=_checked(int, lambda x: x >= 2, "a count of at least 2"), default=5)
+    p.add_argument("--folds", type=_checked(int, lambda x: x >= 2, "a count of at least 2"),
+                   default=classifier.CV_FOLDS)
 
     p = sub("score-edges", _cmd_score_edges, "emit per-edge trust scores")
     p.add_argument("--graph", required=True)
@@ -312,10 +315,9 @@ def _cmd_propagate(args, out: Path) -> None:
     tsvio.write_node_scores(out / "final_scores.tsv", final)
 
 
-def _ranking_report(args, graph_path: str | None = None, threshold: float = 0.5) -> metrics.RankingReport:
+def _ranking_report(args, graph_path: str | None = None) -> metrics.RankingReport:
     """The ranking report of `rank` and `evaluate` from their shared flags;
-    `rank` alone passes a graph, for the Sybil component classes, and
-    `evaluate` alone a threshold, for the accuracy it writes."""
+    `rank` alone passes a graph, for the Sybil component classes."""
     labels, scores = tsvio.read_by_node([(args.labels, "label"), (args.scores, "score")])
     # Every labeled node must have a score; unlabeled ones rank last.
     if np.any(np.isnan(scores) & (labels != UNKNOWN)):
@@ -323,8 +325,7 @@ def _ranking_report(args, graph_path: str | None = None, threshold: float = 0.5)
     graph = load_edge_list(graph_path, directed=False) if graph_path else None
     exclude = (classifier.TrainingSet.from_labels(
         tsvio.read_by_node([(args.exclude, "label")], labels.shape[0])[0]).all_ids if args.exclude else None)
-    return metrics.build_ranking_report(scores, labels, threshold=threshold,
-                                        exclude=exclude, graph=graph)
+    return metrics.build_ranking_report(scores, labels, exclude, graph)
 
 
 def _cmd_rank(args, out: Path) -> None:
@@ -332,9 +333,10 @@ def _cmd_rank(args, out: Path) -> None:
 
 
 def _cmd_evaluate(args, out: Path) -> None:
-    report = _ranking_report(args, threshold=args.threshold)
-    rows = [("auc", "final", report.metrics["auc"]),
-            ("accuracy", f"threshold={args.threshold!r}", report.metrics["accuracy"])]
+    report = _ranking_report(args)
+    rows = [("auc", "final", metrics.auc(report.scores, report.labels)),
+            ("accuracy", f"threshold={args.threshold!r}",
+             metrics.accuracy_at_threshold(report.scores, report.labels, args.threshold))]
     for k in args.top_k:
         if k <= report.node_ids.shape[0]:
             rows.append(("top_k_sybil_fraction", k, metrics.top_k_sybil_fraction(report, k)))
@@ -373,7 +375,7 @@ def _cmd_pipeline(args, out: Path) -> None:
     result = harness.run_detection_pipeline(args.graph, args.labels, cfg,
                                             directed=args.directed, out_dir=out,
                                             victim_prob_path=args.victim_probs)
-    print(f"auc {result.report.metrics['auc']}  accuracy {result.report.metrics['accuracy']}  "
+    print(f"auc {result.metrics['auc']}  accuracy {result.metrics['accuracy']}  "
           f"threshold {result.threshold}")
 
 
@@ -418,6 +420,14 @@ def _check_flags(args) -> None:
                 raise UsageError(f"{flag} is read only with --engine random_walk")
     if args.command == "components" and bool(args.labels) != args.sybil_only:
         raise UsageError("--sybil-only requires --labels, and --labels is read only with --sybil-only")
+    for key, top in _MAX_COUNTS.items():
+        if (getattr(args, key, None) or 0) > top:
+            raise UsageError(f"--{key} must be at most {top}")
+    if args.command == "train" or args.command == "pipeline" and args.threshold is None:
+        folds = getattr(args, "folds", classifier.CV_FOLDS)  # pipeline always cross-validates over CV_FOLDS
+        if folds > min(args.train_benign, args.train_sybil):
+            raise UsageError(f"cross-validating the threshold over {folds} folds needs "
+                             f"--train-benign and --train-sybil of at least {folds}")
 
 
 def dispatch(argv) -> int:

@@ -180,10 +180,12 @@ class PipelineResult:
     report: metrics.RankingReport
     final_scores: dict[str, np.ndarray]
     threshold: float
+    metrics: dict[str, float]  # the main engine's "auc" and "accuracy", and "auc_<name>" per engine
 
 
 def classifier_stage(feats: np.ndarray, labels: np.ndarray, out: Path, *, train_benign: int,
-                     train_sybil: int, seed: int, threshold: float | None = None, folds: int = 5,
+                     train_sybil: int, seed: int, threshold: float | None = None,
+                     folds: int = classifier.CV_FOLDS,
                      train_config: classifier.TrainConfig = classifier.TrainConfig()
                      ) -> tuple[classifier.TrainingSet, np.ndarray, float]:
     """Sample the seeds, fit the local classifier, score every node and write the
@@ -264,13 +266,12 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
 
     with _stage("metrics"):
         exclude = training.all_ids
-        report = metrics.build_ranking_report(final_scores[main_engine], labels,
-                                              threshold=threshold, exclude=exclude, graph=graph)
-        aucs = {name: report.metrics["auc"] if name == main_engine
-                else metrics.auc(s, labels, exclude=exclude) for name, s in final_scores.items()}
+        report = metrics.build_ranking_report(final_scores[main_engine], labels, exclude, graph)
+        aucs = {name: metrics.auc(s, labels, exclude=exclude) for name, s in final_scores.items()}
+        accuracy = metrics.accuracy_at_threshold(final_scores[main_engine], labels, threshold, exclude)
         rows: list[tuple] = [("threshold", "cv" if cfg.threshold is None else "fixed", threshold)]
         rows += [("auc", name, aucs[name]) for name in sorted(aucs)]
-        rows.append(("accuracy", f"threshold={threshold!r}", report.metrics["accuracy"]))
+        rows.append(("accuracy", f"threshold={threshold!r}", accuracy))
         for k in cfg.top_k:
             if k <= report.node_ids.shape[0]:
                 rows.append(("top_k_sybil_fraction", k, metrics.top_k_sybil_fraction(report, k)))
@@ -278,6 +279,7 @@ def run_detection_pipeline(graph_path, label_path, cfg: PipelineConfig = Pipelin
                     rows.append((f"top_k_{cls}", k, count))
         tsvio.write_metrics_report(out / "metrics.tsv", rows)
         metrics.write_ranking(out / "ranking.tsv", report)
-        report.metrics.update({f"auc_{name}": value for name, value in aucs.items()})
 
-    return PipelineResult(report=report, final_scores=final_scores, threshold=threshold)
+    return PipelineResult(report=report, final_scores=final_scores, threshold=threshold,
+                          metrics={"auc": aucs[main_engine], "accuracy": accuracy,
+                                   **{f"auc_{name}": value for name, value in aucs.items()}})

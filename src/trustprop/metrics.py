@@ -7,7 +7,7 @@ benign node (ties count half), computed rank-based in O(n log n).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,18 +86,17 @@ def sybil_component_classes(g: Graph, labels: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RankingReport:
-    """Ascending ranking of evaluated nodes with labels, classes and metrics."""
+    """Ascending ranking of evaluated nodes with their labels and classes."""
 
     node_ids: np.ndarray          # ranked ascending by (score, id)
     scores: np.ndarray            # aligned with node_ids
     labels: np.ndarray            # aligned true labels
     component_class: np.ndarray   # aligned class names
-    metrics: dict[str, float] = field(default_factory=dict)
 
 
-def build_ranking_report(scores: np.ndarray, labels: np.ndarray, threshold: float = 0.5,
-                         exclude=None, graph: Graph | None = None) -> RankingReport:
-    """Rank evaluated nodes and attach their classes and base metrics."""
+def build_ranking_report(scores: np.ndarray, labels: np.ndarray, exclude=None,
+                         graph: Graph | None = None) -> RankingReport:
+    """Rank evaluated nodes and attach their labels and component classes."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     ids = np.flatnonzero(_evaluation_mask(labels, exclude))
@@ -106,10 +105,8 @@ def build_ranking_report(scores: np.ndarray, labels: np.ndarray, threshold: floa
         classes = sybil_component_classes(graph, labels)[ranked]
     else:
         classes = np.where(labels[ranked] == SYBIL, CLASS_OTHERS, CLASS_BENIGN).astype("U8")
-    base = {"auc": auc(scores, labels, exclude=exclude),
-            "accuracy": accuracy_at_threshold(scores, labels, threshold, exclude=exclude)}
     return RankingReport(node_ids=ranked, scores=scores[ranked], labels=labels[ranked],
-                         component_class=classes, metrics=base)
+                         component_class=classes)
 
 
 def _head(ranked: np.ndarray, k: int) -> np.ndarray:

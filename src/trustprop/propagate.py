@@ -120,7 +120,7 @@ def _engine_inputs(g: Graph, node_scores, edge_scores, cfg: PropagationConfig,
 
 
 def _walk(g: Graph, init: np.ndarray, weights: np.ndarray, iterations: int,
-          restart: float = 0.0, pin: TrainingSet | None = None, hold_isolated: bool = False,
+          restart: float = 0.0, pin: TrainingSet | None = None,
           per_weighted_degree: bool = False) -> np.ndarray:
     """Shared power-iteration core: scores <- column-normalized-weight update.
 
@@ -139,7 +139,6 @@ def _walk(g: Graph, init: np.ndarray, weights: np.ndarray, iterations: int,
     n, edge_u, edge_v = g.node_count, g.edge_u, g.edge_v
     wsum = _scatter(np.zeros(n), (edge_v, weights.__getitem__), (edge_u, weights.__getitem__))
     sends, floor = wsum > 0, np.maximum(wsum, 1e-300)
-    isolated = g.degrees == 0
     scores = init.astype(float, copy=True)
     for _ in range(iterations):
         per_weight = np.divide(scores, floor, out=np.zeros(n), where=sends)
@@ -147,8 +146,6 @@ def _walk(g: Graph, init: np.ndarray, weights: np.ndarray, iterations: int,
                           (edge_u, lambda e: np.take(per_weight, edge_v[e], mode="clip") * weights[e]))
         if restart:
             scores = (1.0 - restart) * scores + restart * init
-        if hold_isolated:
-            scores[isolated] = init[isolated]
         scores = _apply_seeds(scores, pin)
     if per_weighted_degree:
         scores = np.where(sends, scores / floor, scores)
@@ -171,8 +168,12 @@ def weighted_random_walk(g: Graph, node_scores: np.ndarray, edge_scores: np.ndar
     # The walk's stationary background is proportional to the weighted degree,
     # so that is the right normalizer (raw degree would leave the mean incident
     # edge score as per-node noise).
-    return _walk(g, init, edge_scores, d, pin=cfg.seeds if cfg.pin_seeds else None,
-                 hold_isolated=True, per_weighted_degree=cfg.degree_normalize)
+    scores = _walk(g, init, edge_scores, d, pin=cfg.seeds if cfg.pin_seeds else None,
+                   per_weighted_degree=cfg.degree_normalize)
+    # An isolated node neither sends nor receives: restoring it once holds it every round.
+    isolated = g.degrees == 0
+    scores[isolated] = init[isolated]
+    return scores
 
 
 def weighted_lbp(g: Graph, node_scores: np.ndarray, edge_scores: np.ndarray,
@@ -267,23 +268,18 @@ def _logit(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _seed_distribution(g: Graph, seeds, what: str) -> np.ndarray:
-    """1/|seeds| on each seed node, 0 elsewhere."""
+def _seed_walk(g: Graph, seeds, weights: np.ndarray, iterations: int | None, what: str,
+               restart: float = 0.0) -> np.ndarray:
+    """Walk from 1/|seeds| on each seed node alone (ceil(log2 n) rounds by
+    default). Without a restart each final score is divided by the node's
+    total incident weight; a restart walk keeps its raw scores."""
     seeds = np.asarray(seeds, dtype=np.int64)
     if seeds.shape[0] == 0:
         raise ValueError(f"{what} needs at least one seed")
-    dist = np.zeros(g.node_count)
-    dist[seeds] = 1.0 / seeds.shape[0]
-    return dist
-
-
-def _seed_walk(g: Graph, benign_seeds, weights: np.ndarray, iterations: int | None,
-               what: str) -> np.ndarray:
-    """Walk from the benign seeds alone, each final score divided by the
-    node's total incident weight (ceil(log2 n) rounds by default)."""
-    init = _seed_distribution(g, benign_seeds, what)
+    init = np.zeros(g.node_count)
+    init[seeds] = 1.0 / seeds.shape[0]
     d = _rounds(iterations, default_walk_iterations(g.node_count))
-    return _walk(g, init, weights, d, per_weighted_degree=True)
+    return _walk(g, init, weights, d, restart=restart, per_weighted_degree=not restart)
 
 
 def baseline_sybilrank(g: Graph, benign_seeds: np.ndarray, iterations: int | None = None) -> np.ndarray:
@@ -298,11 +294,9 @@ def baseline_cia(g: Graph, sybil_seeds: np.ndarray, restart: float = 0.85,
     Higher scores mean more Sybil-like; negate for the ascending trust
     ranking used elsewhere.
     """
-    dist = _seed_distribution(g, sybil_seeds, "baseline_cia")
     if not 0.0 < restart <= 1.0:
         raise ValueError("restart probability must lie in (0, 1]")
-    d = _rounds(iterations, default_walk_iterations(g.node_count))
-    return _walk(g, dist, np.ones(g.edge_count), d, restart=restart)
+    return _seed_walk(g, sybil_seeds, np.ones(g.edge_count), iterations, "baseline_cia", restart)
 
 
 def baseline_sybilbelief(g: Graph, seeds: TrainingSet | None, homophily: float = 0.9,

@@ -16,6 +16,10 @@ import numpy as np
 
 from .graph import BENIGN, SYBIL, UNKNOWN, Graph
 
+# The most edges a scenario may have: the scale test's graph size, whose build and
+# engines run in about 650 MiB.
+MAX_SCENARIO_EDGES = 10**7
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -42,6 +46,8 @@ class ScenarioConfig:
             raise ValueError("rng_seed must be non-negative")
         if self.attack_edge_count > self.benign_count * self.sybil_count:
             raise ValueError("attack_edge_count exceeds number of distinct cross pairs")
+        if (self.benign_count + self.sybil_count) * self.edges_per_node + self.attack_edge_count > MAX_SCENARIO_EDGES:
+            raise ValueError(f"(benign + sybil) * edges_per_node + attack edges exceeds {MAX_SCENARIO_EDGES}")
 
     @property
     def edges_per_node(self) -> int:

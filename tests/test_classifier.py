@@ -307,6 +307,17 @@ class TestModelFile:
         with pytest.raises(ValueError):
             load_model(path)
 
+    @pytest.mark.parametrize("rows", [
+        ["mean\t0\t0\t0", "scale\t1\t1\t1", "weights\t1\t2\t3"],               # no bias row
+        ["mean\t0\t0\t0", "scale\t1\t1\t1", "weights\t1\tx\t3", "bias\t0"],   # not a number
+        ["mean\t0\t0\t0", "scale\t1\t1\t1", "weights\t1\t2\t3", "bias"],       # empty bias row
+    ])
+    def test_malformed_file_names_it(self, tmp_path, rows):
+        path = tmp_path / "model.txt"
+        path.write_text("".join(f"{row}\n" for row in ["format\t1", *rows]))
+        with pytest.raises(ValueError, match=f"{path}: malformed model file"):
+            load_model(path)
+
 
 class TestSampleTrainingSet:
     def test_sizes_and_labels(self):

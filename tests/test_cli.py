@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustprop import tsvio
-from trustprop.cli import VERSION_LINE, build_parser, dispatch
+from trustprop.cli import VERSION_LINE, _parse, build_parser, dispatch
 from trustprop.tsvio import load_edge_list
 
 
@@ -60,6 +60,8 @@ class TestGenerate:
         ("--avg-degree", "0", "avg_degree must be positive"),
         ("--attack-edges", "-1", "attack_edge_count must be non-negative"),
         ("--seed", "-1", "rng_seed must be non-negative"),
+        ("--benign", "2000000", "edges_per_node + attack edges exceeds 10000000"),
+        ("--sybil", "2000000", "edges_per_node + attack edges exceeds 10000000"),
     ])
     def test_sizes_the_generator_cannot_grow_are_usage_errors_before_any_write(self, tmp_path, capsys,
                                                                                flag, bad, message):
@@ -206,6 +208,7 @@ class TestUsageErrors:
         (["--variable", "sybil_count", "--values", "0"], "region sizes must be positive"),
         (["--variable", "sybil_count", "--values", "3"], "each region needs more than edges_per_node = 5 nodes"),
         (["--variable", "attack_edges", "--values", "10.7"], "attack_edges takes whole numbers, got 10.7"),
+        (["--variable", "sybil_count", "--values", "2000000"], "attack edges exceeds 10000000"),
     ])
     def test_sweep_values_the_library_rejects_are_usage_errors_before_any_write(self, tmp_path, capsys,
                                                                                flags, message):
@@ -271,6 +274,45 @@ class TestUsageErrors:
         assert f"run.cfg:2: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
         assert run(*argv, "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 0
+
+    @pytest.mark.parametrize("argv, flag, top", [
+        (PROPAGATE, "--iterations", 1000), (PIPELINE, "--iterations", 1000), (TRAIN, "--epochs", 100_000),
+        (["sweep"], "--trials", 1000), (["sweep"], "--threads", 64), (PIPELINE, "--threads", 64),
+    ])
+    def test_counts_above_their_bound_are_usage_errors_before_any_write(self, scenario_dir, tmp_path, capsys,
+                                                                       argv, flag, top):
+        argv = [str(scenario_dir / a) if a.endswith(".tsv") else a for a in argv]
+        message = f"{flag} must be at most {top}"
+        assert run(*argv, flag, top + 1, "--out-dir", tmp_path / "out") == 1
+        assert message in capsys.readouterr().err
+        (tmp_path / "run.cfg").write_text(f"{flag[2:]} = {top + 1}\n")
+        assert run(*argv, "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 1
+        assert f"run.cfg:1: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # the bound itself passes the checks: parsed only, never run, as a 64-thread sweep starts 64 threads
+        assert getattr(_parse(*build_parser(), [*argv, flag, str(top)]), flag[2:]) == top
+
+    @pytest.mark.parametrize("argv, flags", [
+        (TRAIN, ["--train-benign", "5", "--train-sybil", "5", "--folds", "10"]),
+        (TRAIN, ["--train-benign", "9", "--train-sybil", "4"]),
+        (PIPELINE, ["--train-benign", "5", "--train-sybil", "3"]),
+        (PIPELINE, ["--train-benign", "4"]),
+    ])
+    def test_more_folds_than_training_nodes_is_usage_error_before_any_write(self, scenario_dir, tmp_path,
+                                                                           capsys, argv, flags):
+        argv = [scenario_dir / a if a.endswith(".tsv") else a for a in argv]
+        folds = int(flags[-1]) if flags[-2] == "--folds" else 5
+        message = f"over {folds} folds needs --train-benign and --train-sybil of at least {folds}"
+        assert run(*argv, *flags, "--out-dir", tmp_path / "out") == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # the last flag, the one that fails the check, moves to line 2 of a config file
+        (tmp_path / "run.cfg").write_text(f"seed = 3\n{flags[-2][2:]} = {flags[-1]}\n")
+        assert run(*argv, *flags[:-2], "--config", tmp_path / "run.cfg", "--out-dir", tmp_path / "out") == 1
+        assert f"run.cfg:2: cross-validating the threshold {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        if argv[0] == "pipeline":  # a fixed threshold needs no folds
+            assert run(*argv, *flags, "--threshold", 0.5, "--out-dir", tmp_path / "out") == 0
 
     def test_training_sample_above_the_labeled_count_is_data_error(self, scenario_dir, tmp_path):
         assert run(*[scenario_dir / a if a.endswith(".tsv") else a for a in self.PIPELINE],
@@ -353,7 +395,7 @@ class TestSparseIds:
         (("features", "--graph", "g.tsv"), "g.tsv"),
         (("rank", "--scores", "s.tsv", "--labels", "l.tsv"), "l.tsv"),
         (("train", "--features", "f.tsv", "--labels", "l.tsv",
-          "--train-benign", "1", "--train-sybil", "1", "--folds", "2"), "f.tsv"),
+          "--train-benign", "2", "--train-sybil", "2", "--folds", "2"), "f.tsv"),
     ])
     def test_exit_2_at_the_row(self, tmp_path, capsys, argv, bad, sparse):
         files = {"g.tsv": "0\t1\n1\t0\n1\t2\n", "s.tsv": "0\t0.2\n1\t0.8\n2\t0.4\n",
@@ -467,9 +509,8 @@ class TestMutatedInputs:
             assert not {"nan", "inf", "-inf"} & set(fields), name
 
 
-# Config values: TOKENS without the three largest counts, as a round, epoch or fold
-# count that large runs for hours; and words of the boolean and engine keys.
-CONFIG_TOKENS = TOKENS[:-3] + ["true", "no", "lbp", "random_walk"]
+# Config values: TOKENS and words of the boolean and engine keys.
+CONFIG_TOKENS = TOKENS + ["true", "no", "lbp", "random_walk"]
 
 
 @st.composite
@@ -627,6 +668,34 @@ class TestStageCommands:
         rows = [line.split("\t") for line in (out / "metrics.tsv").read_text().splitlines()]
         names = {r[0] for r in rows}
         assert {"auc", "accuracy", "top_k_sybil_fraction"} <= names
+
+    @pytest.mark.parametrize("labels, exclude, ranked", [
+        ("0\t1\n1\t1\n2\t1\n", None, ["1", "2", "0"]),          # benign only
+        ("0\t1\n1\t1\n2\t0\n", "2\t0\n", ["1", "0"]),         # the one Sybil excluded
+    ])
+    def test_rank_needs_no_second_class_but_evaluate_does(self, tmp_path, capsys, labels, exclude, ranked):
+        (tmp_path / "s.tsv").write_text("0\t0.3\n1\t0.1\n2\t0.2\n")
+        (tmp_path / "l.tsv").write_text(labels)
+        flags = ["--scores", tmp_path / "s.tsv", "--labels", tmp_path / "l.tsv"]
+        if exclude:
+            (tmp_path / "x.tsv").write_text(exclude)
+            flags += ["--exclude", tmp_path / "x.tsv"]
+        assert run("rank", *flags, "--out-dir", tmp_path / "rank") == 0
+        rows = [line.split("\t") for line in (tmp_path / "rank" / "ranking.tsv").read_text().splitlines()]
+        assert [r[1] for r in rows] == ranked and {r[3] for r in rows} == {"1"}
+        capsys.readouterr()
+        assert run("evaluate", *flags, "--out-dir", tmp_path / "eval") == 2
+        assert "AUC needs both classes among evaluated nodes" in capsys.readouterr().err
+        assert not (tmp_path / "eval" / "metrics.tsv").exists()
+
+    @pytest.mark.parametrize("command", ["rank", "evaluate"])
+    def test_labeled_node_without_a_score_is_data_error(self, tmp_path, capsys, command):
+        (tmp_path / "s.tsv").write_text("0\t0.3\n2\t0.2\n")
+        (tmp_path / "l.tsv").write_text("0\t1\n1\t0\n2\t0\n3\t1\n")
+        assert run(command, "--scores", tmp_path / "s.tsv", "--labels", tmp_path / "l.tsv",
+                   "--out-dir", tmp_path / "out") == 2
+        assert f"{tmp_path / 's.tsv'}: labeled node is missing a score" in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
 
     @pytest.mark.parametrize("engine", ["lbp", "random_walk"])
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

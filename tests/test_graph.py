@@ -112,6 +112,13 @@ class TestGraphStructure:
             Graph.from_edges(2, [0], [2])
 
     @pytest.mark.parametrize("cls", [Graph, DirectedGraph])
+    @pytest.mark.parametrize("n, u, v, message", [(-1, [], [], "node_count must be non-negative"),
+                                                   (3, [0], [1, 2], "endpoint arrays must have equal length")])
+    def test_negative_node_count_or_unequal_endpoint_arrays(self, cls, n, u, v, message):
+        with pytest.raises(ValueError, match=message):
+            cls.from_edges(n, u, v)
+
+    @pytest.mark.parametrize("cls", [Graph, DirectedGraph])
     def test_node_count_past_int64_keys(self, cls):
         # (2**32 - 2) * 2**32 + 2**32 - 1 does not fit in int64; no array is sized by n
         n = 2**32
@@ -442,6 +449,14 @@ class TestModularity:
         labels = np.array([BENIGN, UNKNOWN, SYBIL], dtype=np.int8)
         with pytest.raises(ValueError):
             modularity(g, labels)
+
+    def test_label_map_must_cover_every_node(self):
+        g = graph_from_pairs(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="cover every node"):
+            modularity(g, np.array([BENIGN, SYBIL], dtype=np.int8))
+
+    def test_edgeless_graph_is_zero(self):
+        assert modularity(graph_from_pairs(3, []), np.array([BENIGN, SYBIL, SYBIL], dtype=np.int8)) == 0.0
 
     def test_against_pair_oracle(self):
         rng = np.random.default_rng(8)

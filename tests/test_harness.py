@@ -62,6 +62,12 @@ class TestSweep:
         with pytest.raises(ValueError, match="10.7"):
             SweepSpec(base=SMALL_BASE, variable=variable, values=(10.7,), trials=1).validate()
 
+    @pytest.mark.parametrize("bad, message", [({"mode": "bogus"}, "unknown sweep mode 'bogus'"),
+                                              ({"values": ()}, "empty value grid")])
+    def test_unknown_mode_or_empty_grid_rejected(self, bad, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(base=SMALL_BASE, trials=1, **bad).validate()
+
     def test_no_engine_rejected(self):
         with pytest.raises(ValueError, match="no engine"):
             SweepSpec(base=SMALL_BASE, engines=()).validate()
@@ -167,7 +173,7 @@ class TestPipeline:
         final = propagate.weighted_lbp(g, node_scores, edge_scores,
                                        propagate.PropagationConfig(seeds=training))
         want_auc = metrics.auc(final, labels, exclude=training.all_ids)
-        assert result.report.metrics["auc"] == want_auc
+        assert result.metrics["auc"] == want_auc
         assert np.array_equal(result.final_scores["sf_lbp"], final)
 
     def test_zero_training_tagged_classifier_stage(self, tmp_path):
@@ -210,7 +216,7 @@ class TestPipeline:
         result = run_detection_pipeline(tmp_path / "digraph.tsv", tmp_path / "labels.tsv",
                                         cfg, directed=True, out_dir=tmp_path / "out")
         # features separate on this fixture, so the pipeline should rank well
-        assert result.report.metrics["auc"] > 0.8
+        assert result.metrics["auc"] > 0.8
         assert (tmp_path / "out" / "mutual_graph.tsv").exists()
 
     def test_directed_run_mutualizes_once_and_scores_each_engine_once(
@@ -237,7 +243,7 @@ class TestPipeline:
         assert calls["auc"] == len(result.final_scores)
         rows = [line.split("\t") for line in (tmp_path / "out" / "metrics.tsv").read_text().splitlines()]
         written = {r[1]: float(r[2]) for r in rows if r[0] == "auc"}
-        assert written == {name: result.report.metrics[f"auc_{name}"] for name in result.final_scores}
+        assert written == {name: result.metrics[f"auc_{name}"] for name in result.final_scores}
 
     def test_directed_jaccard_run_counts_triangles_once(
             self, tmp_path, directed_social_scenario, monkeypatch):
@@ -342,7 +348,7 @@ class TestPipeline:
         dense_cfg = PipelineConfig(train_benign=15, train_sybil=15, seed=3)
         dense = run_detection_pipeline(tmp_path / "dense_graph.tsv", tmp_path / "dense_labels.tsv",
                                        dense_cfg, out_dir=tmp_path / "dense")
-        assert result.report.metrics["auc"] == dense.report.metrics["auc"]
+        assert result.metrics["auc"] == dense.metrics["auc"]
         id_map = (tmp_path / "out" / "id_map.tsv").read_text().splitlines()
         assert id_map[0] == "0\t0"
         assert id_map[1] == "1\t1000"

@@ -133,11 +133,21 @@ class TestRanking:
 
     def test_predictions_sign_convention(self):
         scores = np.array([0.5, 0.7])
-        labels = labels_of([1], [0], 2)
-        report = build_ranking_report(scores, labels, threshold=0.5)
-        assert report.metrics["accuracy"] == 1.0  # node 0, exactly at threshold, counts as Sybil
-        report = build_ranking_report(scores, labels_of([0], [1], 2), threshold=0.5)
-        assert report.metrics["accuracy"] == 0.0
+        report = build_ranking_report(scores, labels_of([1], [0], 2))
+        # node 0, exactly at threshold, counts as Sybil
+        assert accuracy_at_threshold(report.scores, report.labels, 0.5) == 1.0
+        report = build_ranking_report(scores, labels_of([0], [1], 2))
+        assert accuracy_at_threshold(report.scores, report.labels, 0.5) == 0.0
+
+    @pytest.mark.parametrize("labels, exclude", [(labels_of([0, 1, 2], [], 4), None),
+                                                 (labels_of([0, 1], [2], 4), [2])])
+    def test_report_of_one_class_computes_no_metric(self, labels, exclude):
+        scores = np.array([0.3, 0.1, 0.2, np.nan])
+        report = build_ranking_report(scores, labels, exclude=exclude)
+        assert report.node_ids.tolist() == ([1, 0] if exclude else [1, 2, 0])
+        assert np.all(report.labels == BENIGN)
+        with pytest.raises(ValueError, match="both classes"):
+            auc(report.scores, report.labels)
 
 
 class TestTopK:

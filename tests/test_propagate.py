@@ -8,7 +8,8 @@ from trustprop import propagate
 from trustprop.classifier import SIMILARITY_METRICS, TrainingSet, _sigmoid, edge_similarity
 from trustprop.cli import dispatch
 from trustprop.features import feature_matrix
-from trustprop.propagate import (PropagationConfig, baseline_cia, baseline_integro,
+from trustprop.propagate import (SEED_BENIGN_SCORE, SEED_SYBIL_SCORE, PropagationConfig,
+                                 baseline_cia, baseline_integro,
                                  baseline_sybilbelief, baseline_sybilrank,
                                  default_walk_iterations, integro_edge_weights,
                                  update_messages, weighted_lbp, weighted_random_walk)
@@ -178,13 +179,12 @@ class TestBlockedWalk:
     """The walk's edge blocks give the whole-array walk bit for bit."""
 
     SETUPS = {
-        "plain": {"hold_isolated": True},
+        "plain": {},
         "restart": {"restart": 0.85},
-        "pins": {"pin": TrainingSet(benign=np.array([5, 7]), sybil=np.array([3, 150])),
-                 "hold_isolated": True},
+        "pins": {"pin": TrainingSet(benign=np.array([5, 7]), sybil=np.array([3, 150]))},
         "per_weighted_degree": {"per_weighted_degree": True},
         "all": {"restart": 0.3, "pin": TrainingSet(benign=np.array([0]), sybil=np.array([9])),
-                "hold_isolated": True, "per_weighted_degree": True},
+                "per_weighted_degree": True},
     }
 
     def test_blocks_read_the_one_chunk_constant(self):
@@ -210,7 +210,7 @@ class TestBlockedWalk:
         monkeypatch.setattr(graph_module, "_EDGE_CHUNK", chunk)
         g = graph_from_pairs(n, [])
         init = np.linspace(0.1, 0.9, n)
-        for kwargs in ({}, {"hold_isolated": True}, {"per_weighted_degree": True}):
+        for kwargs in ({}, {"per_weighted_degree": True}):
             got = propagate._walk(g, init, np.zeros(0), 3, **kwargs)
             assert got.dtype == float
             assert got.tobytes() == walk_oracle(g, init, np.zeros(0), 3, **kwargs).tobytes()
@@ -233,6 +233,22 @@ class TestBlockedWalk:
         victim = np.linspace(0.0, 1.0, g.node_count)
         assert baseline_integro(g, seeds, victim).tobytes() == walk_oracle(
             g, dist, integro_edge_weights(g, victim, 2.0), d, per_weighted_degree=True).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_pinned_normalized_walk_holds_an_isolated_seed(self, chunk, monkeypatch):
+        # Isolated node 3 is a Sybil seed: pinned every round, held, and never normalized.
+        monkeypatch.setattr(graph_module, "_EDGE_CHUNK", chunk)
+        g, weights, scores = _hub_graph()
+        seeds = TrainingSet(benign=np.array([5, 7]), sybil=np.array([3, 9]))
+        assert g.degrees[3] == 0 and np.all(g.degrees[[5, 7, 9]] > 0)
+        init = scores.copy()
+        init[seeds.benign], init[seeds.sybil] = SEED_BENIGN_SCORE, SEED_SYBIL_SCORE
+        got = weighted_random_walk(g, scores, weights,
+                                   PropagationConfig(seeds=seeds, pin_seeds=True, degree_normalize=True))
+        want = walk_oracle(g, init, weights, default_walk_iterations(g.node_count), pin=seeds,
+                           hold_isolated=True, per_weighted_degree=True)
+        assert got.tobytes() == want.tobytes()
+        assert got[3] == SEED_SYBIL_SCORE
 
 
 class TestWeightedLbp:
@@ -589,6 +605,13 @@ class TestIntegro:
             integro_edge_weights(g, np.zeros(2), beta=0.0)
         with pytest.raises(ValueError):
             integro_edge_weights(g, np.array([0.5, 1.2]), beta=1.0)
+
+    def test_victim_probabilities_must_cover_every_node(self):
+        g = graph_from_pairs(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match="cover every node"):
+            integro_edge_weights(g, np.array([0.1, 0.2]), beta=2.0)
+        with pytest.raises(ValueError, match="cover every node"):
+            baseline_integro(g, np.array([1]), np.array([0.1, 0.2]))
 
     @pytest.mark.parametrize("beta", [np.inf, np.nan, -np.inf])
     def test_non_finite_beta_rejected(self, beta):

@@ -6,7 +6,7 @@ import pytest
 from conftest import compose_attack_scenario_oracle, preferential_attachment_oracle
 
 from trustprop import synth
-from trustprop.graph import BENIGN, SYBIL, UNKNOWN, modularity
+from trustprop.graph import BENIGN, SYBIL, UNKNOWN, Graph, modularity
 from trustprop.harness import derive_seed
 from trustprop.synth import (NoiseConfig, ScenarioConfig, compose_attack_scenario,
                              preferential_attachment, simulate_edge_trust_scores,
@@ -230,6 +230,16 @@ class TestComposeAttackScenario:
         with pytest.raises(ValueError):
             ScenarioConfig(benign_count=10, sybil_count=5, attack_edge_count=51).validate()
 
+    @pytest.mark.parametrize("sizes", [{"benign_count": 2_000_000}, {"sybil_count": 2_000_000},
+                                       {"benign_count": 10**5, "sybil_count": 10**5, "avg_degree": 101},
+                                       {"benign_count": 10**5, "sybil_count": 10**5,
+                                        "attack_edge_count": 9_000_001}])
+    def test_scenario_past_the_edge_bound_rejected(self, sizes):
+        # (benign + sybil) * edges_per_node + attack edges: 10,003,500; 10,001,000; 10,001,000; 10,000,001
+        with pytest.raises(ValueError, match=f"exceeds {synth.MAX_SCENARIO_EDGES}$"):
+            ScenarioConfig(**sizes).validate()
+        ScenarioConfig(benign_count=10**5, sybil_count=10**5, attack_edge_count=9 * 10**6).validate()
+
     @pytest.mark.parametrize("benign, sybil", [(5, 50), (50, 5), (3, 3)])
     def test_region_of_at_most_edges_per_node_rejected(self, benign, sybil):
         cfg = ScenarioConfig(benign_count=benign, sybil_count=sybil, attack_edge_count=1)
@@ -279,6 +289,11 @@ class TestSimulateTrustScores:
 
 
 class TestSimulateEdgeTrustScores:
+    def test_unknown_label_error(self):
+        g = Graph.from_edges(2, [0], [1])
+        with pytest.raises(ValueError, match="requires every node to be labeled"):
+            simulate_edge_trust_scores(g, np.array([BENIGN, UNKNOWN], dtype=np.int8), NoiseConfig(0.1, 0.1))
+
     def test_zero_noise_sides(self):
         cfg = ScenarioConfig(benign_count=80, sybil_count=40, attack_edge_count=60, rng_seed=4)
         g, labels = compose_attack_scenario(cfg)
